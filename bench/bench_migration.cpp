@@ -138,9 +138,7 @@ Outcome runScenario(bool migration_on) {
   }
   out.p50 = percentile(latencies, 0.50);
   out.p95 = percentile(latencies, 0.95);
-  for (int i = 0; i < cluster.computeCount(); ++i) {
-    out.remote_fetches += cluster.dsmClient(i).remoteFetches();
-  }
+  out.remote_fetches = cluster.sim().metrics().counterSum("dsm/remote_fetches");
   out.migrations = cluster.stats().migrations_committed;
   static bool emitted_metrics = false;
   if (!emitted_metrics && migration_on) {

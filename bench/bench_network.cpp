@@ -178,7 +178,7 @@ void BM_RatpCrashRebootRecovery(benchmark::State& state) {
     state.counters["completed"] = completed;
     state.counters["failed"] = failed;
     state.counters["peer_deaths"] =
-        static_cast<double>(client.stats().peer_deaths);
+        static_cast<double>(m.sim.metrics().counterValue("client/ratp/peer_deaths"));
   }
 }
 BENCHMARK(BM_RatpCrashRebootRecovery)->UseManualTime()->Iterations(3)->Unit(benchmark::kMillisecond);

@@ -72,7 +72,7 @@ CommitRun runCommitters(store::StoreEngine engine, std::uint32_t writers,
   CommitRun out;
   out.commits_done = last_commit - sim::TimePoint{};
   out.drained = sim.now() - sim::TimePoint{};
-  out.forces = store.walForces();
+  out.forces = sim.metrics().counterValue("100/wal/forces");
   out.txns = static_cast<std::uint64_t>(writers) * txns_each;
   out.metrics_json = sim.metrics().toJson();
   return out;

@@ -172,15 +172,18 @@ class Cluster {
   Result<void> loadFrom(const std::string& directory);
 
   // ---- Observability ----
+  // Cluster-wide totals read from the metrics registry: each field sums one
+  // or two "<node>/<subsystem>/<metric>" counters over every node
+  // (docs/OBSERVABILITY.md). toString() prints them as "field=value".
   struct Stats {
     std::uint64_t invocations = 0;
     std::uint64_t remote_invocations = 0;
     std::uint64_t activations = 0;
     std::uint64_t tx_retries = 0;
-    std::uint64_t page_faults = 0;       // served by compute-side partitions
+    std::uint64_t page_faults = 0;       // DSM read + write faults
     std::uint64_t frames_on_wire = 0;
     std::uint64_t bytes_on_wire = 0;
-    std::uint64_t retransmissions = 0;
+    std::uint64_t retransmissions = 0;   // every RaTP endpoint, once each
     std::uint64_t invalidations = 0;     // DSM coherence callbacks sent
     std::uint64_t disk_reads = 0;
     std::uint64_t disk_writes = 0;
@@ -189,7 +192,7 @@ class Cluster {
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_evictions = 0;
     std::uint64_t wal_forces = 0;
-    std::uint64_t wal_records = 0;
+    std::uint64_t wal_records = 0;       // log records appended (wal/records_appended)
     std::uint64_t wal_checkpoints = 0;
     std::uint64_t wal_pages_written_back = 0;
     // Scheduler (sched/) counters, aggregated over every agent.

@@ -38,6 +38,12 @@ Runtime::Runtime(ra::Node& node, dsm::DsmClientPartition& dsm, ra::AnonPartition
       txn_(node, dsm, sync_),
       names_(node, name_server),
       io_(node) {
+  sim::MetricsRegistry& metrics = node_.simulation().metrics();
+  m_invocations_ = &metrics.counter(node_.name() + "/obj/invocations");
+  m_remote_invocations_ = &metrics.counter(node_.name() + "/obj/remote_invocations");
+  m_activations_ = &metrics.counter(node_.name() + "/obj/activations");
+  m_tx_retries_ = &metrics.counter(node_.name() + "/obj/tx_retries");
+  m_forward_chases_ = &metrics.counter(node_.name() + "/obj/forward_chases");
   bindThreadService();
   node_.onCrashHook([this] {
     // Activations are volatile kernel state. Threads killed by the crash
@@ -262,7 +268,7 @@ Result<ActiveObject*> Runtime::activate(sim::Process& self, const Sysname& objec
     const ByteSpan image(h.data, ra::kPageSize);
     if (migrate::isForwardPage(image)) {
       CLOUDS_TRY_ASSIGN(rec, migrate::ForwardRecord::decode(image));
-      ++stats_.forward_chases;
+      ++*m_forward_chases_;
       node_.simulation().trace(node_.name(), "objmgr",
                                "chasing migrated object " + cur.toString() + " -> " +
                                    rec.new_header.toString());
@@ -282,7 +288,7 @@ Result<ActiveObject*> Runtime::activate(sim::Process& self, const Sysname& objec
     CLOUDS_TRY(ao.space.map({kPHeapBase, desc.pheap_size, desc.pheap_seg, 0, true}));
     ao.vheap_seg = anon_.create(desc.vheap_size);
     CLOUDS_TRY(ao.space.map({kVHeapBase, desc.vheap_size, ao.vheap_seg, 0, true}));
-    ++stats_.activations;
+    ++*m_activations_;
     auto [pos, inserted] = active_.emplace(cur, std::move(ao));
     (void)inserted;
     return &pos->second;
@@ -310,7 +316,7 @@ Result<Sysname> Runtime::chaseForward(sim::Process& self, const Sysname& object)
     (void)deactivateObject(self, object, /*flush=*/false);
   }
   heat_.erase(object);
-  ++stats_.forward_chases;
+  ++*m_forward_chases_;
   node_.simulation().trace(node_.name(), "objmgr",
                            "chasing migrated object " + object.toString() + " -> " +
                                rec.new_header.toString());
@@ -342,7 +348,7 @@ Result<Value> Runtime::invoke(CloudsThread& t, const Sysname& object, const std:
   int chases = 0;
   for (int attempt = 0; attempt <= kTxRetries; ++attempt) {
     if (attempt > 0) {
-      ++stats_.tx_retries;
+      ++*m_tx_retries_;
       // Randomized exponential backoff breaks deadlock livelock (the
       // all-readers-upgrade pattern aborts everyone near-simultaneously;
       // wide jitter lets one retrier win each round).
@@ -379,7 +385,7 @@ Result<Value> Runtime::invoke(CloudsThread& t, const Sysname& object, const std:
 Result<Value> Runtime::invokeOnce(CloudsThread& t, const Sysname& object,
                                   const std::string& entry, const ValueList& args) {
   sim::Process& self = *t.process;
-  ++stats_.invocations;
+  ++*m_invocations_;
   node_.cpu().compute(self, node_.cost().syscall + node_.cost().invoke_locate);
 
   auto act = activate(self, object);
@@ -554,7 +560,7 @@ void Runtime::bindThreadService() {
           reply.str("malformed remote invocation request");
           return std::move(reply).take();
         }
-        ++stats_.remote_invocations_served;
+        ++*m_remote_invocations_;
         // A slave Clouds process carries the visiting thread's identity on
         // this node (paper: a thread "is implemented as a collection of
         // Clouds processes").

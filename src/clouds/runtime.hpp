@@ -33,14 +33,6 @@
 
 namespace clouds::obj {
 
-struct RuntimeStats {
-  std::uint64_t invocations = 0;
-  std::uint64_t activations = 0;
-  std::uint64_t remote_invocations_served = 0;
-  std::uint64_t tx_retries = 0;
-  std::uint64_t forward_chases = 0;  // migrated-object lookups that followed a stub
-};
-
 class Runtime {
  public:
   Runtime(ra::Node& node, dsm::DsmClientPartition& dsm, ra::AnonPartition& anon,
@@ -50,7 +42,6 @@ class Runtime {
   sysobj::NameClient& names() noexcept { return names_; }
   dsm::SyncClient& sync() noexcept { return sync_; }
   consistency::TxnRuntime& txn() noexcept { return txn_; }
-  const RuntimeStats& stats() const noexcept { return stats_; }
 
   // ---- Object manager ----
   // Create an instance of a class on the given data server; runs the class
@@ -176,7 +167,15 @@ class Runtime {
   std::uint64_t activation_epoch_ = 0;
   std::vector<std::unique_ptr<CloudsThread>> threads_;
   std::uint64_t next_thread_ = 1;
-  RuntimeStats stats_;
+  // Counters ("<node>/obj/..."), resolved at construction.
+  // remote_invocations counts invocations served for another compute
+  // server; forward_chases counts migrated-object lookups that followed a
+  // stub.
+  std::uint64_t* m_invocations_;
+  std::uint64_t* m_remote_invocations_;
+  std::uint64_t* m_activations_;
+  std::uint64_t* m_tx_retries_;
+  std::uint64_t* m_forward_chases_;
   std::function<void(sim::Duration)> thread_completed_;
 };
 

@@ -84,9 +84,6 @@ class DsmServer {
   // is reclaimed so waiters need not sit out the full lease TTL.
   void onClientCrash(net::NodeId client);
 
-  std::uint64_t invalidationsSent() const noexcept { return invalidations_; }
-  std::uint64_t degradesSent() const noexcept { return degrades_; }
-
  private:
   enum class PState : std::uint8_t { uncached, shared, exclusive };
   struct DirEntry {
@@ -140,8 +137,6 @@ class DsmServer {
   std::map<Sysname, LockEntry> locks_;
   std::map<std::uint64_t, SemEntry> semaphores_;
   std::uint64_t next_sem_ = 1;
-  std::uint64_t invalidations_ = 0;
-  std::uint64_t degrades_ = 0;
   // Registry handles ("<node>/dsm/..."), resolved at construction.
   std::uint64_t* m_invalidations_;
   std::uint64_t* m_degrades_;

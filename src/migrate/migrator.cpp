@@ -159,7 +159,6 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     return makeError(Errc::bad_argument, "object already homed on node " + std::to_string(target));
   }
   if (!fsm_.begin()) return makeError(Errc::busy, "a migration is already in flight");
-  ++stats_.started;
   ++*m_started_;
   const std::uint64_t tx = (static_cast<std::uint64_t>(node_.id()) << 32) |
                            (0x80000000ULL | (++seq_ & 0x7fffffffULL));
@@ -180,7 +179,6 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     }
     if (locked) (void)sync_.unlockAll(self, source, tx);
     if (draining) hooks_.end_drain(header);
-    ++stats_.aborted;
     ++*m_aborted_;
     event("abort: " + err.toString());
     fsm_.abort();
@@ -360,7 +358,6 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
           // Source dark: genuinely in doubt. Keep the shipped segments (the
           // source's restart log scan will resolve the prepared flip); only
           // the durable header page decides who owns the object.
-          ++stats_.in_doubt;
           ++*m_in_doubt_;
           event("in doubt: " + r.error().toString());
           if (locked) (void)sync_.unlockAll(self, source, tx);
@@ -373,7 +370,6 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       }
     }
     if (!fsm_.committed()) return fail(makeError(Errc::internal, "fsm refused committed()"));
-    ++stats_.committed;
     ++*m_committed_;
     event("committed " + header.toString() + " -> " + nh.toString());
     // The object's work follows it to the target, but the target's own
@@ -389,7 +385,6 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     {
       auto r = names_.forward(self, header, nh);
       if (r.ok()) {
-        ++stats_.forwards_installed;
         ++*m_forwards_;
       } else {
         // Best-effort: late lookups still chase the durable header stub.

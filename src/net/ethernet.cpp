@@ -26,12 +26,10 @@ void Nic::spawnRxProcess() {
       Frame frame = std::move(rx_queue_.front());
       rx_queue_.pop_front();
       if (!up_) {  // interface went down with frames queued
-        ++lost_;
         ++*m_lost_;
         continue;
       }
       cpu_.compute(self, ether_.cost().eth_cpu_recv);
-      ++received_;
       ++*m_received_;
       auto it = handlers_.find(frame.protocol);
       if (it != handlers_.end()) {
@@ -47,7 +45,6 @@ void Nic::spawnRxProcess() {
 void Nic::crash() {
   up_ = false;
   // Queued-but-undelivered frames die with the node.
-  lost_ += rx_queue_.size();
   *m_lost_ += rx_queue_.size();
   rx_queue_.clear();
   drop_next_rx_ = 0;  // scripted fault state is volatile, not configuration
@@ -70,13 +67,11 @@ void Nic::send(sim::Process& self, Frame frame) {
                            std::to_string(frame.payload.size()) + " bytes)");
   }
   if (!up_) {  // transmissions from a dead node vanish
-    ++lost_;
     ++*m_lost_;
     return;
   }
   frame.src = addr_;
   cpu_.compute(self, ether_.cost().eth_cpu_send);
-  ++sent_;
   ++*m_sent_;
   ether_.transmit(frame);
 }
@@ -87,13 +82,11 @@ void Nic::setHandler(ProtocolId protocol, Handler handler) {
 
 void Nic::enqueueReceived(Frame frame) {
   if (!up_) {  // arrived while the interface was down
-    ++lost_;
     ++*m_lost_;
     return;
   }
   if (drop_next_rx_ > 0) {  // scripted receive-side loss
     --drop_next_rx_;
-    ++lost_;
     ++*m_lost_;
     return;
   }
@@ -143,30 +136,22 @@ void Ethernet::transmit(const Frame& frame) {
   const sim::Duration tx = cost_.ethTxTime(frame.payload.size());
   const sim::TimePoint start = std::max(sim_.now(), medium_free_at_);
   medium_free_at_ = start + tx;
-  ++on_wire_;
   ++*m_on_wire_;
-  bytes_ += frame.payload.size() + cost_.eth_header;
   *m_bytes_ += frame.payload.size() + cost_.eth_header;
   *m_busy_usec_ += static_cast<std::uint64_t>(tx.count() / 1000);
 
   if (drop) {
-    ++dropped_;
     ++*m_dropped_;
     return;
   }
   if (frame.dst != kBroadcast && partitioned(frame.src, frame.dst)) {
     // A partitioned frame occupies wire time on the sender's segment but
     // never crosses the cut; it counts as dropped *and* blocked.
-    ++dropped_;
     ++*m_dropped_;
-    ++blocked_frames_;
     ++*m_blocked_;
     return;
   }
-  if (duplicate) {
-    ++duplicated_;
-    ++*m_dup_;
-  }
+  if (duplicate) ++*m_dup_;
   const sim::TimePoint arrival = medium_free_at_ + cost_.eth_propagation;
   const int copies = duplicate ? 2 : 1;
   for (int i = 0; i < copies; ++i) {
@@ -218,9 +203,7 @@ void Ethernet::deliver(const Frame& frame) {
     for (auto& nic : nics_) {
       if (nic->address() == frame.src) continue;
       if (partitioned(frame.src, nic->address())) {
-        ++dropped_;
         ++*m_dropped_;
-        ++blocked_frames_;
         ++*m_blocked_;
         continue;
       }
@@ -230,7 +213,6 @@ void Ethernet::deliver(const Frame& frame) {
   }
   Nic* dst = find(frame.dst);
   if (dst == nullptr) {
-    ++dropped_;
     ++*m_dropped_;
     return;
   }

@@ -91,14 +91,6 @@ class Nic {
   // crash()/restart() — fault state is volatile, not configuration.
   void dropNextRx(int n) noexcept { drop_next_rx_ += n; }
 
-  std::uint64_t framesSent() const noexcept { return sent_; }
-  std::uint64_t framesReceived() const noexcept { return received_; }
-  // Frames that reached this interface but were never delivered to a
-  // handler: arrived or queued while down, cleared at crash, sent while
-  // down, or eaten by dropNextRx. Medium-level drops are *not* included —
-  // chaos tests cross-check the two accountings.
-  std::uint64_t framesLost() const noexcept { return lost_; }
-
  private:
   friend class Ethernet;
   Nic(Ethernet& ether, NodeId addr, sim::CpuResource& cpu, std::string name);
@@ -115,10 +107,11 @@ class Nic {
   std::deque<Frame> rx_queue_;
   sim::Process* rx_process_ = nullptr;
   int drop_next_rx_ = 0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t lost_ = 0;
-  // Per-interface metrics ("<name>/eth/..."), resolved once at construction.
+  // Per-interface counters ("<name>/eth/..."), resolved once at construction.
+  // frames_lost counts frames that reached this interface but were never
+  // delivered to a handler: arrived or queued while down, cleared at crash,
+  // sent while down, or eaten by dropNextRx. Medium-level drops are *not*
+  // included — chaos tests cross-check the two accountings.
   std::uint64_t* m_sent_;
   std::uint64_t* m_received_;
   std::uint64_t* m_lost_;
@@ -154,12 +147,6 @@ class Ethernet {
   void healAll();
   bool partitioned(NodeId a, NodeId b) const noexcept;
 
-  std::uint64_t framesOnWire() const noexcept { return on_wire_; }
-  std::uint64_t framesDropped() const noexcept { return dropped_; }
-  std::uint64_t framesDuplicated() const noexcept { return duplicated_; }
-  std::uint64_t framesBlocked() const noexcept { return blocked_frames_; }
-  std::uint64_t bytesOnWire() const noexcept { return bytes_; }
-
  private:
   friend class Nic;
   void transmit(const Frame& frame);  // called with sender CPU cost already paid
@@ -173,12 +160,7 @@ class Ethernet {
   double dup_rate_ = 0.0;
   int scripted_drops_ = 0;
   std::set<std::uint64_t> blocked_pairs_;  // normalized (min, max) address pairs
-  std::uint64_t on_wire_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t blocked_frames_ = 0;
-  std::uint64_t bytes_ = 0;
-  // Medium-wide metrics ("net/eth/..."), resolved once at construction.
+  // Medium-wide counters ("net/eth/..."), resolved once at construction.
   std::uint64_t* m_on_wire_;
   std::uint64_t* m_dropped_;
   std::uint64_t* m_dup_;

@@ -66,7 +66,6 @@ Result<Bytes> RatpEndpoint::transact(sim::Process& self, NodeId dst, PortId port
   const std::uint64_t txid = (static_cast<std::uint64_t>(nic_.address()) << 32) | next_seq_++;
   PendingTx& tx = pending_[txid];
   tx.waiter = &self;
-  ++stats_.transactions_started;
   ++*m_started_;
   const sim::TimePoint started_at = simulation().now();
 
@@ -80,7 +79,6 @@ Result<Bytes> RatpEndpoint::transact(sim::Process& self, NodeId dst, PortId port
 
   for (int attempt = 0; attempt <= retries && !tx.aborted; ++attempt) {
     if (attempt > 0) {
-      ++stats_.retransmissions;
       ++*m_retransmits_;
       simulation().trace(name_, "ratp", "retransmit tx " + std::to_string(txid & 0xffffffff) +
                                             " attempt " + std::to_string(attempt));
@@ -91,26 +89,22 @@ Result<Bytes> RatpEndpoint::transact(sim::Process& self, NodeId dst, PortId port
       (void)self.blockFor(deadline - simulation().now());
     }
     if (tx.complete) {
-      ++stats_.transactions_completed;
       ++*m_completed_;
       m_latency_->observe(simulation().now() - started_at);
       return std::move(tx.reply);
     }
   }
   if (tx.aborted) {
-    ++stats_.transactions_aborted;
     ++*m_aborted_;
     return makeError(Errc::aborted, name_ + ": transaction to node " + std::to_string(dst) +
                                         " port " + std::to_string(port) + " aborted");
   }
   // Full retry budget spent with no reply: declare the peer dead so upper
   // layers (2PC, DSM, PET) can start recovery instead of waiting forever.
-  ++stats_.peer_deaths;
   ++*m_peer_deaths_;
   simulation().trace(name_, "ratp", "peer " + std::to_string(dst) + " declared dead (tx " +
                                         std::to_string(txid & 0xffffffff) + ")");
   if (peer_death_) peer_death_(dst, port);
-  ++stats_.transactions_timed_out;
   ++*m_timeouts_;
   return makeError(Errc::timeout, name_ + ": transaction to node " + std::to_string(dst) +
                                       " port " + std::to_string(port) + " timed out");
@@ -138,7 +132,6 @@ void RatpEndpoint::sendMessage(sim::Process& self, NodeId dst, PacketType type,
     frame.protocol = kProtoRatp;
     frame.payload = std::move(e).take();
     nic_.send(self, std::move(frame));
-    ++stats_.fragments_sent;
     ++*m_frags_;
   }
 }
@@ -187,7 +180,6 @@ void RatpEndpoint::onRequestFrag(sim::Process& self, NodeId src, std::uint64_t t
     // Duplicate of a completed transaction: answer from the reply cache,
     // once per full retransmitted request (on its final fragment).
     if (index + 1 == count) {
-      ++stats_.duplicate_requests_served;
       ++*m_cache_hits_;
       sendMessage(self, src, PacketType::reply, txid, port, st.reply);
     }
@@ -263,12 +255,18 @@ void RatpEndpoint::onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint
   tx.frags[index] = std::move(data);
   if (++tx.received < tx.frags.size()) return;
   nic_.cpu().compute(self, cost().ratp_reassembly);
-  for (auto& f : tx.frags) {
-    tx.reply.insert(tx.reply.end(), f->begin(), f->end());
+  // The compute blocks: if the waiter's last deadline passed meanwhile,
+  // transact has returned and erased the entry (or it was aborted), so `tx`
+  // may dangle and the waiter has moved on. Look it up again.
+  it = pending_.find(txid);
+  if (it == pending_.end() || it->second.aborted) return;
+  PendingTx& live = it->second;
+  for (auto& f : live.frags) {
+    live.reply.insert(live.reply.end(), f->begin(), f->end());
     f->clear();
   }
-  tx.complete = true;
-  tx.waiter->wake();
+  live.complete = true;
+  live.waiter->wake();
 }
 
 }  // namespace clouds::net

@@ -52,17 +52,6 @@ struct RatpOptions {
   int max_retries = -1;                // <0 = use cost model default
 };
 
-struct RatpStats {
-  std::uint64_t transactions_started = 0;
-  std::uint64_t transactions_completed = 0;
-  std::uint64_t transactions_timed_out = 0;
-  std::uint64_t transactions_aborted = 0;  // via abortPending / endpoint crash
-  std::uint64_t retransmissions = 0;
-  std::uint64_t duplicate_requests_served = 0;
-  std::uint64_t fragments_sent = 0;
-  std::uint64_t peer_deaths = 0;  // retry budgets exhausted (peer declared dead)
-};
-
 class RatpEndpoint {
  public:
   // A handler receives the reassembled request and returns the reply bytes.
@@ -100,7 +89,6 @@ class RatpEndpoint {
   void onCrash();
 
   NodeId address() const noexcept { return nic_.address(); }
-  const RatpStats& stats() const noexcept { return stats_; }
   Nic& nic() noexcept { return nic_; }
 
  private:
@@ -155,8 +143,9 @@ class RatpEndpoint {
   std::vector<sim::Process*> worker_procs_;  // all workers ever spawned (for crash kill)
   int worker_count_ = 0;
   PeerDeathHandler peer_death_;
-  RatpStats stats_;
-  // Registry mirrors of stats_ ("<name>/ratp/..."), resolved at construction.
+  // Counters ("<name>/ratp/..."), resolved at construction. aborted counts
+  // abortPending / endpoint-crash teardowns; peer_deaths counts exhausted
+  // retry budgets (peer declared dead).
   std::uint64_t* m_started_;
   std::uint64_t* m_completed_;
   std::uint64_t* m_timeouts_;

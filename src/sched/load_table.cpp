@@ -34,7 +34,6 @@ std::size_t LoadTable::evictSilent(sim::TimePoint now) {
       ++it;
     }
   }
-  stale_evictions_ += evicted;
   if (m_evictions_ != nullptr) *m_evictions_ += evicted;
   return evicted;
 }

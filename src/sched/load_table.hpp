@@ -44,7 +44,8 @@ class LoadTable {
 
   explicit LoadTable(Aging aging) : aging_(aging) {}
 
-  // Mirror eviction counts into "<scope>/sched/stale_evictions".
+  // Count evictions into "<scope>/sched/stale_evictions" (a bare table does
+  // not count them; evictSilent() still returns each sweep's count).
   void attachMetrics(sim::MetricsRegistry& registry, const std::string& scope);
 
   // Fold in a report (received off the wire, or a local self-sample).
@@ -76,7 +77,6 @@ class LoadTable {
       const std::function<bool(net::NodeId)>& eligible = {}) const;
   const std::map<net::NodeId, Entry>& entries() const noexcept { return entries_; }
   const Aging& aging() const noexcept { return aging_; }
-  std::uint64_t staleEvictions() const noexcept { return stale_evictions_; }
 
   // Node crash: the table is volatile kernel state.
   void clear() { entries_.clear(); }
@@ -84,7 +84,6 @@ class LoadTable {
  private:
   Aging aging_;
   std::map<net::NodeId, Entry> entries_;
-  std::uint64_t stale_evictions_ = 0;
   std::uint64_t* m_evictions_ = nullptr;
 };
 

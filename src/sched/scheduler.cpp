@@ -44,7 +44,6 @@ Result<net::NodeId> Scheduler::place(const std::optional<Sysname>& locality_hint
   const std::size_t pick = choosePlacement(config_.policy, candidates, sim.rng());
   const net::NodeId chosen = candidates[pick].node;
   table_.notePlacement(chosen);
-  ++placements_;
   ++*m_placements_;
   sim.trace(node_.name(), "sched",
             std::string("place policy ") + policyName(config_.policy) + " -> node " +
@@ -61,10 +60,7 @@ void Scheduler::noteDead(net::NodeId node) {
                                " is dead; retrying elsewhere");
 }
 
-void Scheduler::countFallback() {
-  ++fallbacks_;
-  ++*m_fallbacks_;
-}
+void Scheduler::countFallback() { ++*m_fallbacks_; }
 
 Agent::Agent(ra::Node& node, Options options, LoadMonitor::Providers providers)
     : monitor_(providers.live_threads

@@ -110,6 +110,17 @@ const Histogram* MetricsRegistry::findHistogram(const std::string& name) const {
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
+std::uint64_t MetricsRegistry::counterSum(const std::string& suffix) const {
+  std::uint64_t sum = 0;
+  for (const auto& [name, v] : counters_) {
+    const std::size_t slash = name.find('/');
+    if (slash != std::string::npos && name.compare(slash + 1, std::string::npos, suffix) == 0) {
+      sum += v;
+    }
+  }
+  return sum;
+}
+
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, v] : other.counters_) counters_[name] += v;
   for (const auto& [name, v] : other.gauges_) gauges_[name] += v;

@@ -76,6 +76,9 @@ class MetricsRegistry {
   std::uint64_t counterValue(const std::string& name) const;
   std::int64_t gaugeValue(const std::string& name) const;
   const Histogram* findHistogram(const std::string& name) const;
+  // One metric summed over every scope: the counters named
+  // "<scope>/<suffix>", e.g. "ratp/retransmits" over all nodes.
+  std::uint64_t counterSum(const std::string& suffix) const;
 
   // Fold another registry in: counters and gauges add, histograms merge.
   // Commutative — merging A into B equals merging B into A.

@@ -11,37 +11,31 @@ namespace clouds::store {
 
 DiskStore::DiskStore(std::uint32_t home_node, const sim::CostModel& cost,
                      std::size_t buffer_cache_pages, StoreEngine engine)
-    : home_(home_node), cost_(cost), cache_capacity_(buffer_cache_pages), engine_(engine) {}
+    : home_(home_node), cost_(cost), cache_capacity_(buffer_cache_pages), engine_(engine) {
+  attachMetrics(own_metrics_, std::to_string(home_node));
+}
 
 void DiskStore::attachMetrics(sim::MetricsRegistry& metrics, const std::string& scope) {
-  m_reads_ = &metrics.counter(scope + "/disk/reads");
-  m_writes_ = &metrics.counter(scope + "/disk/writes");
-  m_io_errors_ = &metrics.counter(scope + "/disk/io_errors");
-  m_cache_hits_ = &metrics.counter(scope + "/store/cache_hits");
-  m_cache_misses_ = &metrics.counter(scope + "/store/cache_misses");
-  m_cache_evictions_ = &metrics.counter(scope + "/store/cache_evictions");
-  m_wal_forces_ = &metrics.counter(scope + "/wal/forces");
-  m_wal_records_ = &metrics.counter(scope + "/wal/records_appended");
-  m_wal_write_backs_ = &metrics.counter(scope + "/wal/write_backs");
-  m_wal_pages_wb_ = &metrics.counter(scope + "/wal/pages_written_back");
-  m_wal_checkpoints_ = &metrics.counter(scope + "/wal/checkpoints");
-  m_wal_truncated_ = &metrics.counter(scope + "/wal/records_truncated");
-  m_wal_replays_ = &metrics.counter(scope + "/wal/replays");
-  m_wal_replayed_ = &metrics.counter(scope + "/wal/records_replayed");
-  *m_reads_ = disk_reads_;
-  *m_writes_ = disk_writes_;
-  *m_io_errors_ = io_errors_;
-  *m_cache_hits_ = cache_hits_;
-  *m_cache_misses_ = cache_misses_;
-  *m_cache_evictions_ = cache_evictions_;
-  *m_wal_forces_ = wal_forces_;
-  *m_wal_records_ = wal_records_;
-  *m_wal_write_backs_ = wal_write_backs_;
-  *m_wal_pages_wb_ = wal_pages_written_back_;
-  *m_wal_checkpoints_ = wal_checkpoints_;
-  *m_wal_truncated_ = wal_truncated_records_;
-  *m_wal_replays_ = wal_replays_;
-  *m_wal_replayed_ = wal_replayed_records_;
+  // Re-bind every handle, carrying the counts so far into the new registry.
+  auto bind = [&](std::uint64_t*& handle, const char* name) {
+    std::uint64_t& counter = metrics.counter(scope + name);
+    if (handle != nullptr) counter = *handle;
+    handle = &counter;
+  };
+  bind(m_reads_, "/disk/reads");
+  bind(m_writes_, "/disk/writes");
+  bind(m_io_errors_, "/disk/io_errors");
+  bind(m_cache_hits_, "/store/cache_hits");
+  bind(m_cache_misses_, "/store/cache_misses");
+  bind(m_cache_evictions_, "/store/cache_evictions");
+  bind(m_wal_forces_, "/wal/forces");
+  bind(m_wal_records_, "/wal/records_appended");
+  bind(m_wal_write_backs_, "/wal/write_backs");
+  bind(m_wal_pages_wb_, "/wal/pages_written_back");
+  bind(m_wal_checkpoints_, "/wal/checkpoints");
+  bind(m_wal_truncated_, "/wal/records_truncated");
+  bind(m_wal_replays_, "/wal/replays");
+  bind(m_wal_replayed_, "/wal/records_replayed");
 }
 
 DiskStore::StoredSegment* DiskStore::find(const Sysname& s) {
@@ -76,10 +70,7 @@ bool DiskStore::BufferCache::insert(const ra::PageKey& key, std::size_t capacity
 }
 
 void DiskStore::cacheInsert(const ra::PageKey& key) {
-  if (cache_.insert(key, cache_capacity_)) {
-    ++cache_evictions_;
-    if (m_cache_evictions_ != nullptr) ++*m_cache_evictions_;
-  }
+  if (cache_.insert(key, cache_capacity_)) ++*m_cache_evictions_;
 }
 
 // ---- Segment metadata --------------------------------------------------
@@ -163,29 +154,24 @@ std::vector<Sysname> DiskStore::listSegments() const {
 void DiskStore::chargeDiskRead(sim::Process& self, const ra::PageKey& key) {
   if (cache_.contains(key)) {  // buffer-cache hit: no mechanical delay
     cache_.touch(key);
-    ++cache_hits_;
-    if (m_cache_hits_ != nullptr) ++*m_cache_hits_;
+    ++*m_cache_hits_;
     return;
   }
-  ++cache_misses_;
-  if (m_cache_misses_ != nullptr) ++*m_cache_misses_;
-  ++disk_reads_;
-  if (m_reads_ != nullptr) ++*m_reads_;
+  ++*m_cache_misses_;
+  ++*m_reads_;
   sim::SimLockGuard arm(arm_, self);
   self.delay(cost_.disk_seek_rotate + cost_.disk_per_page);
   cacheInsert(key);
 }
 
 void DiskStore::chargeDiskWrite(sim::Process& self) {
-  ++disk_writes_;
-  if (m_writes_ != nullptr) ++*m_writes_;
+  ++*m_writes_;
   sim::SimLockGuard arm(arm_, self);
   self.delay(cost_.disk_per_page);  // write-behind: no synchronous seek charge
 }
 
 Result<void> DiskStore::diskFault(sim::Process& self, const char* op) {
-  ++io_errors_;
-  if (m_io_errors_ != nullptr) ++*m_io_errors_;
+  ++*m_io_errors_;
   // The failing operation still spins the disk before erroring out.
   sim::SimLockGuard arm(arm_, self);
   self.delay(cost_.disk_seek_rotate);
@@ -223,8 +209,7 @@ Result<bool> DiskStore::readPage(sim::Process& self, const ra::PageKey& key,
   if (dp != nullptr) {
     // Committed but not yet written back: served from the dirty table
     // (read-your-committed-writes), memory-speed like a cache hit.
-    ++cache_hits_;
-    if (m_cache_hits_ != nullptr) ++*m_cache_hits_;
+    ++*m_cache_hits_;
     std::memcpy(out.data(), dp->data.data(), ra::kPageSize);
     return true;
   }
@@ -241,8 +226,7 @@ Result<void> DiskStore::writePage(sim::Process& self, const ra::PageKey& key, By
   r.kind = wal::RecordKind::page_write;
   r.updates.push_back(PageUpdate{key, Bytes(data.begin(), data.end())});
   const std::uint64_t lsn = log_.append(std::move(r));
-  ++wal_records_;
-  if (m_wal_records_ != nullptr) ++*m_wal_records_;
+  ++*m_wal_records_;
   dirty_.stage(key, data, lsn);
   return forceLog(self, lsn);
 }
@@ -259,8 +243,7 @@ Result<void> DiskStore::writePages(sim::Process& self, const std::vector<PageUpd
   r.kind = wal::RecordKind::page_write;
   r.updates = updates;
   const std::uint64_t lsn = log_.append(std::move(r));
-  ++wal_records_;
-  if (m_wal_records_ != nullptr) ++*m_wal_records_;
+  ++*m_wal_records_;
   for (const PageUpdate& u : updates) dirty_.stage(u.key, u.data, lsn);
   return forceLog(self, lsn);
 }
@@ -309,8 +292,7 @@ Result<void> DiskStore::prepare(sim::Process& self, std::uint64_t txid,
   r.txid = txid;
   r.updates = std::move(updates);
   const std::uint64_t lsn = log_.append(std::move(r));
-  ++wal_records_;
-  if (m_wal_records_ != nullptr) ++*m_wal_records_;
+  ++*m_wal_records_;
   prepared_lsn_[txid] = lsn;
   return forceLog(self, lsn);
 }
@@ -348,8 +330,7 @@ Result<void> DiskStore::commitPrepared(sim::Process& self, std::uint64_t txid) {
   c.kind = wal::RecordKind::commit;
   c.txid = txid;
   const std::uint64_t lsn = log_.append(std::move(c));
-  ++wal_records_;
-  if (m_wal_records_ != nullptr) ++*m_wal_records_;
+  ++*m_wal_records_;
   for (const PageUpdate& u : updates) dirty_.stage(u.key, u.data, lsn);
   prepared_lsn_.erase(txid);
   return forceLog(self, lsn);
@@ -373,8 +354,7 @@ Result<void> DiskStore::abortPrepared(sim::Process& self, std::uint64_t txid) {
   a.kind = wal::RecordKind::abort;
   a.txid = txid;
   const std::uint64_t lsn = log_.append(std::move(a));
-  ++wal_records_;
-  if (m_wal_records_ != nullptr) ++*m_wal_records_;
+  ++*m_wal_records_;
   prepared_lsn_.erase(it);
   return forceLog(self, lsn);
 }
@@ -441,8 +421,7 @@ Result<void> DiskStore::forceLog(sim::Process& self, std::uint64_t lsn) {
     if (crash_epoch_ != epoch) {
       return makeError(Errc::io, "store crashed while forcing the log");
     }
-    ++wal_forces_;
-    if (m_wal_forces_ != nullptr) ++*m_wal_forces_;
+    ++*m_wal_forces_;
     self.delay(cost_.commit_log_write +
                static_cast<std::int64_t>(payload) * cost_.wal_force_per_page);
     if (crash_epoch_ != epoch) {
@@ -487,10 +466,8 @@ Result<std::size_t> DiskStore::writeBackSome(sim::Process& self, std::size_t max
         continue;
       }
       s->pages[key.page].assign(dp.data.begin(), dp.data.end());
-      ++disk_writes_;
-      if (m_writes_ != nullptr) ++*m_writes_;
-      ++wal_pages_written_back_;
-      if (m_wal_pages_wb_ != nullptr) ++*m_wal_pages_wb_;
+      ++*m_writes_;
+      ++*m_wal_pages_wb_;
       cacheInsert(key);
       hash = wal::chainHash(hash, key, dp.data);
       ++applied;
@@ -507,17 +484,13 @@ Result<std::size_t> DiskStore::writeBackSome(sim::Process& self, std::size_t max
   ck.applied_lsn = new_applied;
   ck.content_hash = hash;
   const std::uint64_t ck_lsn = log_.append(std::move(ck));
-  ++wal_records_;
-  if (m_wal_records_ != nullptr) ++*m_wal_records_;
+  ++*m_wal_records_;
   log_.setApplied(new_applied, hash);
-  ++wal_checkpoints_;
-  if (m_wal_checkpoints_ != nullptr) ++*m_wal_checkpoints_;
+  ++*m_wal_checkpoints_;
   CLOUDS_TRY(forceLog(self, ck_lsn));
   const std::size_t dropped = log_.truncate();
-  wal_truncated_records_ += dropped;
-  if (m_wal_truncated_ != nullptr) *m_wal_truncated_ += dropped;
-  ++wal_write_backs_;
-  if (m_wal_write_backs_ != nullptr) ++*m_wal_write_backs_;
+  *m_wal_truncated_ += dropped;
+  ++*m_wal_write_backs_;
   return applied;
 }
 
@@ -622,10 +595,8 @@ Result<std::size_t> DiskStore::recover(sim::Process& self) {
     self.delay(cost_.disk_seek_rotate +
                static_cast<std::int64_t>(count) * cost_.wal_replay_per_record);
   }
-  ++wal_replays_;
-  if (m_wal_replays_ != nullptr) ++*m_wal_replays_;
-  wal_replayed_records_ += count;
-  if (m_wal_replayed_ != nullptr) *m_wal_replayed_ += count;
+  ++*m_wal_replays_;
+  *m_wal_replayed_ += count;
   return count;
 }
 

@@ -57,6 +57,9 @@ class DiskStore {
  public:
   DiskStore(std::uint32_t home_node, const sim::CostModel& cost,
             std::size_t buffer_cache_pages = 256, StoreEngine engine = StoreEngine::flat);
+  // Not copyable: the counter handles point into the registry counted into.
+  DiskStore(const DiskStore&) = delete;
+  DiskStore& operator=(const DiskStore&) = delete;
 
   std::uint32_t homeNode() const noexcept { return home_; }
   StoreEngine engine() const noexcept { return engine_; }
@@ -123,31 +126,24 @@ class DiskStore {
   // transient disk fault into a stuck in-doubt transaction.
   void setFaulty(bool faulty) noexcept { faulty_ = faulty; }
   bool faulty() const noexcept { return faulty_; }
-  std::uint64_t ioErrors() const noexcept { return io_errors_; }
 
-  // Mirror disk counters into the registry as "<scope>/disk/..." plus
-  // "<scope>/store/..." and "<scope>/wal/..." (optional; stores built
-  // outside a node — unit tests — skip it).
+  // Count into `metrics` as "<scope>/disk/...", "<scope>/store/..." and
+  // "<scope>/wal/...", carrying the counts so far over. Until then the store
+  // counts into a registry of its own (stores built outside a node: unit
+  // tests, calibration), scoped by its home node id.
   void attachMetrics(sim::MetricsRegistry& metrics, const std::string& scope);
 
   // Snapshot all durable state to / from a host file (survives the process).
   Result<void> saveTo(const std::string& path) const;
   Result<void> loadFrom(const std::string& path);
 
-  std::uint64_t diskReads() const noexcept { return disk_reads_; }
-  std::uint64_t diskWrites() const noexcept { return disk_writes_; }
-  std::uint64_t cacheHits() const noexcept { return cache_hits_; }
-  std::uint64_t cacheMisses() const noexcept { return cache_misses_; }
-  std::uint64_t cacheEvictions() const noexcept { return cache_evictions_; }
-  std::uint64_t walForces() const noexcept { return wal_forces_; }
+  std::uint64_t diskReads() const noexcept { return *m_reads_; }
+  std::uint64_t diskWrites() const noexcept { return *m_writes_; }
+  // Live log length (records not yet truncated), not a count of appends.
   std::uint64_t walRecordCount() const noexcept { return log_.recordCount(); }
   std::uint64_t walDurableLsn() const noexcept { return log_.durableLsn(); }
   std::uint64_t walAppliedLsn() const noexcept { return log_.appliedLsn(); }
   std::uint64_t walCheckpointHash() const noexcept { return log_.contentHash(); }
-  std::uint64_t walCheckpoints() const noexcept { return wal_checkpoints_; }
-  std::uint64_t walPagesWrittenBack() const noexcept { return wal_pages_written_back_; }
-  std::uint64_t walTruncatedRecords() const noexcept { return wal_truncated_records_; }
-  std::uint64_t walReplayedRecords() const noexcept { return wal_replayed_records_; }
   std::size_t dirtyPageCount() const noexcept { return dirty_.size(); }
 
  private:
@@ -218,22 +214,9 @@ class DiskStore {
   std::function<bool()> flusher_alive_;
   std::size_t torn_tail_keep_ = 0;
 
-  std::uint64_t disk_reads_ = 0;
-  std::uint64_t disk_writes_ = 0;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
-  std::uint64_t cache_evictions_ = 0;
-  std::uint64_t wal_forces_ = 0;
-  std::uint64_t wal_records_ = 0;
-  std::uint64_t wal_write_backs_ = 0;
-  std::uint64_t wal_pages_written_back_ = 0;
-  std::uint64_t wal_checkpoints_ = 0;
-  std::uint64_t wal_truncated_records_ = 0;
-  std::uint64_t wal_replays_ = 0;
-  std::uint64_t wal_replayed_records_ = 0;
   bool faulty_ = false;
-  std::uint64_t io_errors_ = 0;
-  // Optional registry mirrors (null until attachMetrics).
+  // Counters, bound to own_metrics_ until attachMetrics re-binds them.
+  sim::MetricsRegistry own_metrics_;
   std::uint64_t* m_reads_ = nullptr;
   std::uint64_t* m_writes_ = nullptr;
   std::uint64_t* m_io_errors_ = nullptr;

@@ -39,8 +39,6 @@ class NameServer {
   // than kMaxForwardChain indicate a cycle and fail the lookup.
   Result<void> addForward(const Sysname& from, const Sysname& to);
   std::size_t forwardCount() const noexcept { return forwards_.size(); }
-  std::uint64_t forwardsInstalled() const noexcept { return forwards_installed_; }
-  std::uint64_t forwardsCollapsed() const noexcept { return forwards_collapsed_; }
 
   // Snapshot the name map to / from a host file (the prototype stored its
   // durable state "in Unix files"; the cluster façade snapshots names
@@ -61,8 +59,6 @@ class NameServer {
   ra::Node& node_;
   std::map<std::string, Binding> bindings_;
   std::map<Sysname, Sysname> forwards_;  // old sysname -> re-homed sysname
-  std::uint64_t forwards_installed_ = 0;
-  std::uint64_t forwards_collapsed_ = 0;
   std::uint64_t* m_forwards_installed_;
   std::uint64_t* m_forwards_collapsed_;
 };

@@ -88,5 +88,31 @@ TEST(CombinedNodes, GcpCommitWorksWithLocalParticipant) {
   EXPECT_EQ(c.call("Bank", "total", {}, 1).value(), Value{400});
 }
 
+TEST(CombinedNodes, StatsCountEachEndpointOnce) {
+  // A combined machine sits in both the compute and the data view; its RaTP
+  // endpoint must still count once in the cluster totals.
+  ClusterConfig cfg;
+  cfg.compute_servers = 0;
+  cfg.data_servers = 0;
+  cfg.combined_servers = 2;
+  cfg.workstations = 0;
+  Cluster c(cfg);
+  obj::samples::registerAll(c.classes());
+  ASSERT_TRUE(c.create("counter", "C0", /*data_idx=*/0).ok());
+  ASSERT_TRUE(c.create("counter", "C1", /*data_idx=*/1).ok());
+  c.ether().setDropRate(0.05);  // lost frames force retransmissions
+  for (int i = 0; i < 10; ++i) {
+    (void)c.call("C0", "add", {1}, 1);
+    (void)c.call("C1", "add", {1}, 0);
+  }
+
+  std::uint64_t endpoints = 0;  // every machine is compute node i
+  for (int i = 0; i < c.computeCount(); ++i) {
+    endpoints += c.sim().metrics().counterValue(c.computeNode(i).name() + "/ratp/retransmits");
+  }
+  EXPECT_GT(endpoints, 0u);
+  EXPECT_EQ(c.stats().retransmissions, endpoints);
+}
+
 }  // namespace
 }  // namespace clouds

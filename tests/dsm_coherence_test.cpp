@@ -78,10 +78,10 @@ TEST(Dsm, ReadAfterWriteIsCacheHitNoTraffic) {
   f.sim.spawn("driver", [&](sim::Process& self) {
     f.writeAt(self, 0, 0, 0, 7);
     const auto faults = f.compute[0].dsm->faultCount();
-    const auto frames_sent = f.compute[0].node->nic().framesSent();
+    const auto frames_sent = f.sim.metrics().counterValue("cpu0/eth/frames_sent");
     for (int i = 0; i < 100; ++i) EXPECT_EQ(f.readAt(self, 0, 0, 0), 7u);
     EXPECT_EQ(f.compute[0].dsm->faultCount(), faults);  // pure hits
-    EXPECT_EQ(f.compute[0].node->nic().framesSent(), frames_sent);
+    EXPECT_EQ(f.sim.metrics().counterValue("cpu0/eth/frames_sent"), frames_sent);
   });
   f.sim.run();
 }
@@ -91,9 +91,9 @@ TEST(Dsm, SharedReadersCoexistWithoutInvalidation) {
   f.sim.spawn("driver", [&](sim::Process& self) {
     f.writeAt(self, 0, 0, 0, 5);
     for (int n = 0; n < 3; ++n) EXPECT_EQ(f.readAt(self, n, 0, 0), 5u);
-    const auto inv = f.data[0].server->invalidationsSent();
+    const auto inv = f.sim.metrics().counterValue("data0/dsm/invalidations");
     for (int n = 0; n < 3; ++n) EXPECT_EQ(f.readAt(self, n, 0, 0), 5u);
-    EXPECT_EQ(f.data[0].server->invalidationsSent(), inv);
+    EXPECT_EQ(f.sim.metrics().counterValue("data0/dsm/invalidations"), inv);
   });
   f.sim.run();
 }
@@ -137,7 +137,7 @@ TEST(Dsm, ConcurrentFaultsOnSamePageJoinOneFetch) {
   EXPECT_EQ(done, 4);
   // One fault fetched the page; the rest joined it.
   EXPECT_EQ(f.compute[0].dsm->faultCount(), 1u);
-  EXPECT_EQ(f.compute[0].dsm->hitCount(), 4u);
+  EXPECT_EQ(f.sim.metrics().counterValue("cpu0/dsm/hits"), 4u);
 }
 
 TEST(Dsm, EvictionWritesBackDirtyData) {

@@ -48,8 +48,8 @@ TEST(DsmEdge, CoherenceSurvivesRandomFrameLoss) {
     }
   });
   f.sim.run();
-  EXPECT_GT(f.compute[0].node->ratp().stats().retransmissions +
-                f.compute[1].node->ratp().stats().retransmissions,
+  EXPECT_GT(f.sim.metrics().counterValue("cpu0/ratp/retransmits") +
+                f.sim.metrics().counterValue("cpu1/ratp/retransmits"),
             0u);
 }
 

@@ -273,10 +273,8 @@ SweepOutcome runSweep(std::uint64_t seed, Sysname* orig_out, Cluster** keep = nu
   EXPECT_TRUE(c.computeNode(1).alive());
 
   SweepOutcome out;
-  for (int i = 0; i < c.computeCount(); ++i) {
-    out.started += c.migrator(i).stats().started;
-    out.committed += c.migrator(i).stats().committed;
-  }
+  out.started = c.stats().migrations_started;
+  out.committed = c.stats().migrations_committed;
   out.events = c.migrationEvents();
   out.metrics_json = c.sim().metrics().toJson();
   out.trace_digest = c.sim().tracer().digest();

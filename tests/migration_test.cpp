@@ -241,6 +241,11 @@ ClusterConfig twoCombined() {
   return cfg;
 }
 
+// One of a node's counters, "<node>/<metric>", from the cluster registry.
+std::uint64_t nodeCounter(Cluster& c, ra::Node& node, const std::string& metric) {
+  return c.sim().metrics().counterValue(node.name() + "/" + metric);
+}
+
 // A class whose entry spins on the CPU for a controllable time — the tool
 // for holding an invocation in flight while the drain gate closes.
 obj::ClassDef slowClass() {
@@ -375,10 +380,9 @@ TEST(Migration, SyncMigrationMovesTheObjectAndPreservesState) {
   ASSERT_TRUE(c.call("C", "add", {3}, 1).ok());
   EXPECT_EQ(c.call("C", "value", {}, 1).value(), Value{8});
 
-  const auto& st = c.migrator(0).stats();
-  EXPECT_EQ(st.started, 1u);
-  EXPECT_EQ(st.committed, 1u);
-  EXPECT_EQ(st.aborted, 0u);
+  EXPECT_EQ(nodeCounter(c, c.computeNode(0), "migrate/started"), 1u);
+  EXPECT_EQ(nodeCounter(c, c.computeNode(0), "migrate/committed"), 1u);
+  EXPECT_EQ(nodeCounter(c, c.computeNode(0), "migrate/aborted"), 0u);
   EXPECT_EQ(c.migrator(0).state(), migrate::State::idle);
   EXPECT_EQ(c.stats().migrations_committed, 1u);
   // The deterministic transcript recorded the full state walk.
@@ -402,7 +406,7 @@ TEST(Migration, RawOldSysnameChasesTheForwardStub) {
   // A holder of the raw old sysname — on a node that never heard of the
   // migration — lands on the durable stub and follows it transparently.
   EXPECT_EQ(c.callObject(old_sys.value(), "value", {}, /*compute_idx=*/1).value(), Value{5});
-  EXPECT_GE(c.runtime(1).stats().forward_chases, 1u);
+  EXPECT_GE(nodeCounter(c, c.computeNode(1), "obj/forward_chases"), 1u);
   // Repeat invocations keep working (the chase is re-resolved, not cached
   // into a wrong place).
   ASSERT_TRUE(c.callObject(old_sys.value(), "add", {2}, 1).ok());
@@ -458,7 +462,7 @@ TEST(Migration, CachedActivationChasesAfterMigrationWithoutLeakingScope) {
   EXPECT_EQ(c.callObject(old_sys.value(), "value", {}, 2).value(), Value{7});
   ASSERT_TRUE(c.callObject(old_sys.value(), "add_gcp", {1}, 2).ok());
   EXPECT_EQ(c.callObject(old_sys.value(), "value", {}, 2).value(), Value{8});
-  EXPECT_GE(c.runtime(2).stats().forward_chases, 1u);
+  EXPECT_GE(nodeCounter(c, c.computeNode(2), "obj/forward_chases"), 1u);
 }
 
 TEST(Migration, NameServerForwardResolvesExactlyOnceThenCollapses) {
@@ -470,19 +474,20 @@ TEST(Migration, NameServerForwardResolvesExactlyOnceThenCollapses) {
   ASSERT_TRUE(c.migrateObjectSync(0, old_sys.value(), 1).ok());
 
   sysobj::NameServer& ns = c.nameServer();
+  ra::Node& ns_node = c.dataNode(0);  // the name server's host
   ASSERT_EQ(ns.forwardCount(), 1u);
-  ASSERT_EQ(ns.forwardsInstalled(), 1u);
-  EXPECT_EQ(ns.forwardsCollapsed(), 0u);
+  ASSERT_EQ(nodeCounter(c, ns_node, "names/forwards_installed"), 1u);
+  EXPECT_EQ(nodeCounter(c, ns_node, "names/forwards_collapsed"), 0u);
 
   // First lookup chases the entry AND rewrites the binding in place: the
   // forwarding entry is consumed.
   EXPECT_EQ(c.call("C", "value", {}, 0).value(), Value{4});
   EXPECT_EQ(ns.forwardCount(), 0u);
-  EXPECT_EQ(ns.forwardsCollapsed(), 1u);
+  EXPECT_EQ(nodeCounter(c, ns_node, "names/forwards_collapsed"), 1u);
 
   // Later lookups are direct hits — no forwarding machinery involved.
   EXPECT_EQ(c.call("C", "value", {}, 1).value(), Value{4});
-  EXPECT_EQ(ns.forwardsCollapsed(), 1u);
+  EXPECT_EQ(nodeCounter(c, ns_node, "names/forwards_collapsed"), 1u);
 }
 
 TEST(Migration, ReMigrationChainsAreFollowedToTheEnd) {
@@ -515,10 +520,9 @@ TEST(Migration, AbortOnPeerDeathRestoresLocalOwnership) {
   const auto moved = c.migrateObjectSync(0, sys.value(), 1);
   EXPECT_FALSE(moved.ok());
 
-  const auto& st = c.migrator(0).stats();
-  EXPECT_EQ(st.started, 1u);
-  EXPECT_EQ(st.aborted, 1u);
-  EXPECT_EQ(st.committed, 0u);
+  EXPECT_EQ(nodeCounter(c, c.computeNode(0), "migrate/started"), 1u);
+  EXPECT_EQ(nodeCounter(c, c.computeNode(0), "migrate/aborted"), 1u);
+  EXPECT_EQ(nodeCounter(c, c.computeNode(0), "migrate/committed"), 0u);
   EXPECT_EQ(c.migrator(0).state(), migrate::State::idle);
   // Ownership fully restored: not draining, no forwarding entry, and the
   // object serves reads and writes from its original home.
@@ -540,7 +544,7 @@ TEST(Migration, RejectsNonsenseArguments) {
   // A non-segment sysname is not an object.
   EXPECT_EQ(c.migrateObjectSync(0, Sysname(1, 2), 1).code(), Errc::bad_argument);
   // No protocol state was burned on either rejection.
-  EXPECT_EQ(c.migrator(0).stats().started, 0u);
+  EXPECT_EQ(nodeCounter(c, c.computeNode(0), "migrate/started"), 0u);
   EXPECT_EQ(c.migrator(0).state(), migrate::State::idle);
 }
 
@@ -574,7 +578,7 @@ TEST(MigrationDaemon, MigratesAHotObjectUnderSkewedLoad) {
   }
   const Cluster::Stats st = c.stats();
   EXPECT_GE(st.migrations_committed, 1u) << st.toString();
-  EXPECT_EQ(c.migrator(0).stats().in_doubt, 0u);
+  EXPECT_EQ(nodeCounter(c, c.computeNode(0), "migrate/in_doubt"), 0u);
   // The object survived the mid-load handoff with its state intact.
   EXPECT_EQ(c.call("H", "peek", {}, 1).value(), Value{0x5EED});
 }

@@ -38,7 +38,7 @@ TEST(Ratp, SmallTransactionRoundTrip) {
   });
   f.sim.run();
   EXPECT_EQ(toString(reply), "ping");
-  EXPECT_EQ(f.client.stats().retransmissions, 0u);
+  EXPECT_EQ(f.sim.metrics().counterValue("client/ratp/retransmits"), 0u);
 }
 
 TEST(Ratp, RoundTripMatchesPaperRatpNumber) {
@@ -71,7 +71,8 @@ TEST(Ratp, LargeMessageIsFragmentedAndReassembled) {
   });
   f.sim.run();
   EXPECT_EQ(reply, big);
-  EXPECT_GT(f.client.stats().fragments_sent, 5u);  // 8 KiB needs 6 fragments
+  // 8 KiB needs 6 fragments.
+  EXPECT_GT(f.sim.metrics().counterValue("client/ratp/fragments_sent"), 5u);
 }
 
 TEST(Ratp, PageTransferMatchesPaperNumber) {
@@ -104,7 +105,7 @@ TEST(Ratp, RetransmitsThroughFrameLoss) {
   });
   f.sim.run();
   EXPECT_TRUE(ok);
-  EXPECT_GE(f.client.stats().retransmissions, 1u);
+  EXPECT_GE(f.sim.metrics().counterValue("client/ratp/retransmits"), 1u);
 }
 
 TEST(Ratp, HandlerRunsAtMostOncePerTransaction) {
@@ -126,7 +127,7 @@ TEST(Ratp, HandlerRunsAtMostOncePerTransaction) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(toString(r.value()), "b");
     EXPECT_EQ(executions, 1);
-    EXPECT_GE(f.server.stats().duplicate_requests_served, 1u);
+    EXPECT_GE(f.sim.metrics().counterValue("server/ratp/reply_cache_hits"), 1u);
   });
   f.sim.run();
 }

@@ -4,8 +4,10 @@
 // resumed from its snapshot; every object — plain data, heap structures,
 // files, committed bank state — is exactly where it was.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "clouds/cluster.hpp"
 #include "clouds/standard_classes.hpp"
@@ -25,8 +27,21 @@ ClusterConfig config(std::uint64_t seed = 42,
   return cfg;
 }
 
+// A snapshot directory of the running test's own, removed afterwards. Every
+// snapshot holds data0.img, data1.img and names.img, and ctest -j runs these
+// tests at the same time, so a shared directory lets them overwrite each
+// other's files.
+struct SnapshotDir {
+  const std::string path = ::testing::TempDir() + "persistence_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           "_" + std::to_string(::getpid());
+  SnapshotDir() { std::filesystem::create_directories(path); }
+  ~SnapshotDir() { std::filesystem::remove_all(path); }
+};
+
 TEST(Persistence, ObjectsSurviveClusterShutdown) {
-  const std::string dir = ::testing::TempDir();
+  const SnapshotDir snapshot;
+  const std::string& dir = snapshot.path;
   {
     Cluster first(config(1));
     obj::samples::registerAll(first.classes());
@@ -58,7 +73,8 @@ TEST(Persistence, ObjectsSurviveClusterShutdown) {
 }
 
 TEST(Persistence, CommittedTransactionsSurviveShutdown) {
-  const std::string dir = ::testing::TempDir();
+  const SnapshotDir snapshot;
+  const std::string& dir = snapshot.path;
   {
     Cluster first(config());
     obj::samples::registerAll(first.classes());
@@ -84,7 +100,8 @@ TEST(Persistence, CommittedTransactionsSurviveShutdown) {
 // not yet written back to the segment images) must round-trip the log —
 // and must load into either engine (docs/STORAGE.md, snapshot format v2).
 TEST(Persistence, WalLogStateSurvivesShutdownIntoEitherEngine) {
-  const std::string dir = ::testing::TempDir();
+  const SnapshotDir snapshot;
+  const std::string& dir = snapshot.path;
   {
     Cluster first(config(7, store::StoreEngine::wal));
     obj::samples::registerAll(first.classes());

@@ -85,15 +85,16 @@ struct ChaosCluster {
   }
 };
 
-void expectRatpBalanced(net::RatpEndpoint& ep, bool node_crashed, const char* who) {
-  const net::RatpStats& s = ep.stats();
-  const std::uint64_t ended =
-      s.transactions_completed + s.transactions_timed_out + s.transactions_aborted;
+void expectRatpBalanced(const sim::MetricsRegistry& m, const std::string& node,
+                        bool node_crashed) {
+  auto count = [&](const char* metric) { return m.counterValue(node + "/ratp/" + metric); };
+  const std::uint64_t started = count("transactions");
+  const std::uint64_t ended = count("completed") + count("timeouts") + count("aborted");
   if (node_crashed) {
     // Waiters killed by the node crash end nowhere; everything else must.
-    EXPECT_GE(s.transactions_started, ended) << who;
+    EXPECT_GE(started, ended) << node;
   } else {
-    EXPECT_EQ(s.transactions_started, ended) << who;
+    EXPECT_EQ(started, ended) << node;
   }
 }
 
@@ -135,10 +136,10 @@ RunOutcome runScripted(std::uint64_t seed) {
   out.value_a = cc.counter("A");
   out.value_b = cc.counter("B");
 
-  expectRatpBalanced(c.computeNode(0).ratp(), false, "cpu0");
-  expectRatpBalanced(c.computeNode(1).ratp(), false, "cpu1");
-  expectRatpBalanced(c.dataNode(0).ratp(), false, "data0");
-  expectRatpBalanced(c.dataNode(1).ratp(), true, "data1");
+  expectRatpBalanced(c.sim().metrics(), "cpu0", false);
+  expectRatpBalanced(c.sim().metrics(), "cpu1", false);
+  expectRatpBalanced(c.sim().metrics(), "data0", false);
+  expectRatpBalanced(c.sim().metrics(), "data1", true);
 
   out.metrics_json = c.sim().metrics().toJson();
   out.trace_digest = c.sim().tracer().digest();
@@ -199,10 +200,10 @@ RunOutcome runSweep(std::uint64_t seed) {
   out.value_a = cc.counter("A");
   out.value_b = cc.counter("B");
 
-  expectRatpBalanced(c.computeNode(0).ratp(), false, "cpu0");
-  expectRatpBalanced(c.computeNode(1).ratp(), true, "cpu1");
-  expectRatpBalanced(c.dataNode(0).ratp(), false, "data0");
-  expectRatpBalanced(c.dataNode(1).ratp(), true, "data1");
+  expectRatpBalanced(c.sim().metrics(), "cpu0", false);
+  expectRatpBalanced(c.sim().metrics(), "cpu1", true);
+  expectRatpBalanced(c.sim().metrics(), "data0", false);
+  expectRatpBalanced(c.sim().metrics(), "data1", true);
 
   out.metrics_json = c.sim().metrics().toJson();
   out.trace_digest = c.sim().tracer().digest();

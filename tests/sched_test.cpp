@@ -123,7 +123,6 @@ TEST(LoadTable, StalenessAgingAndSilentEviction) {
   EXPECT_EQ(t.evictSilent(sim::msec(500)), 1u);
   EXPECT_EQ(t.find(2), nullptr);
   ASSERT_NE(t.find(1), nullptr);
-  EXPECT_EQ(t.staleEvictions(), 1u);
   EXPECT_EQ(reg.counterValue("node/sched/stale_evictions"), 1u);
 }
 
@@ -237,7 +236,8 @@ TEST(SchedCluster, GossipPopulatesEveryObserverTable) {
   const auto stats = f.cluster.stats();
   EXPECT_GT(stats.sched_reports_sent, 0u);
   EXPECT_GT(stats.sched_reports_received, stats.sched_reports_sent);  // broadcast fan-out
-  EXPECT_NE(stats.toString().find("sched["), std::string::npos);
+  EXPECT_NE(stats.toString().find("sched_reports_sent=" + std::to_string(stats.sched_reports_sent)),
+            std::string::npos);
 }
 
 TEST(SchedCluster, DisablingGossipMeasurablyChangesPlacement) {

@@ -101,14 +101,19 @@ TEST(DiskStore, CacheCountersTrackHitsMissesEvictions) {
     for (std::uint32_t p = 0; p < 5; ++p) {
       ASSERT_TRUE(f.store.writePage(self, {name, p}, StoreFixture::page(std::byte{1})).ok());
     }
-    EXPECT_EQ(f.store.cacheEvictions(), 1u);  // page 0 fell out when page 4 arrived
+    // Until attached, the bare store counts into a registry of its own;
+    // attaching carries those counts over.
+    f.store.attachMetrics(f.sim.metrics(), "ds");
+    const sim::MetricsRegistry& m = f.sim.metrics();
+    EXPECT_EQ(m.counterValue("ds/store/cache_evictions"), 1u);  // page 0 fell out for page 4
+    EXPECT_EQ(m.counterValue("ds/disk/writes"), 5u);
     Bytes buf(ra::kPageSize);
     ASSERT_TRUE(f.store.readPage(self, {name, 4}, buf).ok());  // resident
-    EXPECT_EQ(f.store.cacheHits(), 1u);
-    EXPECT_EQ(f.store.cacheMisses(), 0u);
+    EXPECT_EQ(m.counterValue("ds/store/cache_hits"), 1u);
+    EXPECT_EQ(m.counterValue("ds/store/cache_misses"), 0u);
     ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());  // was evicted
-    EXPECT_EQ(f.store.cacheMisses(), 1u);
-    EXPECT_EQ(f.store.cacheEvictions(), 2u);  // page 1 is the LRU victim now
+    EXPECT_EQ(m.counterValue("ds/store/cache_misses"), 1u);
+    EXPECT_EQ(m.counterValue("ds/store/cache_evictions"), 2u);  // page 1 is the LRU victim now
     // The hit refreshed recency, so page 4 must still be resident.
     const auto reads = f.store.diskReads();
     ASSERT_TRUE(f.store.readPage(self, {name, 4}, buf).ok());

@@ -201,7 +201,11 @@ Cluster::Cluster(ClusterConfig config)
   }
 }
 
-Cluster::~Cluster() = default;
+Cluster::~Cluster() {
+  // sim_ is declared before machines_, so it is destroyed after them: unwind
+  // every process first, while the nodes its stack points into still exist.
+  sim_.shutdown();
+}
 
 Result<Sysname> Cluster::create(const std::string& class_name, const std::string& object_name,
                                 int data_idx, int compute_idx) {

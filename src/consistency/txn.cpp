@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "dsm/protocol.hpp"
 #include "sim/sync.hpp"
 
 namespace clouds::consistency {
@@ -75,7 +74,7 @@ Result<void> TxnRuntime::commitGlobal(sim::Process& self, TxScope& scope) {
   // Phase 1: prepare everywhere.
   std::set<net::NodeId> prepared;
   for (const auto& [server, updates] : by_server) {
-    auto r = sendPrepare(self, server, scope.txid, updates);
+    auto r = sync_.prepare(self, server, scope.txid, updates);
     if (!r.ok()) {
       ++*m_participant_failures_;
       node_.simulation().trace(node_.name(), "txn",
@@ -98,7 +97,7 @@ Result<void> TxnRuntime::commitGlobal(sim::Process& self, TxScope& scope) {
   if (by_server.size() <= 1) {
     for (const auto& [server, updates] : by_server) {
       (void)updates;
-      auto r = sendDecision(self, server, scope.txid, /*commit=*/true);
+      auto r = sync_.decide(self, server, scope.txid, /*commit=*/true);
       if (!r.ok()) {
         ++*m_participant_failures_;
         node_.simulation().trace(node_.name(), "txn",
@@ -120,7 +119,7 @@ Result<void> TxnRuntime::commitGlobal(sim::Process& self, TxScope& scope) {
       node_.spawnIsiBa("txn" + std::to_string(txid & 0xffffffff) + ":commit->" +
                            std::to_string(target),
                        [this, st, target, txid](sim::Process& p) {
-                         auto r = sendDecision(p, target, txid, /*commit=*/true);
+                         auto r = sync_.decide(p, target, txid, /*commit=*/true);
                          if (!r.ok()) {
                            ++st->failures;
                            st->traces.push_back("commit decision to node " +
@@ -146,8 +145,8 @@ Result<void> TxnRuntime::commitLocal(sim::Process& self, TxScope& scope) {
   const auto by_server = collectUpdates(scope);
   bool any_failed = false;
   for (const auto& [server, updates] : by_server) {
-    auto p = sendPrepare(self, server, scope.txid, updates);
-    if (p.ok()) p = sendDecision(self, server, scope.txid, /*commit=*/true);
+    auto p = sync_.prepare(self, server, scope.txid, updates);
+    if (p.ok()) p = sync_.decide(self, server, scope.txid, /*commit=*/true);
     if (!p.ok()) {
       any_failed = true;
       for (const Sysname& seg : scope.write_set) {
@@ -170,7 +169,7 @@ void TxnRuntime::rollback(sim::Process& self, TxScope& scope,
   // writes; the store still holds the pre-transaction images.
   for (const Sysname& seg : scope.write_set) dsm_.dropSegment(seg);
   for (net::NodeId server : prepared_servers) {
-    (void)sendDecision(self, server, scope.txid, /*commit=*/false);
+    (void)sync_.decide(self, server, scope.txid, /*commit=*/false);
   }
   releaseLocks(self, scope);
 }
@@ -183,40 +182,6 @@ void TxnRuntime::releaseLocks(sim::Process& self, TxScope& scope) {
   scope.lock_servers.clear();
   scope.read_set.clear();
   scope.write_set.clear();
-}
-
-Result<void> TxnRuntime::sendPrepare(sim::Process& self, net::NodeId server, std::uint64_t txid,
-                                     const std::vector<store::PageUpdate>& updates) {
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(dsm::Op::tx_prepare));
-  e.u64(txid);
-  e.u32(static_cast<std::uint32_t>(updates.size()));
-  for (const auto& u : updates) {
-    dsm::encodePageKey(e, u.key);
-    e.bytes(u.data);
-  }
-  CLOUDS_TRY_ASSIGN(reply,
-                    node_.ratp().transact(self, server, net::kPortCommit, std::move(e).take()));
-  Decoder d(reply);
-  return dsm::decodeStatus(d, "tx_prepare");
-}
-
-Result<void> TxnRuntime::sendDecision(sim::Process& self, net::NodeId server, std::uint64_t txid,
-                                      bool commit) {
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(commit ? dsm::Op::tx_commit : dsm::Op::tx_abort));
-  e.u64(txid);
-  // A commit decision must survive a participant's crash+reboot window:
-  // retransmit for ~1 s so the retried (idempotent) decision lands on the
-  // rebooted server's durable prepared log. Aborts are best-effort — an
-  // undelivered abort is mopped up by lease expiry and the in-doubt scan.
-  net::RatpOptions opts;
-  opts.max_retries =
-      commit ? node_.cost().txn_decision_retries : node_.cost().txn_cleanup_retries;
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server, net::kPortCommit,
-                                                 std::move(e).take(), opts));
-  Decoder d(reply);
-  return dsm::decodeStatus(d, commit ? "tx_commit" : "tx_abort");
 }
 
 }  // namespace clouds::consistency

@@ -79,11 +79,6 @@ class TxnRuntime {
                 const std::set<net::NodeId>& prepared_servers);
   void releaseLocks(sim::Process& self, TxScope& scope);
 
-  Result<void> sendPrepare(sim::Process& self, net::NodeId server, std::uint64_t txid,
-                           const std::vector<store::PageUpdate>& updates);
-  Result<void> sendDecision(sim::Process& self, net::NodeId server, std::uint64_t txid,
-                            bool commit);
-
   ra::Node& node_;
   dsm::DsmClientPartition& dsm_;
   dsm::SyncClient& sync_;

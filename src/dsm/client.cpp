@@ -137,15 +137,19 @@ Result<bool> DsmClientPartition::fault(sim::Process& self, const ra::PageKey& ke
   return true;
 }
 
+Result<Bytes> DsmClientPartition::exchange(sim::Process& self, net::NodeId home, Bytes request,
+                                           net::RatpOptions options) {
+  if (homedHere(home)) {
+    node_.cpu().compute(self, node_.cost().syscall);
+    return local_server_->serveDsm(self, node_.id(), request);
+  }
+  return node_.ratp().transact(self, home, net::kPortDsm, std::move(request), options);
+}
+
 Result<PageGrant> DsmClientPartition::requestPage(sim::Process& self, const ra::PageKey& key,
                                                   ra::Access access) {
   const net::NodeId home = ra::sysnameHome(key.segment);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return access == ra::Access::read ? local_server_->handleRead(self, node_.id(), key)
-                                      : local_server_->handleWrite(self, node_.id(), key);
-  }
-  ++*m_remote_fetches_;
+  if (!homedHere(home)) ++*m_remote_fetches_;
   Encoder e;
   e.u8(static_cast<std::uint8_t>(access == ra::Access::read ? Op::read_page : Op::write_page));
   encodePageKey(e, key);
@@ -154,40 +158,16 @@ Result<PageGrant> DsmClientPartition::requestPage(sim::Process& self, const ra::
   // grant); retransmissions are deduplicated server-side.
   net::RatpOptions opts;
   opts.max_retries = node_.cost().dsm_callback_retries + 20;
-  CLOUDS_TRY_ASSIGN(reply,
-                    node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take(), opts));
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, std::move(e).take(), opts));
   Decoder d(reply);
   CLOUDS_TRY(decodeStatus(d, "page fault"));
   return decodeGrant(d);
-}
-
-Result<void> DsmClientPartition::sendWriteBack(sim::Process& self, const ra::PageKey& key,
-                                               const Bytes& data, bool drop) {
-  ++*m_write_backs_;
-  const net::NodeId home = ra::sysnameHome(key.segment);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleWriteBack(self, node_.id(), key, data, drop);
-  }
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(Op::write_back));
-  encodePageKey(e, key);
-  e.boolean(drop);
-  e.bytes(data);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
-  Decoder d(reply);
-  return decodeStatus(d, "write back");
 }
 
 Result<void> DsmClientPartition::sendWriteBackBatch(
     sim::Process& self, const Sysname& segment, const std::vector<store::PageUpdate>& updates,
     bool drop) {
   *m_write_backs_ += updates.size();
-  const net::NodeId home = ra::sysnameHome(segment);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleWriteBackBatch(self, node_.id(), updates, drop);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::write_back_batch));
   e.boolean(drop);
@@ -196,7 +176,7 @@ Result<void> DsmClientPartition::sendWriteBackBatch(
     encodePageKey(e, u.key);
     e.bytes(u.data);
   }
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(segment), std::move(e).take()));
   Decoder d(reply);
   return decodeStatus(d, "write back batch");
 }
@@ -217,8 +197,9 @@ void DsmClientPartition::maybeEvict(sim::Process& self) {
     const ra::PageKey key = victim->first;
     const std::uint64_t version = victim->second.version;
     if (victim->second.state == FState::exclusive && victim->second.dirty) {
-      const Bytes data = victim->second.data;  // copy: callbacks may race
-      (void)sendWriteBack(self, key, data, /*drop=*/true);
+      // Copy the bytes out: callbacks may race the blocking write-back.
+      (void)sendWriteBackBatch(self, key.segment, {store::PageUpdate{key, victim->second.data}},
+                               /*drop=*/true);
       // Re-check: an invalidate may have consumed the frame meanwhile.
       auto it = frames_.find(key);
       if (it != frames_.end() && it->second.version == version) frames_.erase(it);
@@ -279,11 +260,8 @@ void DsmClientPartition::unpinSegment(const Sysname& segment) {
 }
 
 void DsmClientPartition::bindCallbackService() {
-  // On a combined compute+data node this binding owns kPortDsm for both
-  // directions: coherence callbacks are handled here, and server ops are
-  // forwarded to the co-located DsmServer (op code spaces are disjoint).
   node_.ratp().bindService(
-      net::kPortDsm, [this](sim::Process& self, net::NodeId src, const Bytes& request) {
+      net::kPortDsmCallback, [this](sim::Process& self, net::NodeId, const Bytes& request) {
         Decoder d(request);
         Encoder reply;
         auto op = d.u8();
@@ -293,7 +271,6 @@ void DsmClientPartition::bindCallbackService() {
         }
         const Op code = static_cast<Op>(op.value());
         if (code != Op::invalidate && code != Op::degrade) {
-          if (local_server_ != nullptr) return local_server_->serveDsm(self, src, request);
           encodeStatus(reply, Errc::bad_argument);
           return std::move(reply).take();
         }
@@ -323,15 +300,10 @@ void DsmClientPartition::bindCallbackService() {
 // ---------------------------------------------------------------- segment ops
 
 Result<ra::SegmentInfo> DsmClientPartition::stat(sim::Process& self, const Sysname& segment) {
-  const net::NodeId home = ra::sysnameHome(segment);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleStat(self, segment);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::stat_segment));
   e.sysname(segment);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(segment), std::move(e).take()));
   Decoder d(reply);
   CLOUDS_TRY(decodeStatus(d, "stat"));
   CLOUDS_TRY_ASSIGN(name, d.sysname());
@@ -342,15 +314,11 @@ Result<ra::SegmentInfo> DsmClientPartition::stat(sim::Process& self, const Sysna
 
 Result<Sysname> DsmClientPartition::createSegment(sim::Process& self, net::NodeId home,
                                                   std::uint64_t length, bool zero_fill) {
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleCreate(self, length, zero_fill);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::create_segment));
   e.u64(length);
   e.boolean(zero_fill);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, std::move(e).take()));
   Decoder d(reply);
   CLOUDS_TRY(decodeStatus(d, "create segment"));
   return d.sysname();
@@ -358,32 +326,22 @@ Result<Sysname> DsmClientPartition::createSegment(sim::Process& self, net::NodeI
 
 Result<void> DsmClientPartition::adoptSegment(sim::Process& self, const Sysname& name,
                                               std::uint64_t length, bool zero_fill) {
-  const net::NodeId home = ra::sysnameHome(name);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleAdopt(self, name, length, zero_fill);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::adopt_segment));
   e.sysname(name);
   e.u64(length);
   e.boolean(zero_fill);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(name), std::move(e).take()));
   Decoder d(reply);
   return decodeStatus(d, "adopt segment");
 }
 
 Result<void> DsmClientPartition::destroySegment(sim::Process& self, const Sysname& name) {
   dropSegment(name);
-  const net::NodeId home = ra::sysnameHome(name);
-  if (home == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleDestroy(self, name);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::destroy_segment));
   e.sysname(name);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, home, net::kPortDsm, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(name), std::move(e).take()));
   Decoder d(reply);
   return decodeStatus(d, "destroy segment");
 }
@@ -391,7 +349,7 @@ Result<void> DsmClientPartition::destroySegment(sim::Process& self, const Sysnam
 // ---------------------------------------------------------------- hooks
 
 Result<void> DsmClientPartition::flushSegment(sim::Process& self, const Sysname& segment) {
-  // Collect first: sendWriteBack blocks, and callbacks may mutate frames_.
+  // Collect first: sendWriteBackBatch blocks, and callbacks may mutate frames_.
   std::vector<ra::PageKey> dirty;
   for (const auto& [key, f] : frames_) {
     if (key.segment == segment && f.state == FState::exclusive && f.dirty) dirty.push_back(key);

@@ -2,14 +2,17 @@
 //
 // This is the Partition the MMU consults for every Clouds segment: a cache
 // of page frames in {invalid | shared | exclusive} states. Misses and write
-// upgrades run the fault path: trap cost, a read_page/write_page
-// transaction to the segment's home data server (short-circuited to a
-// direct call when the segment is homed on this very node), install cost
-// (zero-fill or frame copy), and versioned-grant staleness checks.
+// upgrades run the fault path: trap cost, a read_page/write_page request to
+// the segment's home data server, install cost (zero-fill or frame copy),
+// and versioned-grant staleness checks.
 //
-// It also answers the server's invalidate/degrade callbacks, surrendering
-// dirty data, and provides the hooks the consistency layer needs (collect /
-// clean / drop a segment's dirty frames).
+// Every data-server request is encoded once and sent through exchange():
+// a RaTP transaction, or — when the segment is homed on this very node — a
+// syscall into the co-located server's dispatcher.
+//
+// It also answers the server's invalidate/degrade callbacks (kPortDsmCallback),
+// surrendering dirty data, and provides the hooks the consistency layer
+// needs (collect / clean / drop a segment's dirty frames).
 #pragma once
 
 #include <cstdint>
@@ -27,8 +30,9 @@ class DsmServer;
 
 class DsmClientPartition : public ra::Partition {
  public:
-  // `local_server` is non-null when this node is also a data server; calls
-  // to segments homed here then bypass the network (but not the protocol).
+  // `local_server` is non-null when this node is also a data server;
+  // requests for segments homed here then bypass the network (but not the
+  // protocol).
   DsmClientPartition(ra::Node& node, DsmServer* local_server,
                      std::size_t frame_capacity = 2048);
 
@@ -111,12 +115,17 @@ class DsmClientPartition : public ra::Partition {
   // grant (caller retries).
   Result<bool> fault(sim::Process& self, const ra::PageKey& key, ra::Access access);
   Result<PageGrant> requestPage(sim::Process& self, const ra::PageKey& key, ra::Access access);
-  Result<void> sendWriteBack(sim::Process& self, const ra::PageKey& key, const Bytes& data,
-                             bool drop);
-  // Ship many dirty pages of one segment in a single exchange (the server
+  // Ship dirty pages of one segment in a single exchange (the server
   // applies them as one batched store write).
   Result<void> sendWriteBackBatch(sim::Process& self, const Sysname& segment,
                                   const std::vector<store::PageUpdate>& updates, bool drop);
+  // True when `home` is this node's own data server.
+  bool homedHere(net::NodeId home) const {
+    return home == node_.id() && local_server_ != nullptr;
+  }
+  // One request to `home`'s kPortDsm service; returns the raw reply.
+  Result<Bytes> exchange(sim::Process& self, net::NodeId home, Bytes request,
+                         net::RatpOptions options = {});
   void maybeEvict(sim::Process& self);
   void bindCallbackService();
 

@@ -2,13 +2,13 @@
 // Memory" and §4.2 "DSM Clients and Servers").
 //
 // Three RaTP services per data server:
-//  * kPortDsm    — page coherence (read/write/writeback) + segment ops;
-//                  the same port on *compute* servers receives the server's
-//                  invalidate/degrade callbacks.
+//  * kPortDsm    — page coherence (read/write/write-back) + segment ops.
 //  * kPortLock   — segment locks and distributed semaphores ("the data
 //                  servers also provide support for distributed
 //                  synchronization").
 //  * kPortCommit — two-phase-commit participant.
+// and one per compute server:
+//  * kPortDsmCallback — the data servers' invalidate/degrade callbacks.
 #pragma once
 
 #include <cstdint>
@@ -22,13 +22,12 @@ enum class Op : std::uint8_t {
   // kPortDsm, client -> data server
   read_page = 1,
   write_page = 2,
-  write_back = 3,
   create_segment = 4,
   adopt_segment = 5,
   stat_segment = 6,
   destroy_segment = 7,
-  write_back_batch = 8,  // many dirty pages of one segment in one exchange
-  // kPortDsm, data server -> client (coherence callbacks)
+  write_back_batch = 8,  // dirty pages of one segment in one exchange
+  // kPortDsmCallback, data server -> client
   invalidate = 20,
   degrade = 21,
   // kPortLock

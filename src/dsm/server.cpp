@@ -151,7 +151,7 @@ Result<Bytes> DsmServer::callback(sim::Process& self, net::NodeId holder, Op op,
   // declared lost while the faulting client is still patient.
   net::RatpOptions opts;
   opts.max_retries = node_.cost().dsm_callback_retries;
-  auto r = node_.ratp().transact(self, holder, net::kPortDsm, std::move(e).take(), opts);
+  auto r = node_.ratp().transact(self, holder, net::kPortDsmCallback, std::move(e).take(), opts);
   if (!r.ok()) {
     // Holder dead or partitioned: its copy is considered lost (its dirty
     // data, if any, dies with it — standard s-thread crash semantics).
@@ -275,47 +275,6 @@ Result<PageGrant> DsmServer::handleWrite(sim::Process& self, net::NodeId client,
   }
 }
 
-Result<void> DsmServer::handleWriteBack(sim::Process& self, net::NodeId client,
-                                        const ra::PageKey& key, ByteSpan data, bool drop) {
-  ++*m_write_backs_;
-  DirEntry& e = directory_[key];
-  sim::SimLockGuard guard(e.mu, self);
-  node_.cpu().compute(self, node_.cost().dsm_server_lookup);
-  if (e.state != PState::exclusive || e.owner != client) {
-    if (e.state == PState::uncached && e.version == 0) {
-      // Fresh directory entry: this server rebooted while the client still
-      // held the page exclusive, and the write-back outlived the crash.
-      // Adopt it. Safe gate: every pre-crash grant left version >= 1, so a
-      // stale in-flight write-back racing a commit's invalidation can never
-      // match here.
-      ++*m_wb_adoptions_;
-      ++e.version;
-      if (!store_.writePage(self, key, data).ok()) {
-        return okResult();  // e.g. segment destroyed meanwhile: copy is moot
-      }
-      if (!drop) {
-        e.state = PState::shared;
-        e.copyset = {client};
-      }
-      return okResult();
-    }
-    // Stale write-back racing a callback that already collected this data.
-    return okResult();
-  }
-  CLOUDS_TRY(store_.writePage(self, key, data));
-  ++e.version;
-  if (drop) {
-    e.state = PState::uncached;
-    e.owner = net::kNoNode;
-    e.copyset.clear();
-  } else {
-    e.state = PState::shared;
-    e.copyset = {client};
-    e.owner = net::kNoNode;
-  }
-  return okResult();
-}
-
 Result<void> DsmServer::handleWriteBackBatch(sim::Process& self, net::NodeId client,
                                              const std::vector<store::PageUpdate>& updates,
                                              bool drop) {
@@ -335,8 +294,8 @@ Result<void> DsmServer::handleWriteBackBatch(sim::Process& self, net::NodeId cli
     }
   } unlock{entries};
   node_.cpu().compute(self, node_.cost().dsm_server_lookup);
-  // Decide acceptance per page under the locks (same rules as the
-  // single-page path), then push the accepted set through one store write.
+  // Decide acceptance per page under the locks, then push the accepted set
+  // through one store write.
   std::vector<store::PageUpdate> accepted;
   std::vector<std::size_t> accepted_idx;
   std::vector<bool> accepted_adoption;
@@ -346,7 +305,11 @@ Result<void> DsmServer::handleWriteBackBatch(sim::Process& self, net::NodeId cli
     const bool adoption = !owned && e.state == PState::uncached && e.version == 0;
     if (!owned && !adoption) continue;  // stale: a callback already collected it
     if (adoption) {
-      // Post-reboot adoption, same gate as handleWriteBack.
+      // Fresh directory entry: this server rebooted while the client still
+      // held the page exclusive, and the write-back outlived the crash.
+      // Adopt it. Safe gate: every pre-crash grant left version >= 1, so a
+      // stale in-flight write-back racing a commit's invalidation can never
+      // match here.
       ++*m_wb_adoptions_;
       ++e.version;
     }
@@ -607,18 +570,6 @@ Bytes DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Bytes& r
       }
       encodeStatus(reply, Errc::ok);
       encodeGrant(reply, grant.value());
-      break;
-    }
-    case Op::write_back: {
-      auto key = decodePageKey(d);
-      auto drop = d.boolean();
-      auto data = d.bytes();
-      if (!key.ok() || !drop.ok() || !data.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      auto r = handleWriteBack(self, client, key.value(), data.value(), drop.value());
-      encodeStatus(reply, r.code());
       break;
     }
     case Op::write_back_batch: {

@@ -40,39 +40,11 @@ class DsmServer {
   // server: callbacks to it short-circuit the network.
   void setLocalClient(DsmClientPartition* client) noexcept { local_client_ = client; }
 
-  // ---- Page coherence (called by RaTP service or directly by the local
-  //      client; `client` is the requesting node's id) ----
-  Result<PageGrant> handleRead(sim::Process& self, net::NodeId client, const ra::PageKey& key);
-  Result<PageGrant> handleWrite(sim::Process& self, net::NodeId client, const ra::PageKey& key);
-  Result<void> handleWriteBack(sim::Process& self, net::NodeId client, const ra::PageKey& key,
-                               ByteSpan data, bool drop);
-  // Batched write-back: many pages of one segment decided under their
-  // directory locks (taken in key order) and applied through the store as a
-  // single batched write — one log record / one group-commit force under the
-  // wal engine instead of a force per page.
-  Result<void> handleWriteBackBatch(sim::Process& self, net::NodeId client,
-                                    const std::vector<store::PageUpdate>& updates, bool drop);
-
-  // ---- Segment management ----
-  Result<Sysname> handleCreate(sim::Process& self, std::uint64_t length, bool zero_fill);
-  Result<void> handleAdopt(sim::Process& self, const Sysname& name, std::uint64_t length,
-                           bool zero_fill);
-  Result<ra::SegmentInfo> handleStat(sim::Process& self, const Sysname& name);
-  Result<void> handleDestroy(sim::Process& self, const Sysname& name);
-
-  // ---- Locks & semaphores ----
-  Result<void> handleLock(sim::Process& self, const Sysname& segment, LockMode mode,
-                          std::uint64_t owner);
-  Result<void> handleUnlockAll(sim::Process& self, std::uint64_t owner);
-  Result<std::uint64_t> handleSemCreate(sim::Process& self, std::int64_t initial);
-  Result<void> handleSemP(sim::Process& self, std::uint64_t sem);
-  Result<void> handleSemV(sim::Process& self, std::uint64_t sem);
-
-  // ---- Two-phase commit participant ----
-  Result<void> handlePrepare(sim::Process& self, std::uint64_t txid,
-                             std::vector<store::PageUpdate> updates);
-  Result<void> handleCommit(sim::Process& self, net::NodeId committer, std::uint64_t txid);
-  Result<void> handleAbort(sim::Process& self, std::uint64_t txid);
+  // The kPortDsm dispatcher: decodes one request, runs its handler and
+  // encodes the reply. `client` is the requesting node's id. Bound as the
+  // RaTP service, and called directly by a co-located client partition for
+  // segments homed on this node.
+  Bytes serveDsm(sim::Process& self, net::NodeId client, const Bytes& request);
 
   // Crash support: volatile directory/lock/semaphore state is lost; the
   // store's images and prepared log survive (store handles its own split).
@@ -115,13 +87,40 @@ class DsmServer {
     sim::WaitQueue queue;
   };
 
-  // Raw kPortDsm dispatcher; public so a co-located client partition can
-  // forward server ops when it owns the port binding on a combined node.
- public:
-  Bytes serveDsm(sim::Process& self, net::NodeId client, const Bytes& request);
+  // ---- Request handlers, one per op (`client` is the requesting node) ----
+  // Page coherence.
+  Result<PageGrant> handleRead(sim::Process& self, net::NodeId client, const ra::PageKey& key);
+  Result<PageGrant> handleWrite(sim::Process& self, net::NodeId client, const ra::PageKey& key);
+  // Write-back: pages of one segment decided under their directory locks
+  // (taken in key order) and applied through the store as a single batched
+  // write — one log record / one group-commit force under the wal engine
+  // instead of a force per page.
+  Result<void> handleWriteBackBatch(sim::Process& self, net::NodeId client,
+                                    const std::vector<store::PageUpdate>& updates, bool drop);
 
- private:
+  // ---- Segment management ----
+  Result<Sysname> handleCreate(sim::Process& self, std::uint64_t length, bool zero_fill);
+  Result<void> handleAdopt(sim::Process& self, const Sysname& name, std::uint64_t length,
+                           bool zero_fill);
+  Result<ra::SegmentInfo> handleStat(sim::Process& self, const Sysname& name);
+  Result<void> handleDestroy(sim::Process& self, const Sysname& name);
+
+  // ---- Locks & semaphores ----
+  Result<void> handleLock(sim::Process& self, const Sysname& segment, LockMode mode,
+                          std::uint64_t owner);
+  Result<void> handleUnlockAll(sim::Process& self, std::uint64_t owner);
+  Result<std::uint64_t> handleSemCreate(sim::Process& self, std::int64_t initial);
+  Result<void> handleSemP(sim::Process& self, std::uint64_t sem);
+  Result<void> handleSemV(sim::Process& self, std::uint64_t sem);
+
+  // ---- Two-phase commit participant ----
+  Result<void> handlePrepare(sim::Process& self, std::uint64_t txid,
+                             std::vector<store::PageUpdate> updates);
+  Result<void> handleCommit(sim::Process& self, net::NodeId committer, std::uint64_t txid);
+  Result<void> handleAbort(sim::Process& self, std::uint64_t txid);
+
   void bindServices();
+
   // Send a coherence callback; returns the holder's dirty data if any.
   // A dead/unreachable holder is treated as having lost its copy.
   Result<Bytes> callback(sim::Process& self, net::NodeId holder, Op op, const ra::PageKey& key,

@@ -1,7 +1,5 @@
 #include "dsm/sync_client.hpp"
 
-#include "dsm/server.hpp"
-
 namespace clouds::dsm {
 
 namespace {
@@ -24,26 +22,18 @@ Result<Bytes> SyncClient::call(sim::Process& self, net::NodeId server, const Byt
 
 Result<void> SyncClient::lock(sim::Process& self, const Sysname& segment, LockMode mode,
                               std::uint64_t owner) {
-  const net::NodeId server = ra::sysnameHome(segment);
-  if (server == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleLock(self, segment, mode, owner);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::lock));
   e.sysname(segment);
   e.u8(static_cast<std::uint8_t>(mode));
   e.u64(owner);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply,
+                    call(self, ra::sysnameHome(segment), std::move(e).take(), kLockCallTimeout));
   Decoder d(reply);
   return decodeStatus(d, "lock");
 }
 
 Result<void> SyncClient::unlockAll(sim::Process& self, net::NodeId server, std::uint64_t owner) {
-  if (server == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleUnlockAll(self, owner);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::unlock_all));
   e.u64(owner);
@@ -54,10 +44,6 @@ Result<void> SyncClient::unlockAll(sim::Process& self, net::NodeId server, std::
 
 Result<std::uint64_t> SyncClient::semCreate(sim::Process& self, net::NodeId server,
                                             std::int64_t initial) {
-  if (server == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleSemCreate(self, initial);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::sem_create));
   e.i64(initial);
@@ -69,10 +55,6 @@ Result<std::uint64_t> SyncClient::semCreate(sim::Process& self, net::NodeId serv
 
 Result<void> SyncClient::semP(sim::Process& self, std::uint64_t sem) {
   const auto server = static_cast<net::NodeId>(sem >> 32);
-  if (server == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleSemP(self, sem);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::sem_p));
   e.u64(sem);
@@ -83,16 +65,46 @@ Result<void> SyncClient::semP(sim::Process& self, std::uint64_t sem) {
 
 Result<void> SyncClient::semV(sim::Process& self, std::uint64_t sem) {
   const auto server = static_cast<net::NodeId>(sem >> 32);
-  if (server == node_.id() && local_server_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->handleSemV(self, sem);
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::sem_v));
   e.u64(sem);
   CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kSemCallTimeout));
   Decoder d(reply);
   return decodeStatus(d, "sem_v");
+}
+
+Result<void> SyncClient::prepare(sim::Process& self, net::NodeId server, std::uint64_t txid,
+                                 const std::vector<store::PageUpdate>& updates) {
+  Encoder e;
+  e.u8(static_cast<std::uint8_t>(Op::tx_prepare));
+  e.u64(txid);
+  e.u32(static_cast<std::uint32_t>(updates.size()));
+  for (const auto& u : updates) {
+    encodePageKey(e, u.key);
+    e.bytes(u.data);
+  }
+  CLOUDS_TRY_ASSIGN(reply,
+                    node_.ratp().transact(self, server, net::kPortCommit, std::move(e).take()));
+  Decoder d(reply);
+  return decodeStatus(d, "tx_prepare");
+}
+
+Result<void> SyncClient::decide(sim::Process& self, net::NodeId server, std::uint64_t txid,
+                                bool commit) {
+  Encoder e;
+  e.u8(static_cast<std::uint8_t>(commit ? Op::tx_commit : Op::tx_abort));
+  e.u64(txid);
+  // A commit decision must survive a participant's crash+reboot window:
+  // retransmit for ~1 s so the retried (idempotent) decision lands on the
+  // rebooted server's durable prepared log. Aborts are best-effort — an
+  // undelivered abort is mopped up by lease expiry and the in-doubt scan.
+  net::RatpOptions opts;
+  opts.max_retries =
+      commit ? node_.cost().txn_decision_retries : node_.cost().txn_cleanup_retries;
+  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server, net::kPortCommit,
+                                                 std::move(e).take(), opts));
+  Decoder d(reply);
+  return decodeStatus(d, commit ? "tx_commit" : "tx_abort");
 }
 
 }  // namespace clouds::dsm

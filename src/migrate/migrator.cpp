@@ -10,7 +10,7 @@ Migrator::Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTabl
     : node_(node),
       dsm_(dsm),
       table_(table),
-      sync_(node, nullptr),
+      sync_(node),
       names_(node, name_server),
       options_(options),
       hooks_(std::move(hooks)) {
@@ -172,7 +172,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
   // local ownership. Safe at any point before the commit decision: the
   // source header page is only replaced by a committed 2PC flip.
   auto fail = [&](Error err) -> Result<Sysname> {
-    if (prepared) (void)sendDecision(self, source, tx, /*commit=*/false);
+    if (prepared) (void)sync_.decide(self, source, tx, /*commit=*/false);
     for (const Sysname& s : created) {
       dsm_.dropSegment(s);
       (void)dsm_.destroySegment(self, s);
@@ -334,7 +334,8 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     auto page_image = rec.encodePage();
     if (!page_image.ok()) return fail(page_image.error());
     {
-      auto r = sendPrepare(self, source, tx, {header, 0}, page_image.value());
+      auto r = sync_.prepare(self, source, tx,
+                             {store::PageUpdate{{header, 0}, page_image.value()}});
       if (!r.ok()) {
         // The source may have logged the prepare though its reply was lost;
         // fail() sends the abort decision to resolve the in-doubt entry.
@@ -344,7 +345,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       prepared = true;
     }
     {
-      auto r = sendDecision(self, source, tx, /*commit=*/true);
+      auto r = sync_.decide(self, source, tx, /*commit=*/true);
       if (!r.ok()) {
         // Decision undeliverable. Probe the header page: the source either
         // committed (tombstone visible) or still holds the original.
@@ -422,37 +423,6 @@ Result<void> Migrator::copySegment(sim::Process& self, const Sysname& from, cons
     std::memcpy(dst.data, buf.data(), ra::kPageSize);
   }
   return okResult();
-}
-
-Result<void> Migrator::sendPrepare(sim::Process& self, net::NodeId server, std::uint64_t txid,
-                                   const ra::PageKey& key, const Bytes& page) {
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(dsm::Op::tx_prepare));
-  e.u64(txid);
-  e.u32(1);
-  dsm::encodePageKey(e, key);
-  e.bytes(page);
-  CLOUDS_TRY_ASSIGN(reply,
-                    node_.ratp().transact(self, server, net::kPortCommit, std::move(e).take()));
-  Decoder d(reply);
-  return dsm::decodeStatus(d, "tx_prepare");
-}
-
-Result<void> Migrator::sendDecision(sim::Process& self, net::NodeId server, std::uint64_t txid,
-                                    bool commit) {
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(commit ? dsm::Op::tx_commit : dsm::Op::tx_abort));
-  e.u64(txid);
-  // Same delivery contract as TxnRuntime: a commit decision must survive the
-  // participant's crash+reboot window; aborts are best-effort (lease expiry
-  // and the in-doubt scan mop up).
-  net::RatpOptions opts;
-  opts.max_retries =
-      commit ? node_.cost().txn_decision_retries : node_.cost().txn_cleanup_retries;
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server, net::kPortCommit,
-                                                 std::move(e).take(), opts));
-  Decoder d(reply);
-  return dsm::decodeStatus(d, commit ? "tx_commit" : "tx_abort");
 }
 
 void Migrator::event(std::string what) {

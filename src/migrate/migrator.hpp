@@ -128,10 +128,6 @@ class Migrator {
   void event(std::string what);
   Result<void> copySegment(sim::Process& self, const Sysname& from, const Sysname& to,
                            std::uint64_t length);
-  Result<void> sendPrepare(sim::Process& self, net::NodeId server, std::uint64_t txid,
-                           const ra::PageKey& key, const Bytes& page);
-  Result<void> sendDecision(sim::Process& self, net::NodeId server, std::uint64_t txid,
-                            bool commit);
 
   ra::Node& node_;
   dsm::DsmClientPartition& dsm_;

@@ -104,7 +104,6 @@ Result<Bytes> RatpEndpoint::transact(sim::Process& self, NodeId dst, PortId port
   ++*m_peer_deaths_;
   simulation().trace(name_, "ratp", "peer " + std::to_string(dst) + " declared dead (tx " +
                                         std::to_string(txid & 0xffffffff) + ")");
-  if (peer_death_) peer_death_(dst, port);
   ++*m_timeouts_;
   return makeError(Errc::timeout, name_ + ": transaction to node " + std::to_string(dst) +
                                       " port " + std::to_string(port) + " timed out");

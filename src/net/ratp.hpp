@@ -37,7 +37,7 @@ using PortId = std::uint16_t;
 
 // Well-known Clouds service ports.
 inline constexpr PortId kPortEcho = 1;
-inline constexpr PortId kPortDsm = 2;       // DSM page/coherence service
+inline constexpr PortId kPortDsm = 2;       // DSM page/segment service (data servers)
 inline constexpr PortId kPortLock = 3;      // distributed synchronization
 inline constexpr PortId kPortCommit = 4;    // two-phase-commit participant
 inline constexpr PortId kPortNaming = 5;    // name server
@@ -46,6 +46,7 @@ inline constexpr PortId kPortUserIo = 7;    // user I/O manager (workstation sid
 inline constexpr PortId kPortStorage = 8;   // segment storage service
 inline constexpr PortId kPortNfs = 9;       // NfsSim comparator
 inline constexpr PortId kPortFtp = 10;      // FtpSim comparator
+inline constexpr PortId kPortDsmCallback = 11;  // DSM coherence callbacks (compute servers)
 
 struct RatpOptions {
   sim::Duration timeout = sim::kZero;  // 0 = use cost model default
@@ -63,7 +64,7 @@ class RatpEndpoint {
   // for the reply. Blocking; must be called from process context. Fails
   // with Errc::timeout once the retry budget is exhausted (dead or
   // partitioned destination, or unbound remote port) — peer-death detection:
-  // the endpoint counts the exhaustion and notifies onPeerDeath. Fails with
+  // the endpoint counts the exhaustion in `peer_deaths`. Fails with
   // Errc::aborted if the transaction is torn down mid-wait (abortPending or
   // endpoint crash), so callers never hang on a transaction that cannot
   // finish.
@@ -71,12 +72,6 @@ class RatpEndpoint {
                          RatpOptions options = {});
 
   void bindService(PortId port, Handler handler);
-
-  // Called when a transact() exhausts its full retry budget: the transport's
-  // best evidence that the peer is dead or unreachable. Runs in the waiter's
-  // process context, before transact returns its timeout.
-  using PeerDeathHandler = std::function<void(NodeId dst, PortId port)>;
-  void onPeerDeath(PeerDeathHandler handler) { peer_death_ = std::move(handler); }
 
   // Abort every in-flight client transaction: waiters wake and transact
   // returns Errc::aborted. Safe outside process context.
@@ -142,7 +137,6 @@ class RatpEndpoint {
   std::vector<sim::Process*> idle_workers_;
   std::vector<sim::Process*> worker_procs_;  // all workers ever spawned (for crash kill)
   int worker_count_ = 0;
-  PeerDeathHandler peer_death_;
   // Counters ("<name>/ratp/..."), resolved at construction. aborted counts
   // abortPending / endpoint-crash teardowns; peer_deaths counts exhausted
   // retry budgets (peer declared dead).

@@ -68,7 +68,6 @@ struct CostModel {
   // ---- Data-server disk (Fujitsu Eagle-era) ----
   Duration disk_seek_rotate = msec(24);  // average seek + rotational delay (loaded)
   Duration disk_per_page = msec(2);      // transfer of one 8 KiB page
-  double disk_cache_hit_ratio = 0.0;     // deterministic default: always miss
 
   // ---- Object manager / invocation ----
   Duration invoke_locate = usec(1400);     // sysname -> active-object lookup

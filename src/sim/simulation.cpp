@@ -14,7 +14,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config), rng_(config.s
   processes_spawned_ = &metrics_.counter("sim/processes_spawned");
 }
 
-Simulation::~Simulation() { shutdownProcesses(); }
+Simulation::~Simulation() { shutdown(); }
 
 void Simulation::schedule(Duration delay, std::function<void()> fn) {
   if (delay < kZero) throw std::invalid_argument("Simulation::schedule: negative delay");
@@ -81,7 +81,7 @@ std::size_t Simulation::liveProcessCount() const noexcept {
   return n;
 }
 
-void Simulation::shutdownProcesses() {
+void Simulation::shutdown() {
   // Kill in reverse creation order so dependents unwind before the services
   // they use. A killed process's unwinding may wake others; resume those via
   // direct handoff as well (events no longer run).

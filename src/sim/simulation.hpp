@@ -56,6 +56,11 @@ class Simulation {
   std::size_t runFor(Duration horizon);
   void stop() noexcept { stopped_ = true; }
 
+  // Kill and unwind every live process now. An owner of state that
+  // processes point into (nodes, services) calls this before freeing that
+  // state; the destructor runs it again, which is then a no-op.
+  void shutdown();
+
   // True when nothing remains scheduled (blocked processes may still exist).
   bool idle() const noexcept { return queue_.empty(); }
 
@@ -91,7 +96,6 @@ class Simulation {
   };
 
   std::size_t runUntil(TimePoint horizon, bool bounded);
-  void shutdownProcesses();
 
   SimConfig config_;
   // The scheduler side of every fiber context switch: adopts whichever host

@@ -1,5 +1,5 @@
-// Application-tier chaos suite (CTest label: app — the CI sanitizer lane
-// runs it with `ctest -L 'chaos|simcore|store|app'`).
+// Application-tier chaos suite (CTest label: app; the CI sanitizer lane
+// runs it with the rest of the suite).
 //
 // A small social network (3 combined servers, 8 shards) takes a post-only
 // workload from a fixed set of authors with a pre-built, static follow

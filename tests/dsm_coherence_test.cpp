@@ -212,6 +212,68 @@ TEST(Dsm, StatRoutesToHomeServer) {
   f.sim.run();
 }
 
+// Paper §3: a machine with a disk "can simultaneously be a compute and data
+// server", and answers its own DSM requests without the network. One such
+// combined node, bare as in the E1 calibration, plus a diskless client
+// sharing its wire.
+struct CombinedPair {
+  sim::Simulation sim{42};
+  sim::CostModel cost;
+  net::Ethernet ether{sim, cost};
+  ra::Node combo{sim, cost, ether, 1, "combo", ra::NodeRole::compute | ra::NodeRole::data};
+  store::DiskStore store{1, cost};
+  dsm::DsmServer server{combo, store};
+  dsm::DsmClientPartition combo_dsm{combo, &server};
+  ra::Node cpu{sim, cost, ether, 2, "cpu", static_cast<int>(ra::NodeRole::compute)};
+  dsm::DsmClientPartition cpu_dsm{cpu, nullptr};
+
+  std::uint64_t counter(const std::string& name) const {
+    return sim.metrics().counterValue(name);
+  }
+};
+
+TEST(DsmCombined, LocalRequestsCostTheCalibratedFaultsAndStayOffTheWire) {
+  CombinedPair m;
+  constexpr ra::PageIndex kFaults = 16;
+  m.sim.spawn("toucher", [&](sim::Process& self) {
+    // Created through the DSM client, so the CPU is warm for the faults.
+    auto created = m.combo_dsm.createSegment(self, m.combo.id(), 2 * kFaults * kPageSize);
+    ASSERT_TRUE(created.ok());
+    const Sysname seg = created.value();
+    ASSERT_TRUE(m.combo_dsm.stat(self, seg).ok());
+    // Paper §4.3: 1.5 ms for a zero-filled 8K page ...
+    for (ra::PageIndex p = 0; p < kFaults; ++p) {
+      const sim::TimePoint t0 = m.sim.now();
+      ASSERT_TRUE(m.combo_dsm.resolvePage(self, {seg, p}, Access::read).ok());
+      EXPECT_EQ((m.sim.now() - t0).count(), 1'500'000) << "zero-fill fault on page " << p;
+    }
+    // ... and 0.629 ms for a non zero-filled page resident at the server.
+    const Bytes page(kPageSize, std::byte{1});
+    for (ra::PageIndex p = kFaults; p < 2 * kFaults; ++p) {
+      ASSERT_TRUE(m.store.writePage(self, {seg, p}, page).ok());
+    }
+    for (ra::PageIndex p = kFaults; p < 2 * kFaults; ++p) {
+      const sim::TimePoint t0 = m.sim.now();
+      ASSERT_TRUE(m.combo_dsm.resolvePage(self, {seg, p}, Access::read).ok());
+      EXPECT_EQ((m.sim.now() - t0).count(), 629'000) << "resident fault on page " << p;
+    }
+    auto h = m.combo_dsm.resolvePage(self, {seg, 0}, Access::write);
+    ASSERT_TRUE(h.ok());
+    h.value().data[0] = std::byte{7};
+    ASSERT_TRUE(m.combo_dsm.flushSegment(self, seg).ok());
+    EXPECT_EQ(m.counter("net/eth/frames_on_wire"), 0u);
+
+    // The diskless client's write invalidates the combined node's copy of
+    // page 0 by a local callback: the combined node starts no transaction.
+    auto w = m.cpu_dsm.resolvePage(self, {seg, 0}, Access::write);
+    ASSERT_TRUE(w.ok());
+    EXPECT_EQ(w.value().data[0], std::byte{7});
+    EXPECT_EQ(m.counter("combo/dsm/invalidations"), 1u);
+    EXPECT_EQ(m.counter("combo/ratp/transactions"), 0u);
+  });
+  m.sim.run();
+}
+
 TEST(Dsm, MmuReadWriteAcrossPages) {
   DsmFixture f(1, 1);
   f.sim.spawn("driver", [&](sim::Process& self) {

@@ -31,6 +31,8 @@ double runSort(int n_workers, std::int64_t keys, std::uint64_t seed,
   cluster.classes().registerClass(obj::samples::sorterClass());
   if (!cluster.create("sorter", "S").ok()) return -1;
   if (!cluster.call("S", "fill", {keys, 9999}).ok()) return -1;
+  const auto checksum = cluster.call("S", "checksum", {0, keys});
+  if (!checksum.ok()) return -1;
 
   const auto start = cluster.sim().now();
   const std::int64_t slice = keys / n_workers;
@@ -52,7 +54,10 @@ double runSort(int n_workers, std::int64_t keys, std::uint64_t seed,
   }
   const double elapsed = bench::ms(cluster.sim().now() - start);
   if (emit_metrics_label != nullptr) bench::emitMetrics(emit_metrics_label, cluster.sim());
+  // A sort must be an ordered permutation of its input: a run that lost
+  // keys reports failure, not a timing.
   if (cluster.call("S", "is_sorted", {0, keys}).value() != obj::Value{true}) return -1;
+  if (cluster.call("S", "checksum", {0, keys}).value() != checksum.value()) return -1;
   return elapsed;
 }
 

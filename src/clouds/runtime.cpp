@@ -34,7 +34,7 @@ Runtime::Runtime(ra::Node& node, dsm::DsmClientPartition& dsm, ra::AnonPartition
       anon_(anon),
       classes_(classes),
       mmu_(node),
-      sync_(node),
+      sync_(dsm),
       txn_(node, dsm, sync_),
       names_(node, name_server),
       io_(node) {

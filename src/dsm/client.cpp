@@ -21,7 +21,11 @@ DsmClientPartition::DsmClientPartition(ra::Node& node, DsmServer* local_server,
   m_remote_fetches_ = &metrics.counter(node_.name() + "/dsm/remote_fetches");
   m_home_crash_purges_ = &metrics.counter(node_.name() + "/dsm/home_crash_purges");
   m_fault_latency_ = &metrics.histogram(node_.name() + "/dsm/fault_latency_usec");
-  bindCallbackService();
+  node_.ratp().bindService(
+      net::kPortDsmCallback, [this](sim::Process& self, net::NodeId, const Bytes& request) {
+        node_.cpu().compute(self, node_.cost().fault_trap);  // remote shootdown path
+        return serveCallback(request);
+      });
   node_.onCrashHook([this] { loseVolatileState(); });
   if (local_server_ != nullptr) local_server_->setLocalClient(this);
 }
@@ -137,13 +141,13 @@ Result<bool> DsmClientPartition::fault(sim::Process& self, const ra::PageKey& ke
   return true;
 }
 
-Result<Bytes> DsmClientPartition::exchange(sim::Process& self, net::NodeId home, Bytes request,
+Result<Bytes> DsmClientPartition::exchange(sim::Process& self, net::NodeId server, Bytes request,
                                            net::RatpOptions options) {
-  if (homedHere(home)) {
+  if (homedHere(server)) {
     node_.cpu().compute(self, node_.cost().syscall);
     return local_server_->serveDsm(self, node_.id(), request);
   }
-  return node_.ratp().transact(self, home, net::kPortDsm, std::move(request), options);
+  return node_.ratp().transact(self, server, net::kPortDsm, std::move(request), options);
 }
 
 Result<PageGrant> DsmClientPartition::requestPage(sim::Process& self, const ra::PageKey& key,
@@ -171,11 +175,7 @@ Result<void> DsmClientPartition::sendWriteBackBatch(
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::write_back_batch));
   e.boolean(drop);
-  e.u32(static_cast<std::uint32_t>(updates.size()));
-  for (const store::PageUpdate& u : updates) {
-    encodePageKey(e, u.key);
-    e.bytes(u.data);
-  }
+  encodePageUpdates(e, updates);
   CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(segment), std::move(e).take()));
   Decoder d(reply);
   return decodeStatus(d, "write back batch");
@@ -259,42 +259,31 @@ void DsmClientPartition::unpinSegment(const Sysname& segment) {
   if (--it->second <= 0) pinned_.erase(it);
 }
 
-void DsmClientPartition::bindCallbackService() {
-  node_.ratp().bindService(
-      net::kPortDsmCallback, [this](sim::Process& self, net::NodeId, const Bytes& request) {
-        Decoder d(request);
-        Encoder reply;
-        auto op = d.u8();
-        if (!op.ok()) {
-          encodeStatus(reply, Errc::bad_argument);
-          return std::move(reply).take();
-        }
-        const Op code = static_cast<Op>(op.value());
-        if (code != Op::invalidate && code != Op::degrade) {
-          encodeStatus(reply, Errc::bad_argument);
-          return std::move(reply).take();
-        }
-        node_.cpu().compute(self, node_.cost().fault_trap);  // remote shootdown path
-        auto key = decodePageKey(d);
-        auto version = d.u64();
-        if (!key.ok() || !version.ok()) {
-          encodeStatus(reply, Errc::bad_argument);
-          return std::move(reply).take();
-        }
-        bool dirty = false;
-        bool busy = false;
-        Bytes data = code == Op::invalidate
-                         ? onInvalidate(key.value(), version.value(), &dirty, &busy)
-                         : onDegrade(key.value(), version.value(), &dirty, &busy);
-        if (busy) {
-          encodeStatus(reply, Errc::busy);
-          return std::move(reply).take();
-        }
-        encodeStatus(reply, Errc::ok);
-        reply.boolean(dirty);
-        if (dirty) reply.bytes(data);
-        return std::move(reply).take();
-      });
+Bytes DsmClientPartition::serveCallback(const Bytes& request) {
+  Decoder d(request);
+  Encoder reply;
+  auto op = d.u8();
+  auto key = decodePageKey(d);
+  auto version = d.u64();
+  const bool known = op.ok() && (op.value() == static_cast<std::uint8_t>(Op::invalidate) ||
+                                 op.value() == static_cast<std::uint8_t>(Op::degrade));
+  if (!known || !key.ok() || !version.ok()) {
+    encodeStatus(reply, Errc::bad_argument);
+    return std::move(reply).take();
+  }
+  bool dirty = false;
+  bool busy = false;
+  Bytes data = static_cast<Op>(op.value()) == Op::invalidate
+                   ? onInvalidate(key.value(), version.value(), &dirty, &busy)
+                   : onDegrade(key.value(), version.value(), &dirty, &busy);
+  if (busy) {
+    encodeStatus(reply, Errc::busy);
+    return std::move(reply).take();
+  }
+  encodeStatus(reply, Errc::ok);
+  reply.boolean(dirty);
+  if (dirty) reply.bytes(data);
+  return std::move(reply).take();
 }
 
 // ---------------------------------------------------------------- segment ops

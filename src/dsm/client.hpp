@@ -6,13 +6,15 @@
 // the segment's home data server, install cost (zero-fill or frame copy),
 // and versioned-grant staleness checks.
 //
-// Every data-server request is encoded once and sent through exchange():
-// a RaTP transaction, or — when the segment is homed on this very node — a
-// syscall into the co-located server's dispatcher.
+// Every request this node makes of a data server (its own page and segment
+// requests, and SyncClient's locks, semaphores and 2PC) is encoded once and
+// sent through exchange(): a RaTP transaction, or — when the server is this
+// very node — a syscall into the co-located server's dispatcher.
 //
-// It also answers the server's invalidate/degrade callbacks (kPortDsmCallback),
-// surrendering dirty data, and provides the hooks the consistency layer
-// needs (collect / clean / drop a segment's dirty frames).
+// It also answers the server's invalidate/degrade callbacks through one
+// handler, serveCallback(), surrendering dirty data, and provides the hooks
+// the consistency layer needs (collect / clean / drop a segment's dirty
+// frames).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,8 @@ class DsmClientPartition : public ra::Partition {
   // protocol).
   DsmClientPartition(ra::Node& node, DsmServer* local_server,
                      std::size_t frame_capacity = 2048);
+
+  ra::Node& node() noexcept { return node_; }
 
   // ---- ra::Partition ----
   bool serves(const Sysname& segment) const override { return ra::isSegmentName(segment); }
@@ -68,13 +72,19 @@ class DsmClientPartition : public ra::Partition {
   void pinSegment(const Sysname& segment);
   void unpinSegment(const Sysname& segment);
 
+  // One request to `server`'s kPortDsm service; returns the raw reply.
+  // `options` govern the RaTP transaction and are unused by a local call.
+  Result<Bytes> exchange(sim::Process& self, net::NodeId server, Bytes request,
+                         net::RatpOptions options = {});
+
   // ---- Server -> client coherence callbacks ----
-  // Returns the frame's dirty data when it had any (the server folds it
-  // into the store). Sets `*busy` instead when the frame is pinned by an
-  // open transaction — nothing is surrendered and the server must retry.
-  Bytes onInvalidate(const ra::PageKey& key, std::uint64_t version, bool* was_dirty,
-                     bool* busy);
-  Bytes onDegrade(const ra::PageKey& key, std::uint64_t version, bool* was_dirty, bool* busy);
+  // The kPortDsmCallback handler: decodes one invalidate/degrade request
+  // and encodes the reply — the frame's dirty data when it had any (the
+  // server folds it into the store), or status busy when the frame is
+  // pinned by an open transaction (nothing is surrendered; the server must
+  // retry). Bound as the RaTP service, and called directly by a co-located
+  // data server.
+  Bytes serveCallback(const Bytes& request);
 
   // Node-crash hook: every frame is lost.
   void loseVolatileState();
@@ -123,11 +133,10 @@ class DsmClientPartition : public ra::Partition {
   bool homedHere(net::NodeId home) const {
     return home == node_.id() && local_server_ != nullptr;
   }
-  // One request to `home`'s kPortDsm service; returns the raw reply.
-  Result<Bytes> exchange(sim::Process& self, net::NodeId home, Bytes request,
-                         net::RatpOptions options = {});
   void maybeEvict(sim::Process& self);
-  void bindCallbackService();
+  Bytes onInvalidate(const ra::PageKey& key, std::uint64_t version, bool* was_dirty,
+                     bool* busy);
+  Bytes onDegrade(const ra::PageKey& key, std::uint64_t version, bool* was_dirty, bool* busy);
 
   ra::Node& node_;
   DsmServer* local_server_;

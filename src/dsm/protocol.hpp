@@ -1,25 +1,25 @@
 // Wire protocol of the DSM subsystem (paper §3.2 box "Distributed Shared
 // Memory" and §4.2 "DSM Clients and Servers").
 //
-// Three RaTP services per data server:
-//  * kPortDsm    — page coherence (read/write/write-back) + segment ops.
-//  * kPortLock   — segment locks and distributed semaphores ("the data
-//                  servers also provide support for distributed
-//                  synchronization").
-//  * kPortCommit — two-phase-commit participant.
-// and one per compute server:
-//  * kPortDsmCallback — the data servers' invalidate/degrade callbacks.
+// One RaTP service per data server, kPortDsm, carries every request a
+// compute server makes of it: page coherence (read/write/write-back),
+// segment ops, segment locks and distributed semaphores ("the data servers
+// also provide support for distributed synchronization"), and the
+// two-phase-commit participant. One service per compute server,
+// kPortDsmCallback, carries the data servers' invalidate/degrade callbacks.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/codec.hpp"
 #include "ra/types.hpp"
+#include "store/wal.hpp"
 
 namespace clouds::dsm {
 
 enum class Op : std::uint8_t {
-  // kPortDsm, client -> data server
+  // kPortDsm, client -> data server: pages and segments
   read_page = 1,
   write_page = 2,
   create_segment = 4,
@@ -30,13 +30,13 @@ enum class Op : std::uint8_t {
   // kPortDsmCallback, data server -> client
   invalidate = 20,
   degrade = 21,
-  // kPortLock
+  // kPortDsm: locks and semaphores
   lock = 30,
   unlock_all = 31,
   sem_create = 32,
   sem_p = 33,
   sem_v = 34,
-  // kPortCommit
+  // kPortDsm: two-phase-commit participant
   tx_prepare = 40,
   tx_commit = 41,
   tx_abort = 42,
@@ -63,6 +63,27 @@ inline Result<ra::PageKey> decodePageKey(Decoder& d) {
   CLOUDS_TRY_ASSIGN(seg, d.sysname());
   CLOUDS_TRY_ASSIGN(page, d.u32());
   return ra::PageKey{seg, page};
+}
+
+// A page-update list, as write_back_batch and tx_prepare carry it:
+// n:u32, then n x (PageKey, bytes).
+inline void encodePageUpdates(Encoder& e, const std::vector<store::PageUpdate>& updates) {
+  e.u32(static_cast<std::uint32_t>(updates.size()));
+  for (const store::PageUpdate& u : updates) {
+    encodePageKey(e, u.key);
+    e.bytes(u.data);
+  }
+}
+
+inline Result<std::vector<store::PageUpdate>> decodePageUpdates(Decoder& d) {
+  CLOUDS_TRY_ASSIGN(count, d.u32());
+  std::vector<store::PageUpdate> updates;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    CLOUDS_TRY_ASSIGN(key, decodePageKey(d));
+    CLOUDS_TRY_ASSIGN(data, d.bytes());
+    updates.push_back(store::PageUpdate{key, std::move(data)});
+  }
+  return updates;
 }
 
 // A page grant flowing data server -> client.

@@ -26,7 +26,10 @@ DsmServer::DsmServer(ra::Node& node, store::DiskStore& store) : node_(node), sto
   m_locks_reclaimed_ = &metrics.counter(node_.name() + "/dsm/locks_reclaimed");
   m_wb_adoptions_ = &metrics.counter(node_.name() + "/dsm/writeback_adoptions");
   m_indoubt_ = &metrics.counter(node_.name() + "/dsm/indoubt_at_reboot");
-  bindServices();
+  node_.ratp().bindService(net::kPortDsm,
+                           [this](sim::Process& self, net::NodeId client, const Bytes& req) {
+                             return serveDsm(self, client, req);
+                           });
   node_.onCrashHook([this] {
     loseVolatileState();
     store_.loseVolatileState();
@@ -132,34 +135,32 @@ void DsmServer::onClientCrash(net::NodeId client) {
 Result<Bytes> DsmServer::callback(sim::Process& self, net::NodeId holder, Op op,
                                   const ra::PageKey& key, std::uint64_t version) {
   ++*(op == Op::invalidate ? m_invalidations_ : m_degrades_);
-  if (holder == node_.id() && local_client_ != nullptr) {
-    node_.cpu().compute(self, node_.cost().syscall);
-    bool dirty = false;
-    bool busy = false;
-    Bytes data = op == Op::invalidate ? local_client_->onInvalidate(key, version, &dirty, &busy)
-                                      : local_client_->onDegrade(key, version, &dirty, &busy);
-    if (busy) {
-      return makeError(Errc::busy, "frame " + key.toString() + " pinned by an open transaction");
-    }
-    return data;
-  }
   Encoder e;
   e.u8(static_cast<std::uint8_t>(op));
   encodePageKey(e, key);
   e.u64(version);
-  // Callbacks give up well before a waiting fault does, so a dead holder is
-  // declared lost while the faulting client is still patient.
-  net::RatpOptions opts;
-  opts.max_retries = node_.cost().dsm_callback_retries;
-  auto r = node_.ratp().transact(self, holder, net::kPortDsmCallback, std::move(e).take(), opts);
-  if (!r.ok()) {
-    // Holder dead or partitioned: its copy is considered lost (its dirty
-    // data, if any, dies with it — standard s-thread crash semantics).
-    node_.simulation().trace(node_.name(), "dsm",
-                             "callback to node " + std::to_string(holder) + " failed: copy lost");
-    return Bytes{};
+  Bytes reply;
+  if (holder == node_.id() && local_client_ != nullptr) {
+    node_.cpu().compute(self, node_.cost().syscall);
+    reply = local_client_->serveCallback(std::move(e).take());
+  } else {
+    // Callbacks give up well before a waiting fault does, so a dead holder
+    // is declared lost while the faulting client is still patient.
+    net::RatpOptions opts;
+    opts.max_retries = node_.cost().dsm_callback_retries;
+    auto r =
+        node_.ratp().transact(self, holder, net::kPortDsmCallback, std::move(e).take(), opts);
+    if (!r.ok()) {
+      // Holder dead or partitioned: its copy is considered lost (its dirty
+      // data, if any, dies with it — standard s-thread crash semantics).
+      node_.simulation().trace(node_.name(), "dsm",
+                               "callback to node " + std::to_string(holder) +
+                                   " failed: copy lost");
+      return Bytes{};
+    }
+    reply = std::move(r).value();
   }
-  Decoder d(r.value());
+  Decoder d(reply);
   CLOUDS_TRY(decodeStatus(d, "dsm callback"));
   CLOUDS_TRY_ASSIGN(dirty, d.boolean());
   if (!dirty) return Bytes{};
@@ -574,28 +575,12 @@ Bytes DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Bytes& r
     }
     case Op::write_back_batch: {
       auto drop = d.boolean();
-      auto count = d.u32();
-      if (!drop.ok() || !count.ok()) {
+      auto updates = decodePageUpdates(d);
+      if (!drop.ok() || !updates.ok()) {
         encodeStatus(reply, Errc::bad_argument);
         break;
       }
-      std::vector<store::PageUpdate> updates;
-      bool bad = false;
-      for (std::uint32_t i = 0; i < count.value() && !bad; ++i) {
-        auto key = decodePageKey(d);
-        auto data = d.bytes();
-        if (!key.ok() || !data.ok()) {
-          bad = true;
-          break;
-        }
-        updates.push_back(store::PageUpdate{key.value(), std::move(data).value()});
-      }
-      if (bad) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      auto r = handleWriteBackBatch(self, client, updates, drop.value());
-      encodeStatus(reply, r.code());
+      encodeStatus(reply, handleWriteBackBatch(self, client, updates.value(), drop.value()).code());
       break;
     }
     case Op::create_segment: {
@@ -646,22 +631,6 @@ Bytes DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Bytes& r
       encodeStatus(reply, handleDestroy(self, name.value()).code());
       break;
     }
-    default:
-      encodeStatus(reply, Errc::bad_argument);
-  }
-  return std::move(reply).take();
-}
-
-Bytes DsmServer::serveLock(sim::Process& self, net::NodeId client, const Bytes& request) {
-  (void)client;
-  Decoder d(request);
-  Encoder reply;
-  auto op = d.u8();
-  if (!op.ok()) {
-    encodeStatus(reply, Errc::bad_argument);
-    return std::move(reply).take();
-  }
-  switch (static_cast<Op>(op.value())) {
     case Op::lock: {
       auto seg = d.sysname();
       auto mode = d.u8();
@@ -695,89 +664,45 @@ Bytes DsmServer::serveLock(sim::Process& self, net::NodeId client, const Bytes& 
       if (r.ok()) reply.u64(r.value());
       break;
     }
-    case Op::sem_p: {
-      auto sem = d.u64();
-      if (!sem.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      encodeStatus(reply, handleSemP(self, sem.value()).code());
-      break;
-    }
+    case Op::sem_p:
     case Op::sem_v: {
       auto sem = d.u64();
       if (!sem.ok()) {
         encodeStatus(reply, Errc::bad_argument);
         break;
       }
-      encodeStatus(reply, handleSemV(self, sem.value()).code());
+      auto r = static_cast<Op>(op.value()) == Op::sem_p ? handleSemP(self, sem.value())
+                                                         : handleSemV(self, sem.value());
+      encodeStatus(reply, r.code());
       break;
     }
-    default:
-      encodeStatus(reply, Errc::bad_argument);
-  }
-  return std::move(reply).take();
-}
-
-Bytes DsmServer::serveCommit(sim::Process& self, net::NodeId client, const Bytes& request) {
-  Decoder d(request);
-  Encoder reply;
-  auto op = d.u8();
-  auto txid = d.u64();
-  if (!op.ok() || !txid.ok()) {
-    encodeStatus(reply, Errc::bad_argument);
-    return std::move(reply).take();
-  }
-  switch (static_cast<Op>(op.value())) {
     case Op::tx_prepare: {
-      auto count = d.u32();
-      if (!count.ok()) {
+      auto txid = d.u64();
+      auto updates = decodePageUpdates(d);
+      if (!txid.ok() || !updates.ok()) {
         encodeStatus(reply, Errc::bad_argument);
         break;
       }
-      std::vector<store::PageUpdate> updates;
-      bool bad = false;
-      for (std::uint32_t i = 0; i < count.value() && !bad; ++i) {
-        auto key = decodePageKey(d);
-        auto data = d.bytes();
-        if (!key.ok() || !data.ok()) {
-          bad = true;
-          break;
-        }
-        updates.push_back(store::PageUpdate{key.value(), std::move(data).value()});
-      }
-      if (bad) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      encodeStatus(reply, handlePrepare(self, txid.value(), std::move(updates)).code());
+      encodeStatus(reply, handlePrepare(self, txid.value(), std::move(updates).value()).code());
       break;
     }
     case Op::tx_commit:
-      encodeStatus(reply, handleCommit(self, client, txid.value()).code());
+    case Op::tx_abort: {
+      auto txid = d.u64();
+      if (!txid.ok()) {
+        encodeStatus(reply, Errc::bad_argument);
+        break;
+      }
+      auto r = static_cast<Op>(op.value()) == Op::tx_commit
+                   ? handleCommit(self, client, txid.value())
+                   : handleAbort(self, txid.value());
+      encodeStatus(reply, r.code());
       break;
-    case Op::tx_abort:
-      encodeStatus(reply, handleAbort(self, txid.value()).code());
-      break;
+    }
     default:
       encodeStatus(reply, Errc::bad_argument);
   }
   return std::move(reply).take();
-}
-
-void DsmServer::bindServices() {
-  node_.ratp().bindService(net::kPortDsm,
-                           [this](sim::Process& self, net::NodeId client, const Bytes& req) {
-                             return serveDsm(self, client, req);
-                           });
-  node_.ratp().bindService(net::kPortLock,
-                           [this](sim::Process& self, net::NodeId client, const Bytes& req) {
-                             return serveLock(self, client, req);
-                           });
-  node_.ratp().bindService(net::kPortCommit,
-                           [this](sim::Process& self, net::NodeId client, const Bytes& req) {
-                             return serveCommit(self, client, req);
-                           });
 }
 
 }  // namespace clouds::dsm

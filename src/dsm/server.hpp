@@ -1,5 +1,6 @@
 // DSM server — the data-server side of the coherence protocol, the segment
-// lock service, the distributed semaphores, and the 2PC participant.
+// lock service, the distributed semaphores, and the 2PC participant, all
+// behind one request dispatcher (serveDsm).
 //
 // Coherence is the fixed-distributed-manager variant of Li & Hudak's
 // write-invalidate protocol, which the paper cites for its one-copy
@@ -29,8 +30,8 @@ class DsmClientPartition;
 
 class DsmServer {
  public:
-  // Binds the kPortDsm / kPortLock / kPortCommit services on node's RaTP
-  // endpoint. The node must have the data role; store is its durable half.
+  // Binds the kPortDsm service on node's RaTP endpoint. The node must have
+  // the data role; store is its durable half.
   DsmServer(ra::Node& node, store::DiskStore& store);
 
   ra::Node& node() noexcept { return node_; }
@@ -40,10 +41,11 @@ class DsmServer {
   // server: callbacks to it short-circuit the network.
   void setLocalClient(DsmClientPartition* client) noexcept { local_client_ = client; }
 
-  // The kPortDsm dispatcher: decodes one request, runs its handler and
-  // encodes the reply. `client` is the requesting node's id. Bound as the
-  // RaTP service, and called directly by a co-located client partition for
-  // segments homed on this node.
+  // The kPortDsm dispatcher, the one entry for every request to this data
+  // server (pages, segments, locks, semaphores, 2PC): decodes one request,
+  // runs its handler and encodes the reply; a malformed or unknown request
+  // answers bad_argument. `client` is the requesting node's id. Bound as the
+  // RaTP service, and called directly by a co-located client partition.
   Bytes serveDsm(sim::Process& self, net::NodeId client, const Bytes& request);
 
   // Crash support: volatile directory/lock/semaphore state is lost; the
@@ -119,15 +121,11 @@ class DsmServer {
   Result<void> handleCommit(sim::Process& self, net::NodeId committer, std::uint64_t txid);
   Result<void> handleAbort(sim::Process& self, std::uint64_t txid);
 
-  void bindServices();
-
   // Send a coherence callback; returns the holder's dirty data if any.
   // A dead/unreachable holder is treated as having lost its copy.
   Result<Bytes> callback(sim::Process& self, net::NodeId holder, Op op, const ra::PageKey& key,
                          std::uint64_t version);
   Result<PageGrant> loadGrant(sim::Process& self, const ra::PageKey& key, std::uint64_t version);
-  Bytes serveLock(sim::Process& self, net::NodeId client, const Bytes& request);
-  Bytes serveCommit(sim::Process& self, net::NodeId client, const Bytes& request);
 
   ra::Node& node_;
   store::DiskStore& store_;

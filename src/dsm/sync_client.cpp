@@ -7,18 +7,9 @@ namespace {
 // must exceed the server's own wait bound. Retransmitted requests are
 // deduplicated by RaTP's reply cache (the handler keeps waiting; it is
 // never re-executed), so retries only guard against lost frames.
-constexpr sim::Duration kLockCallTimeout = sim::msec(600);
-constexpr sim::Duration kSemCallTimeout = sim::sec(2);
-constexpr int kSemRetries = 45;  // ~90 s total patience for a P()
+constexpr net::RatpOptions kLockCall{sim::msec(600), 3};
+constexpr net::RatpOptions kSemCall{sim::sec(2), 45};  // ~90 s total patience for a P()
 }  // namespace
-
-Result<Bytes> SyncClient::call(sim::Process& self, net::NodeId server, const Bytes& request,
-                               sim::Duration timeout) {
-  net::RatpOptions opts;
-  opts.timeout = timeout;
-  opts.max_retries = timeout == kSemCallTimeout ? kSemRetries : 3;
-  return node_.ratp().transact(self, server, net::kPortLock, request, opts);
-}
 
 Result<void> SyncClient::lock(sim::Process& self, const Sysname& segment, LockMode mode,
                               std::uint64_t owner) {
@@ -28,7 +19,7 @@ Result<void> SyncClient::lock(sim::Process& self, const Sysname& segment, LockMo
   e.u8(static_cast<std::uint8_t>(mode));
   e.u64(owner);
   CLOUDS_TRY_ASSIGN(reply,
-                    call(self, ra::sysnameHome(segment), std::move(e).take(), kLockCallTimeout));
+                    dsm_.exchange(self, ra::sysnameHome(segment), std::move(e).take(), kLockCall));
   Decoder d(reply);
   return decodeStatus(d, "lock");
 }
@@ -37,7 +28,7 @@ Result<void> SyncClient::unlockAll(sim::Process& self, net::NodeId server, std::
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::unlock_all));
   e.u64(owner);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply, dsm_.exchange(self, server, std::move(e).take(), kLockCall));
   Decoder d(reply);
   return decodeStatus(d, "unlock_all");
 }
@@ -47,7 +38,7 @@ Result<std::uint64_t> SyncClient::semCreate(sim::Process& self, net::NodeId serv
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::sem_create));
   e.i64(initial);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kLockCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply, dsm_.exchange(self, server, std::move(e).take(), kLockCall));
   Decoder d(reply);
   CLOUDS_TRY(decodeStatus(d, "sem_create"));
   return d.u64();
@@ -58,7 +49,7 @@ Result<void> SyncClient::semP(sim::Process& self, std::uint64_t sem) {
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::sem_p));
   e.u64(sem);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kSemCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply, dsm_.exchange(self, server, std::move(e).take(), kSemCall));
   Decoder d(reply);
   return decodeStatus(d, "sem_p");
 }
@@ -68,7 +59,7 @@ Result<void> SyncClient::semV(sim::Process& self, std::uint64_t sem) {
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::sem_v));
   e.u64(sem);
-  CLOUDS_TRY_ASSIGN(reply, call(self, server, std::move(e).take(), kSemCallTimeout));
+  CLOUDS_TRY_ASSIGN(reply, dsm_.exchange(self, server, std::move(e).take(), kSemCall));
   Decoder d(reply);
   return decodeStatus(d, "sem_v");
 }
@@ -78,13 +69,8 @@ Result<void> SyncClient::prepare(sim::Process& self, net::NodeId server, std::ui
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::tx_prepare));
   e.u64(txid);
-  e.u32(static_cast<std::uint32_t>(updates.size()));
-  for (const auto& u : updates) {
-    encodePageKey(e, u.key);
-    e.bytes(u.data);
-  }
-  CLOUDS_TRY_ASSIGN(reply,
-                    node_.ratp().transact(self, server, net::kPortCommit, std::move(e).take()));
+  encodePageUpdates(e, updates);
+  CLOUDS_TRY_ASSIGN(reply, dsm_.exchange(self, server, std::move(e).take()));
   Decoder d(reply);
   return decodeStatus(d, "tx_prepare");
 }
@@ -99,10 +85,9 @@ Result<void> SyncClient::decide(sim::Process& self, net::NodeId server, std::uin
   // rebooted server's durable prepared log. Aborts are best-effort — an
   // undelivered abort is mopped up by lease expiry and the in-doubt scan.
   net::RatpOptions opts;
-  opts.max_retries =
-      commit ? node_.cost().txn_decision_retries : node_.cost().txn_cleanup_retries;
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server, net::kPortCommit,
-                                                 std::move(e).take(), opts));
+  opts.max_retries = commit ? dsm_.node().cost().txn_decision_retries
+                            : dsm_.node().cost().txn_cleanup_retries;
+  CLOUDS_TRY_ASSIGN(reply, dsm_.exchange(self, server, std::move(e).take(), opts));
   Decoder d(reply);
   return decodeStatus(d, commit ? "tx_commit" : "tx_abort");
 }

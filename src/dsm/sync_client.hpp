@@ -4,21 +4,21 @@
 // their two-phase-commit participant.
 //
 // Segment locks are addressed to the segment's home data server; semaphore
-// ids embed their home server in the upper 32 bits. Every call crosses the
-// wire, even to a data server on this very node.
+// ids embed their home server in the upper 32 bits. Every call goes through
+// the node's DSM client partition's exchange(): a local call when that data
+// server is this very node, else a RaTP transaction.
 #pragma once
 
 #include <vector>
 
+#include "dsm/client.hpp"
 #include "dsm/protocol.hpp"
-#include "ra/node.hpp"
-#include "store/disk_store.hpp"
 
 namespace clouds::dsm {
 
 class SyncClient {
  public:
-  explicit SyncClient(ra::Node& node) : node_(node) {}
+  explicit SyncClient(DsmClientPartition& dsm) : dsm_(dsm) {}
 
   // Blocking lock on a segment; Errc::deadlock after the bounded wait.
   Result<void> lock(sim::Process& self, const Sysname& segment, LockMode mode,
@@ -38,10 +38,7 @@ class SyncClient {
   Result<void> decide(sim::Process& self, net::NodeId server, std::uint64_t txid, bool commit);
 
  private:
-  Result<Bytes> call(sim::Process& self, net::NodeId server, const Bytes& request,
-                     sim::Duration timeout);
-
-  ra::Node& node_;
+  DsmClientPartition& dsm_;
 };
 
 }  // namespace clouds::dsm

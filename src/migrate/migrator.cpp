@@ -10,7 +10,7 @@ Migrator::Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTabl
     : node_(node),
       dsm_(dsm),
       table_(table),
-      sync_(node),
+      sync_(dsm),
       names_(node, name_server),
       options_(options),
       hooks_(std::move(hooks)) {

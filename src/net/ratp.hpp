@@ -37,9 +37,7 @@ using PortId = std::uint16_t;
 
 // Well-known Clouds service ports.
 inline constexpr PortId kPortEcho = 1;
-inline constexpr PortId kPortDsm = 2;       // DSM page/segment service (data servers)
-inline constexpr PortId kPortLock = 3;      // distributed synchronization
-inline constexpr PortId kPortCommit = 4;    // two-phase-commit participant
+inline constexpr PortId kPortDsm = 2;       // DSM pages, segments, locks, 2PC (data servers)
 inline constexpr PortId kPortNaming = 5;    // name server
 inline constexpr PortId kPortThread = 6;    // thread manager (remote invocation)
 inline constexpr PortId kPortUserIo = 7;    // user I/O manager (workstation side)

@@ -226,6 +226,8 @@ struct CombinedPair {
   dsm::DsmClientPartition combo_dsm{combo, &server};
   ra::Node cpu{sim, cost, ether, 2, "cpu", static_cast<int>(ra::NodeRole::compute)};
   dsm::DsmClientPartition cpu_dsm{cpu, nullptr};
+  dsm::SyncClient combo_sync{combo_dsm};
+  dsm::SyncClient cpu_sync{cpu_dsm};
 
   std::uint64_t counter(const std::string& name) const {
     return sim.metrics().counterValue(name);
@@ -263,6 +265,22 @@ TEST(DsmCombined, LocalRequestsCostTheCalibratedFaultsAndStayOffTheWire) {
     ASSERT_TRUE(m.combo_dsm.flushSegment(self, seg).ok());
     EXPECT_EQ(m.counter("net/eth/frames_on_wire"), 0u);
 
+    // Locks and 2PC to the co-located server take the same local call: an
+    // exclusive lock, a one-page prepare, the commit and the unlock start
+    // no transaction, and the committed byte is in the store.
+    const std::uint64_t tx = (std::uint64_t{1} << 32) | 1;
+    ASSERT_TRUE(m.combo_sync.lock(self, seg, LockMode::exclusive, tx).ok());
+    Bytes committed(kPageSize, std::byte{0});
+    committed[0] = std::byte{9};
+    ASSERT_TRUE(m.combo_sync.prepare(self, m.combo.id(), tx, {{{seg, 1}, committed}}).ok());
+    ASSERT_TRUE(m.combo_sync.decide(self, m.combo.id(), tx, /*commit=*/true).ok());
+    ASSERT_TRUE(m.combo_sync.unlockAll(self, m.combo.id(), tx).ok());
+    Bytes stored(kPageSize);
+    ASSERT_TRUE(m.store.readPage(self, {seg, 1}, stored).ok());
+    EXPECT_EQ(stored[0], std::byte{9});
+    EXPECT_EQ(m.counter("combo/ratp/transactions"), 0u);
+    EXPECT_EQ(m.counter("net/eth/frames_on_wire"), 0u);
+
     // The diskless client's write invalidates the combined node's copy of
     // page 0 by a local callback: the combined node starts no transaction.
     auto w = m.cpu_dsm.resolvePage(self, {seg, 0}, Access::write);
@@ -270,6 +288,12 @@ TEST(DsmCombined, LocalRequestsCostTheCalibratedFaultsAndStayOffTheWire) {
     EXPECT_EQ(w.value().data[0], std::byte{7});
     EXPECT_EQ(m.counter("combo/dsm/invalidations"), 1u);
     EXPECT_EQ(m.counter("combo/ratp/transactions"), 0u);
+
+    // The diskless node's lock on the same segment is one RaTP transaction.
+    const std::uint64_t before = m.counter("cpu/ratp/transactions");
+    const std::uint64_t cpu_tx = (std::uint64_t{2} << 32) | 1;
+    ASSERT_TRUE(m.cpu_sync.lock(self, seg, LockMode::exclusive, cpu_tx).ok());
+    EXPECT_EQ(m.counter("cpu/ratp/transactions"), before + 1);
   });
   m.sim.run();
 }

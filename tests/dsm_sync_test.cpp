@@ -1,6 +1,8 @@
 // Segment locks and distributed semaphores (paper §3.2, §4.2).
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "testbed.hpp"
 
 namespace clouds::test {
@@ -145,6 +147,57 @@ TEST(DsmSemaphores, UnknownSemaphoreFails) {
   f.sim.spawn("t", [&](sim::Process& self) {
     const std::uint64_t bogus = (static_cast<std::uint64_t>(f.data[0].node->id()) << 32) | 9999;
     EXPECT_EQ(f.compute[0].sync->semV(self, bogus).code(), Errc::not_found);
+  });
+  f.sim.run();
+}
+
+// Every "<node>/dsm/..." counter, one `"name":value` entry per line.
+std::string dsmCounters(const sim::MetricsRegistry& metrics) {
+  const std::string json = metrics.toJson();
+  const std::size_t begin = json.find('{', json.find("\"counters\"")) + 1;
+  std::stringstream entries(json.substr(begin, json.find('}', begin) - begin));
+  std::string out;
+  for (std::string entry; std::getline(entries, entry, ',');) {
+    if (entry.find("/dsm/") != std::string::npos) out += entry + '\n';
+  }
+  return out;
+}
+
+// DsmServer::serveDsm is the one entry for wire input to a data server.
+// Every client->server op cut short after its op byte, an unknown op and a
+// callback op answer bad_argument, and none of them touches a counter, a
+// lock or a semaphore.
+TEST(DsmDispatch, MalformedRequestsAnswerBadArgumentAndChangeNothing) {
+  SyncFixture f;
+  f.sim.spawn("t", [&](sim::Process& self) {
+    const net::NodeId home = f.data[0].node->id();
+    ASSERT_TRUE(f.compute[0].sync->lock(self, f.seg, LockMode::exclusive, 1).ok());
+    auto sem = f.compute[0].sync->semCreate(self, home, 1);
+    ASSERT_TRUE(sem.ok());
+    const std::string counters = dsmCounters(f.sim.metrics());
+    ASSERT_NE(counters.find("data0/dsm/page_reads"), std::string::npos);
+
+    for (const int op : {1, 2, 4, 5, 6, 7, 8, 30, 31, 32, 33, 34, 40, 41, 42, 99, 20}) {
+      const Bytes reply =
+          f.data[0].server->serveDsm(self, f.compute[0].node->id(), Bytes{std::byte(op)});
+      ASSERT_EQ(reply.size(), 1u) << "op " << op;
+      EXPECT_EQ(static_cast<Errc>(reply[0]), Errc::bad_argument) << "op " << op;
+    }
+    EXPECT_EQ(dsmCounters(f.sim.metrics()), counters);
+
+    // The lock is still owner 1's: owner 2 waits out the bound.
+    EXPECT_EQ(f.compute[1].sync->lock(self, f.seg, LockMode::exclusive, 2).code(),
+              Errc::deadlock);
+    // The semaphore still counts exactly 1: one P passes at once, the next
+    // waits out the server's cap.
+    const sim::TimePoint t0 = f.sim.now();
+    ASSERT_TRUE(f.compute[0].sync->semP(self, sem.value()).ok());
+    EXPECT_LT(f.sim.now() - t0, sim::sec(1));
+    EXPECT_EQ(f.compute[0].sync->semP(self, sem.value()).code(), Errc::timeout);
+    // No semaphore was created: the next id follows the first.
+    auto next = f.compute[0].sync->semCreate(self, home, 0);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(next.value(), sem.value() + 1);
   });
   f.sim.run();
 }

@@ -63,7 +63,7 @@ struct Testbed {
       cs.dsm = part.get();
       cs.node->addPartition(std::move(part));
       cs.mmu = std::make_unique<ra::Mmu>(*cs.node);
-      cs.sync = std::make_unique<dsm::SyncClient>(*cs.node);
+      cs.sync = std::make_unique<dsm::SyncClient>(*cs.dsm);
       compute.push_back(std::move(cs));
     }
   }

@@ -1,5 +1,6 @@
 #include "common/codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -23,6 +24,10 @@ void Encoder::bytes(ByteSpan b) {
 }
 
 void Encoder::raw(const void* p, std::size_t n) {
+  // The first write reserves 64 bytes, so a message that stays within them
+  // allocates once instead of at each doubling as its fields go in.
+  constexpr std::size_t kFirstReserve = 64;
+  if (buf_.capacity() == 0) buf_.reserve(std::max(n, kFirstReserve));
   const auto* b = static_cast<const std::byte*>(p);
   buf_.insert(buf_.end(), b, b + n);
 }

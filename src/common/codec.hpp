@@ -35,6 +35,9 @@ class Encoder {
     u64(s.lo());
   }
 
+  // Size the buffer for a message of n bytes up front.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   const Bytes& buffer() const& noexcept { return buf_; }
   Bytes take() && noexcept { return std::move(buf_); }
   std::size_t size() const noexcept { return buf_.size(); }

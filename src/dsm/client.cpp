@@ -340,8 +340,8 @@ Result<void> DsmClientPartition::destroySegment(sim::Process& self, const Sysnam
 Result<void> DsmClientPartition::flushSegment(sim::Process& self, const Sysname& segment) {
   // Collect first: sendWriteBackBatch blocks, and callbacks may mutate frames_.
   std::vector<ra::PageKey> dirty;
-  for (const auto& [key, f] : frames_) {
-    if (key.segment == segment && f.state == FState::exclusive && f.dirty) dirty.push_back(key);
+  for (const auto& [key, f] : ra::segmentRange(frames_, segment)) {
+    if (f.state == FState::exclusive && f.dirty) dirty.push_back(key);
   }
   // Ship in bounded batches (one exchange, one batched store write each);
   // frames are re-checked at batch-build time since an earlier batch may
@@ -388,8 +388,7 @@ void DsmClientPartition::dropSegment(const Sysname& segment) {
   // compute() holds a Frame& into this map, and a concurrent transaction
   // rollback (or migration) landing here would free it mid-fault. Stale
   // entries are reclaimed later by maybeEvict, which skips in-flight keys.
-  for (auto& [key, f] : frames_) {
-    if (key.segment != segment) continue;
+  for (auto& [key, f] : ra::segmentRange(frames_, segment)) {
     f.state = FState::invalid;
     f.dirty = false;
     f.version = 0;
@@ -400,18 +399,14 @@ void DsmClientPartition::dropSegment(const Sysname& segment) {
 std::vector<store::PageUpdate> DsmClientPartition::collectDirtyPages(
     const Sysname& segment) const {
   std::vector<store::PageUpdate> out;
-  for (const auto& [key, f] : frames_) {
-    if (key.segment == segment && f.state == FState::exclusive && f.dirty) {
-      out.push_back(store::PageUpdate{key, f.data});
-    }
+  for (const auto& [key, f] : ra::segmentRange(frames_, segment)) {
+    if (f.state == FState::exclusive && f.dirty) out.push_back(store::PageUpdate{key, f.data});
   }
   return out;
 }
 
 void DsmClientPartition::markSegmentClean(const Sysname& segment) {
-  for (auto& [key, f] : frames_) {
-    if (key.segment == segment) f.dirty = false;
-  }
+  for (auto& [key, f] : ra::segmentRange(frames_, segment)) f.dirty = false;
 }
 
 }  // namespace clouds::dsm

@@ -369,9 +369,8 @@ Result<void> DsmServer::handleDestroy(sim::Process& self, const Sysname& name) {
   node_.cpu().compute(self, node_.cost().dsm_server_lookup);
   // Drop directory state; cached copies elsewhere die on their own (any
   // later fault fails with not_found).
-  for (auto it = directory_.begin(); it != directory_.end();) {
-    it = it->first.segment == name ? directory_.erase(it) : std::next(it);
-  }
+  const auto range = ra::segmentRange(directory_, name);
+  directory_.erase(range.begin(), range.end());
   return store_.destroySegment(name);
 }
 

@@ -118,6 +118,7 @@ void RatpEndpoint::sendMessage(sim::Process& self, NodeId dst, PacketType type,
     const std::size_t off = static_cast<std::size_t>(index) * capacity;
     const std::size_t len = std::min(capacity, message.size() - off);
     Encoder e;
+    e.reserve(kFragHeader + len);
     e.u8(static_cast<std::uint8_t>(type));
     e.u64(txid);
     e.u16(port);

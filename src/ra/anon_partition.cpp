@@ -36,9 +36,8 @@ Result<SegmentInfo> AnonPartition::stat(sim::Process&, const Sysname& segment) {
 }
 
 void AnonPartition::dropSegment(const Sysname& segment) {
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    it = it->first.segment == segment ? frames_.erase(it) : std::next(it);
-  }
+  const auto range = segmentRange(frames_, segment);
+  frames_.erase(range.begin(), range.end());
 }
 
 }  // namespace clouds::ra

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <ranges>
 #include <string>
 
 #include "common/sysname.hpp"
@@ -45,6 +47,17 @@ struct PageKey {
     return segment.toString() + ":" + std::to_string(page);
   }
 };
+
+// The entries of one segment in a PageKey-ordered map, from page
+// `first_page` on. PageKeys order by (segment, page), so a segment's keys
+// are contiguous: per-segment work costs a lookup plus its own entries, not
+// a walk of every segment's.
+template <typename Map>
+auto segmentRange(Map& map, const Sysname& segment, PageIndex first_page = 0) {
+  return std::ranges::subrange(
+      map.lower_bound(PageKey{segment, first_page}),
+      map.upper_bound(PageKey{segment, std::numeric_limits<PageIndex>::max()}));
+}
 
 struct SegmentInfo {
   Sysname name;

@@ -10,6 +10,7 @@
 #include "sim/config.hpp"  // CLOUDS_SIM_ASAN
 
 #if CLOUDS_SIM_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -73,27 +74,51 @@ extern "C" void clouds_fiber_switch(void** save_sp, void* load_sp);
 
 #endif  // __x86_64__
 
-Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg) : entry_(entry), arg_(arg) {
+StackPool::StackPool(std::size_t stack_bytes) {
   const std::size_t page = pageSize();
-  const std::size_t stack = ((stack_bytes + page - 1) / page) * page;
+  stack_bytes_ = (stack_bytes + page - 1) / page * page;
   // Guard region below the stack: PROT_NONE virtual space, so it costs no
   // memory. It is deliberately wide (not one page) because a function with
   // a large frame moves rsp in one jump and could leap a single page —
   // especially under ASan, whose redzones fatten frames — landing writes in
   // whatever mapping sits below (often another fiber's stack).
-  const std::size_t guard = ((std::size_t{256} << 10) + page - 1) / page * page;
-  alloc_bytes_ = stack + guard;
-  alloc_ = mmap(nullptr, alloc_bytes_, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
-  if (alloc_ == MAP_FAILED) {
+  guard_bytes_ = ((std::size_t{256} << 10) + page - 1) / page * page;
+}
+
+StackPool::~StackPool() {
+  for (const FiberStack& s : free_) munmap(s.base, s.guard_bytes + s.stack_bytes);
+}
+
+FiberStack StackPool::acquire() {
+  if (!free_.empty()) {
+    const FiberStack s = free_.back();
+    free_.pop_back();
+#if CLOUDS_SIM_ASAN
+    // The last owner exited mid-frame, leaving its redzones poisoned; a
+    // fresh mapping would have clean shadow, so give the reuse the same.
+    __asan_unpoison_memory_region(s.bottom(), s.stack_bytes);
+#endif
+    return s;
+  }
+  void* base = mmap(nullptr, guard_bytes_ + stack_bytes_, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (base == MAP_FAILED) {
     std::perror("fiber stack mmap");
     std::abort();
   }
-  if (mprotect(alloc_, guard, PROT_NONE) != 0) {
+  if (mprotect(base, guard_bytes_, PROT_NONE) != 0) {
     std::perror("fiber guard mprotect");
     std::abort();
   }
-  unsigned char* bottom = static_cast<unsigned char*>(alloc_) + guard;
+  return FiberStack{static_cast<unsigned char*>(base), guard_bytes_, stack_bytes_};
+}
+
+void StackPool::release(const FiberStack& stack) { free_.push_back(stack); }
+
+Fiber::Fiber(StackPool& pool, Entry entry, void* arg)
+    : pool_(&pool), stack_(pool.acquire()), entry_(entry), arg_(arg) {
+  unsigned char* bottom = stack_.bottom();
+  const std::size_t stack = stack_.stack_bytes;
   asan_bottom_ = bottom;
   asan_size_ = stack;
 
@@ -126,7 +151,7 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg) : entry_(entry), a
 }
 
 Fiber::~Fiber() {
-  if (alloc_ != nullptr) munmap(alloc_, alloc_bytes_);
+  if (pool_ != nullptr) pool_->release(stack_);
 }
 
 void Fiber::beginSwitch(Fiber& to, bool exiting) {
@@ -150,7 +175,7 @@ void Fiber::finishEnter() {
   std::size_t old_size = 0;
   __sanitizer_finish_switch_fiber(t_to->asan_fake_stack_, &old_bottom, &old_size);
   t_to->asan_fake_stack_ = nullptr;
-  if (t_from->alloc_ == nullptr) {
+  if (t_from->pool_ == nullptr) {
     t_from->asan_bottom_ = old_bottom;
     t_from->asan_size_ = old_size;
   }

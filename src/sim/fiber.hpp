@@ -14,18 +14,49 @@
 // run the fiber engine with detect_stack_use_after_return enabled.
 //
 // Stacks are reserved lazily (MAP_NORESERVE; pages commit on first touch)
-// with a PROT_NONE guard page below, so overflow faults deterministically
-// instead of corrupting a neighbour.
+// with a PROT_NONE guard region below, so overflow faults deterministically
+// instead of corrupting a neighbour. A StackPool keeps the mappings of
+// finished fibers, guard included, and hands them to new ones.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #if !defined(__x86_64__)
 #include <ucontext.h>
 #endif
 
 namespace clouds::sim {
+
+// One fiber stack mapping: the guard region at its low end, the usable
+// stack above it.
+struct FiberStack {
+  unsigned char* base = nullptr;  // mmap base = start of the guard region
+  std::size_t guard_bytes = 0;
+  std::size_t stack_bytes = 0;
+  unsigned char* bottom() const noexcept { return base + guard_bytes; }
+};
+
+// Recycles fiber stacks: release() keeps a mapping, acquire() hands back the
+// most recently released one or maps a new one. It never holds more stacks
+// than were live at once, so it needs no cap. Unmaps everything it holds on
+// destruction; stacks still handed out must be released before then.
+class StackPool {
+ public:
+  explicit StackPool(std::size_t stack_bytes);
+  ~StackPool();
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+
+  FiberStack acquire();
+  void release(const FiberStack& stack);
+
+ private:
+  std::size_t stack_bytes_;  // page-rounded
+  std::size_t guard_bytes_;
+  std::vector<FiberStack> free_;
+};
 
 class Fiber {
  public:
@@ -35,10 +66,11 @@ class Fiber {
   // bounds are learned on the first switch away (needed only by ASan).
   Fiber() = default;
 
-  // Create a suspended fiber that will run entry(arg) on its own stack the
-  // first time something switches to it. entry must never return: it ends
+  // Create a suspended fiber that will run entry(arg) on a stack from
+  // `pool` the first time something switches to it; the stack goes back to
+  // the pool when the fiber is destroyed. entry must never return: it ends
   // by calling exitTo() (or suspends forever via switchTo()).
-  Fiber(std::size_t stack_bytes, Entry entry, void* arg);
+  Fiber(StackPool& pool, Entry entry, void* arg);
 
   ~Fiber();
   Fiber(const Fiber&) = delete;
@@ -49,8 +81,10 @@ class Fiber {
   void switchTo(Fiber& to);
 
   // Final switch out of a created fiber: like switchTo, but this fiber is
-  // never resumed again and its stack may be freed once `to` is running.
+  // never resumed again and its stack may be reused once `to` is running.
   [[noreturn]] void exitTo(Fiber& to);
+
+  const FiberStack& stack() const noexcept { return stack_; }
 
  private:
   static void finishEnter();
@@ -62,8 +96,8 @@ class Fiber {
 #else
   ucontext_t ctx_{};
 #endif
-  void* alloc_ = nullptr;        // mmap base (guard page + stack); null if adopted
-  std::size_t alloc_bytes_ = 0;
+  StackPool* pool_ = nullptr;  // null if adopted
+  FiberStack stack_;
   Entry entry_ = nullptr;
   void* arg_ = nullptr;
   // ASan bookkeeping: the stack extent announced to the sanitizer and the

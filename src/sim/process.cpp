@@ -16,8 +16,8 @@ Process::Process(Simulation& sim, std::uint64_t id, std::string name,
   if (engine_ == Engine::threads) {
     thread_ = std::thread([this] { threadMain(); });
   }
-  // Fibers allocate their stack lazily in resumeNow(): a spawn wave only
-  // pays for processes that actually start running.
+  // Fibers take their stack lazily in resumeNow(): a spawn wave only pays
+  // for processes that actually start running.
 }
 
 Process::~Process() {
@@ -98,8 +98,7 @@ void Process::resumeNow() {
   } else {
     if (!fiber_) {
       fiber_ = std::make_unique<Fiber>(
-          sim_.config().fiber_stack_bytes,
-          [](void* self) { static_cast<Process*>(self)->fiberMain(); }, this);
+          sim_.stacks_, [](void* self) { static_cast<Process*>(self)->fiberMain(); }, this);
     }
     state_ = State::running;
     sim_.sched_ctx_.switchTo(*fiber_);  // returns once the process yields
@@ -115,29 +114,38 @@ void Process::scheduleResume() {
     resume_queued_ = true;
     if (state_ == State::blocked || state_ == State::created) state_ = State::ready;
   }
-  sim_.schedule(kZero, [this] {
-    {
-      std::scoped_lock lk(mu_);
-      resume_queued_ = false;
+  sim_.push("Process::scheduleResume", kZero, Simulation::EventKind::resume, false, this, 0);
+}
+
+void Process::onResumeEvent() {
+  {
+    std::scoped_lock lk(mu_);
+    resume_queued_ = false;
+  }
+  if (!done()) resumeNow();
+}
+
+void Process::onTimerEvent(std::uint64_t token) {
+  bool fire = false;
+  {
+    std::scoped_lock lk(mu_);
+    fire = state_ == State::blocked && block_token_ == token && !resume_queued_;
+    if (fire) {
+      timed_out_ = true;
+      ++block_token_;  // a timer fires at most once
     }
-    if (!done()) resumeNow();
-  });
+  }
+  if (fire) resumeNow();
 }
 
 void Process::delay(Duration d) {
   throwIfKilled();
+  sim_.push("Process::delay", d, Simulation::EventKind::resume, false, this, 0);
   {
     std::scoped_lock lk(mu_);
     assert(state_ == State::running);
     resume_queued_ = true;
   }
-  sim_.schedule(d, [this] {
-    {
-      std::scoped_lock lk(mu_);
-      resume_queued_ = false;
-    }
-    if (!done()) resumeNow();
-  });
   yield(State::blocked);
 }
 
@@ -152,24 +160,15 @@ void Process::block() {
 
 bool Process::blockFor(Duration timeout) {
   throwIfKilled();
-  std::uint64_t token = 0;
+  // The timer carries the token this call takes below; pushing first means
+  // a negative timeout throws before any state changes.
+  sim_.push("Process::blockFor", timeout, Simulation::EventKind::timer, false, this,
+            block_token_ + 1);
   {
     std::scoped_lock lk(mu_);
-    token = ++block_token_;
+    ++block_token_;
     timed_out_ = false;
   }
-  sim_.schedule(timeout, [this, token] {
-    bool fire = false;
-    {
-      std::scoped_lock lk(mu_);
-      fire = state_ == State::blocked && block_token_ == token && !resume_queued_;
-      if (fire) {
-        timed_out_ = true;
-        ++block_token_;  // a timer fires at most once
-      }
-    }
-    if (fire) resumeNow();
-  });
   yield(State::blocked);
   bool woken = false;
   {

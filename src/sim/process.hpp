@@ -101,8 +101,12 @@ class Process {
   void resumeNow();
   // Queue a resume event at the current time if none is pending.
   void scheduleResume();
+  // Event bodies (Simulation::runUntil): a queued resume — from delay() or
+  // scheduleResume() — and a blockFor() timeout armed with `token`.
+  void onResumeEvent();
+  void onTimerEvent(std::uint64_t token);
   // Release the engine's execution resources once the process is done:
-  // join the host thread / free the fiber stack. Idempotent.
+  // join the host thread / return the fiber stack to the pool. Idempotent.
   void reap();
 
   Simulation& sim_;
@@ -123,7 +127,7 @@ class Process {
   std::uint64_t block_token_ = 0;
 
   std::thread thread_;           // threads engine
-  std::unique_ptr<Fiber> fiber_; // fibers engine; stack allocated on first resume
+  std::unique_ptr<Fiber> fiber_; // fibers engine; stack taken on first resume
 };
 
 }  // namespace clouds::sim

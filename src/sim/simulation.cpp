@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -8,7 +9,8 @@ namespace clouds::sim {
 
 Simulation::Simulation(std::uint64_t seed) : Simulation(SimConfig{.seed = seed}) {}
 
-Simulation::Simulation(const SimConfig& config) : config_(config), rng_(config.seed) {
+Simulation::Simulation(const SimConfig& config)
+    : config_(config), stacks_(config.fiber_stack_bytes), rng_(config.seed) {
   events_executed_ = &metrics_.counter("sim/events_executed");
   process_resumes_ = &metrics_.counter("sim/process_resumes");
   processes_spawned_ = &metrics_.counter("sim/processes_spawned");
@@ -16,15 +18,34 @@ Simulation::Simulation(const SimConfig& config) : config_(config), rng_(config.s
 
 Simulation::~Simulation() { shutdown(); }
 
+void Simulation::push(const char* who, Duration delay, EventKind kind, bool daemon,
+                      Process* process, std::uint64_t arg) {
+  if (delay < kZero) throw std::invalid_argument(std::string(who) + ": negative delay");
+  queue_.push_back(Event{now_ + delay, next_seq_++, kind, daemon, process, arg});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+  if (!daemon) ++live_events_;
+}
+
+void Simulation::pushCall(const char* who, Duration delay, bool daemon,
+                          std::function<void()> fn) {
+  if (delay < kZero) throw std::invalid_argument(std::string(who) + ": negative delay");
+  std::uint64_t slot = calls_.size();
+  if (free_calls_.empty()) {
+    calls_.push_back(std::move(fn));
+  } else {
+    slot = free_calls_.back();
+    free_calls_.pop_back();
+    calls_[slot] = std::move(fn);
+  }
+  push(who, delay, EventKind::call, daemon, nullptr, slot);
+}
+
 void Simulation::schedule(Duration delay, std::function<void()> fn) {
-  if (delay < kZero) throw std::invalid_argument("Simulation::schedule: negative delay");
-  queue_.push(Event{now_ + delay, next_seq_++, false, std::move(fn)});
-  ++live_events_;
+  pushCall("Simulation::schedule", delay, false, std::move(fn));
 }
 
 void Simulation::scheduleDaemon(Duration delay, std::function<void()> fn) {
-  if (delay < kZero) throw std::invalid_argument("Simulation::scheduleDaemon: negative delay");
-  queue_.push(Event{now_ + delay, next_seq_++, true, std::move(fn)});
+  pushCall("Simulation::scheduleDaemon", delay, true, std::move(fn));
 }
 
 Process& Simulation::spawn(std::string name, std::function<void()> body) {
@@ -57,14 +78,29 @@ std::size_t Simulation::runUntil(TimePoint horizon, bool bounded) {
     // (periodic gossip ticks, ...) remains, it would spin forever, so stop
     // and leave the daemon events queued for the next bounded run.
     if (!bounded && live_events_ == 0) break;
-    const Event& top = queue_.top();
-    if (bounded && top.at > horizon) break;
-    assert(top.at >= now_);
-    now_ = top.at;
-    if (!top.daemon) --live_events_;
-    auto fn = std::move(const_cast<Event&>(top).fn);
-    queue_.pop();
-    fn();
+    const Event ev = queue_.front();
+    if (bounded && ev.at > horizon) break;
+    assert(ev.at >= now_);
+    std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+    queue_.pop_back();
+    now_ = ev.at;
+    if (!ev.daemon) --live_events_;
+    switch (ev.kind) {
+      case EventKind::resume:
+        ev.process->onResumeEvent();
+        break;
+      case EventKind::timer:
+        ev.process->onTimerEvent(ev.arg);
+        break;
+      case EventKind::call: {
+        // Move the callable out first: it may schedule calls that reuse or
+        // reallocate the slot table.
+        auto fn = std::move(calls_[ev.arg]);
+        free_calls_.push_back(ev.arg);
+        fn();
+        break;
+      }
+    }
     ++executed;
     ++*events_executed_;
   }

@@ -9,9 +9,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -82,12 +82,23 @@ class Simulation {
  private:
   friend class Process;
 
+  // One queued event: a trivially copyable record, so the heap sifts plain
+  // words and nothing is allocated or freed per event. Only `call` events
+  // (schedule / scheduleDaemon) carry a callable, parked in calls_[arg].
+  enum class EventKind : std::uint8_t {
+    resume,  // process->onResumeEvent(): delay() expiry or a queued resume
+    timer,   // process->onTimerEvent(arg): blockFor() timeout, arg = block token
+    call,    // calls_[arg]()
+  };
   struct Event {
     TimePoint at;
     std::uint64_t seq;
+    EventKind kind;
     bool daemon;
-    std::function<void()> fn;
+    Process* process;
+    std::uint64_t arg;
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
@@ -95,6 +106,11 @@ class Simulation {
     }
   };
 
+  // Queue an event at now() + delay, one seq per call; throws
+  // std::invalid_argument (naming `who`) on a negative delay.
+  void push(const char* who, Duration delay, EventKind kind, bool daemon, Process* process,
+            std::uint64_t arg);
+  void pushCall(const char* who, Duration delay, bool daemon, std::function<void()> fn);
   std::size_t runUntil(TimePoint horizon, bool bounded);
 
   SimConfig config_;
@@ -107,7 +123,12 @@ class Simulation {
   bool stopped_ = false;
   bool running_ = false;
   std::size_t live_events_ = 0;  // queued non-daemon events
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::vector<Event> queue_;     // binary heap under EventLater
+  std::vector<std::function<void()>> calls_;  // callables of queued call events
+  std::vector<std::uint64_t> free_calls_;     // reusable calls_ slots
+  // Stacks of finished fibers, handed to new ones. Declared before
+  // processes_ so every Process returns its stack before the pool unmaps.
+  StackPool stacks_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::mt19937_64 rng_;
   TraceSink trace_;

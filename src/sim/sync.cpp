@@ -4,44 +4,74 @@
 
 namespace clouds::sim {
 
+// A queued waiter: links itself at the tail on construction and unlinks on
+// every exit from the waiting frame, a ProcessKilled unwinding included. The
+// queue therefore never holds a dead frame's address, which GCC's
+// -Wdangling-pointer cannot see through the destructor.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdangling-pointer"
+#endif
+struct WaitQueue::Waiter {
+  Waiter(WaitQueue& q, Process& p) : queue(q), process(p), prev(q.tail_) {
+    (prev != nullptr ? prev->next : q.head_) = this;
+    q.tail_ = this;
+  }
+  ~Waiter() {
+    (prev != nullptr ? prev->next : queue.head_) = next;
+    (next != nullptr ? next->prev : queue.tail_) = prev;
+    // A notifyOne this frame leaves without taking (it was killed before it
+    // resumed) belongs to the next waiter, or a mutex handed to a dead
+    // process would strand the rest of its queue.
+    if (handoff) queue.notifyOne();
+  }
+  Waiter(const Waiter&) = delete;
+  Waiter& operator=(const Waiter&) = delete;
+
+  WaitQueue& queue;
+  Process& process;
+  bool notified = false;  // by notifyOne or notifyAll
+  bool handoff = false;   // by notifyOne, until the waiting call returns
+  Waiter* prev;
+  Waiter* next = nullptr;
+};
+
 void WaitQueue::wait(Process& self) {
-  waiters_.push_back(Waiter{&self});
-  auto it = std::prev(waiters_.end());
-  while (!it->notified) self.block();
-  waiters_.erase(it);
+  Waiter w(*this, self);
+  while (!w.notified) self.block();
+  w.handoff = false;
 }
 
 bool WaitQueue::waitFor(Process& self, Duration timeout) {
-  waiters_.push_back(Waiter{&self});
-  auto it = std::prev(waiters_.end());
+  Waiter w(*this, self);
   const TimePoint deadline = self.simulation().now() + timeout;
-  while (!it->notified) {
+  while (!w.notified) {
     const Duration remaining = deadline - self.simulation().now();
-    if (remaining <= kZero) {
-      waiters_.erase(it);
-      return false;
-    }
+    if (remaining <= kZero) return false;
     (void)self.blockFor(remaining);
   }
-  waiters_.erase(it);
+  w.handoff = false;
   return true;
 }
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic pop
+#endif
 
 void WaitQueue::notifyOne() {
-  for (auto& w : waiters_) {
-    if (!w.notified) {
-      w.notified = true;
-      w.process->wake();
+  for (Waiter* w = head_; w != nullptr; w = w->next) {
+    if (!w->notified) {
+      w->notified = w->handoff = true;
+      w->process.wake();
       return;
     }
   }
 }
 
 void WaitQueue::notifyAll() {
-  for (auto& w : waiters_) {
-    if (!w.notified) {
-      w.notified = true;
-      w.process->wake();
+  for (Waiter* w = head_; w != nullptr; w = w->next) {
+    if (!w->notified) {
+      w->notified = true;
+      w->process.wake();
     }
   }
 }

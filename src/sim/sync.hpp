@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 
 #include "sim/process.hpp"
 #include "sim/time.hpp"
@@ -16,9 +15,16 @@ namespace clouds::sim {
 
 // FIFO queue of blocked processes. Handles spurious wakeups (stale blockFor
 // timers) internally: a waiter returns only when explicitly notified or its
-// own timeout expires.
+// own timeout expires. Each waiter is a node in its own waiting frame, linked
+// for exactly as long as that frame lives, so a waiter killed mid-wait
+// leaves the queue as it unwinds and cannot absorb a later notification;
+// a notifyOne it received but never took passes on to the next waiter.
 class WaitQueue {
  public:
+  WaitQueue() = default;
+  WaitQueue(const WaitQueue&) = delete;
+  WaitQueue& operator=(const WaitQueue&) = delete;
+
   // Block the calling process until notified.
   void wait(Process& self);
 
@@ -29,15 +35,12 @@ class WaitQueue {
   void notifyOne();
   void notifyAll();
 
-  bool empty() const noexcept { return waiters_.empty(); }
-  std::size_t size() const noexcept { return waiters_.size(); }
+  bool empty() const noexcept { return head_ == nullptr; }
 
  private:
-  struct Waiter {
-    Process* process;
-    bool notified = false;
-  };
-  std::list<Waiter> waiters_;
+  struct Waiter;
+  Waiter* head_ = nullptr;
+  Waiter* tail_ = nullptr;
 };
 
 // Mutual exclusion between simulation processes (not host threads).

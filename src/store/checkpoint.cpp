@@ -39,16 +39,13 @@ void DirtyTable::applied(const ra::PageKey& key, std::uint64_t lsn) {
 }
 
 void DirtyTable::purgeSegment(const Sysname& segment) {
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    it = it->first.segment == segment ? pages_.erase(it) : std::next(it);
-  }
+  const auto range = ra::segmentRange(pages_, segment);
+  pages_.erase(range.begin(), range.end());
 }
 
 void DirtyTable::purgeBeyond(const Sysname& segment, ra::PageIndex page_count) {
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    const bool drop = it->first.segment == segment && it->first.page >= page_count;
-    it = drop ? pages_.erase(it) : std::next(it);
-  }
+  const auto range = ra::segmentRange(pages_, segment, page_count);
+  pages_.erase(range.begin(), range.end());
 }
 
 std::uint64_t chainHash(std::uint64_t prev, const ra::PageKey& key, ByteSpan data) {

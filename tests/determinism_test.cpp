@@ -7,6 +7,7 @@
 #include "app/social.hpp"
 #include "clouds/cluster.hpp"
 #include "clouds/standard_classes.hpp"
+#include "common/bytes.hpp"
 #include "load/generator.hpp"
 
 namespace clouds {
@@ -61,9 +62,16 @@ RunResult runWorkload(std::uint64_t seed, bool keep_entries = false,
   return out;
 }
 
+// Golden pins: what each fixed-seed workload produced when the pins were
+// recorded — the trace digest and clouds::fnv1a of the metrics JSON (and of
+// the transcript where there is one). Same-commit replays cannot notice a
+// change that moves every run alike; these can. A change meant to move the
+// simulated universe re-records them and names the cause.
 TEST(Determinism, SameSeedSameUniverse) {
   const RunResult a = runWorkload(20240705);
   const RunResult b = runWorkload(20240705);
+  EXPECT_EQ(a.digest, 0x24ba1f1f9a3a1bc0ull);
+  EXPECT_EQ(fnv1a(a.metrics_json), 0xaf8e4195397dd5a7ull);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.trace_count, b.trace_count);
   EXPECT_EQ(a.counter, b.counter);
@@ -254,6 +262,10 @@ SocialRunResult runSocialWorkload(std::uint64_t seed, sim::Engine engine) {
 TEST(Determinism, SocialWorkloadTranscriptReplaysByteForByte) {
   const SocialRunResult a = runSocialWorkload(20260809, sim::Engine::fibers);
   const SocialRunResult b = runSocialWorkload(20260809, sim::Engine::fibers);
+  // Golden pins (see SameSeedSameUniverse).
+  EXPECT_EQ(a.digest, 0x6be8ab2552d5f97bull);
+  EXPECT_EQ(fnv1a(a.metrics_json), 0x0edc824e306e8ed8ull);
+  EXPECT_EQ(fnv1a(a.transcript), 0xbfeb76d5e3cddb09ull);
   EXPECT_EQ(a.transcript, b.transcript);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.percentiles_json, b.percentiles_json);

@@ -163,6 +163,72 @@ TEST(DsmEdge, DestroyedSegmentFaultsEverywhere) {
   f.sim.run();
 }
 
+TEST(DsmEdge, PerSegmentHooksStopAtSegmentBoundaries) {
+  // Segments minted back to back have adjacent sysnames, so in the
+  // (segment, page)-ordered frame table the middle segment's frames sit
+  // right between its neighbours'. Frames at page 0 and at a high page
+  // mark both edges; every per-segment hook must touch the middle one only.
+  Testbed f(1, 1);
+  constexpr std::uint32_t kHigh = 1000;
+  std::vector<Sysname> segs;
+  for (int i = 0; i < 3; ++i) {
+    segs.push_back(f.data[0].store->createSegment((kHigh + 1) * kPageSize).value());
+  }
+  ASSERT_LT(segs[0], segs[1]);
+  ASSERT_LT(segs[1], segs[2]);
+  dsm::DsmClientPartition& dsm = *f.compute[0].dsm;
+  f.sim.spawn("driver", [&](sim::Process& self) {
+    auto dirtyAll = [&] {
+      for (const Sysname& s : segs) {
+        for (const std::uint32_t page : {0u, kHigh}) {
+          auto h = dsm.resolvePage(self, {s, page}, Access::write);
+          ASSERT_TRUE(h.ok());
+          h.value().data[0] = std::byte{1};
+        }
+      }
+    };
+    auto dirtyPages = [&](const Sysname& s) {
+      std::vector<std::uint32_t> out;
+      for (const store::PageUpdate& u : dsm.collectDirtyPages(s)) {
+        EXPECT_EQ(u.key.segment, s);
+        out.push_back(u.key.page);
+      }
+      return out;
+    };
+    const std::vector<std::uint32_t> both{0, kHigh};
+    auto expectOnlyMiddle = [&](const std::vector<std::uint32_t>& middle) {
+      EXPECT_EQ(dirtyPages(segs[0]), both);
+      EXPECT_EQ(dirtyPages(segs[1]), middle);
+      EXPECT_EQ(dirtyPages(segs[2]), both);
+    };
+
+    dirtyAll();
+    expectOnlyMiddle(both);
+    dsm.markSegmentClean(segs[1]);
+    expectOnlyMiddle({});
+
+    dirtyAll();
+    auto writeBacks = [&] { return f.sim.metrics().counterValue("cpu0/dsm/write_backs"); };
+    const std::uint64_t written_before = writeBacks();
+    ASSERT_TRUE(dsm.flushSegment(self, segs[1]).ok());
+    expectOnlyMiddle({});
+    EXPECT_EQ(writeBacks(), written_before + 2);  // the middle segment's two pages
+
+    dirtyAll();
+    const std::uint64_t faults_before = dsm.faultCount();
+    dsm.dropSegment(segs[1]);
+    expectOnlyMiddle({});
+    // The neighbours' frames are still resident; the middle one's refault.
+    for (const Sysname& s : segs) {
+      for (const std::uint32_t page : {0u, kHigh}) {
+        ASSERT_TRUE(dsm.resolvePage(self, {s, page}, Access::read).ok());
+      }
+    }
+    EXPECT_EQ(dsm.faultCount(), faults_before + 2);
+  });
+  f.sim.run();
+}
+
 TEST(DsmEdge, FlushAllWritesEveryDirtySegment) {
   EdgeBed f(1, 2);
   const Sysname other = f.data[1].store->createSegment(2 * kPageSize).value();

@@ -8,16 +8,44 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "clouds/cluster.hpp"
 #include "clouds/standard_classes.hpp"
+#include "common/bytes.hpp"
 
 namespace clouds {
 namespace {
 
 constexpr std::uint64_t kSeeds[] = {20240705, 20260808, 97};
+
+// Golden pins, one per seed: what each workload produced on both engines
+// when the pins were recorded — the trace digest and clouds::fnv1a of the
+// metrics JSON (and of the migration transcript). Engine equivalence alone
+// cannot notice a change that moves both engines alike; these can. A change
+// meant to move the simulated universe re-records them and names the cause.
+struct Pin {
+  std::uint64_t digest;
+  std::uint64_t metrics;
+  std::uint64_t transcript = 0;
+};
+constexpr Pin kFullClusterPins[] = {
+    {0x24ba1f1f9a3a1bc0ull, 0xaf8e4195397dd5a7ull},
+    {0x8fe66c28e04b1774ull, 0x2f82c7b47932fb13ull},
+    {0xf52edc972d1bb869ull, 0x8ec64217a2a5eb67ull},
+};
+constexpr Pin kMigrationPins[] = {
+    {0xad894c4cfcac8878ull, 0x3cabdc0c63175184ull, 0x7097f9f4aa29f5d7ull},
+    {0xad894c4cfcac8878ull, 0x3cabdc0c63175184ull, 0x7097f9f4aa29f5d7ull},
+    {0xad894c4cfcac8878ull, 0x3cabdc0c63175184ull, 0x7097f9f4aa29f5d7ull},
+};
+constexpr Pin kCrashPins[] = {
+    {0x75832bd090ec568full, 0x51c9674c8d9f94d8ull},
+    {0x70ae126c43ed83baull, 0xd5bdbb19cfb56e4cull},
+    {0x32ff2eaaa655a49aull, 0x31fdfce6e761c1a1ull},
+};
 
 // The full-cluster workload from determinism_test: contended gcp
 // increments and bank transfers (backoff consumes the rng), then three
@@ -66,10 +94,13 @@ WorkloadResult runWorkload(std::uint64_t seed, sim::Engine engine) {
 }
 
 TEST(EngineEquivalence, FullClusterWorkloadIsByteIdentical) {
-  for (const std::uint64_t seed : kSeeds) {
+  for (std::size_t i = 0; i < std::size(kSeeds); ++i) {
+    const std::uint64_t seed = kSeeds[i];
     SCOPED_TRACE("seed " + std::to_string(seed));
     const WorkloadResult threads = runWorkload(seed, sim::Engine::threads);
     const WorkloadResult fibers = runWorkload(seed, sim::Engine::fibers);
+    EXPECT_EQ(fibers.digest, kFullClusterPins[i].digest);
+    EXPECT_EQ(fnv1a(fibers.metrics_json), kFullClusterPins[i].metrics);
     EXPECT_EQ(threads.digest, fibers.digest);
     EXPECT_EQ(threads.trace_count, fibers.trace_count);
     EXPECT_EQ(threads.counter, fibers.counter);
@@ -125,10 +156,14 @@ MigrationResult runMigrationWorkload(std::uint64_t seed, sim::Engine engine) {
 }
 
 TEST(EngineEquivalence, MigrationTranscriptIsByteIdentical) {
-  for (const std::uint64_t seed : kSeeds) {
+  for (std::size_t i = 0; i < std::size(kSeeds); ++i) {
+    const std::uint64_t seed = kSeeds[i];
     SCOPED_TRACE("seed " + std::to_string(seed));
     const MigrationResult threads = runMigrationWorkload(seed, sim::Engine::threads);
     const MigrationResult fibers = runMigrationWorkload(seed, sim::Engine::fibers);
+    EXPECT_EQ(fibers.digest, kMigrationPins[i].digest);
+    EXPECT_EQ(fnv1a(fibers.metrics_json), kMigrationPins[i].metrics);
+    EXPECT_EQ(fnv1a(fibers.events), kMigrationPins[i].transcript);
     EXPECT_EQ(threads.events, fibers.events);
     EXPECT_EQ(threads.digest, fibers.digest);
     EXPECT_EQ(threads.metrics_json, fibers.metrics_json);
@@ -171,10 +206,13 @@ CrashResult runCrashWorkload(std::uint64_t seed, sim::Engine engine) {
 }
 
 TEST(EngineEquivalence, CrashRecoveryIsByteIdentical) {
-  for (const std::uint64_t seed : kSeeds) {
+  for (std::size_t i = 0; i < std::size(kSeeds); ++i) {
+    const std::uint64_t seed = kSeeds[i];
     SCOPED_TRACE("seed " + std::to_string(seed));
     const CrashResult threads = runCrashWorkload(seed, sim::Engine::threads);
     const CrashResult fibers = runCrashWorkload(seed, sim::Engine::fibers);
+    EXPECT_EQ(fibers.digest, kCrashPins[i].digest);
+    EXPECT_EQ(fnv1a(fibers.metrics_json), kCrashPins[i].metrics);
     EXPECT_EQ(threads.digest, fibers.digest);
     EXPECT_EQ(threads.metrics_json, fibers.metrics_json);
     EXPECT_EQ(threads.counter, fibers.counter);

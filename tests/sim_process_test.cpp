@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -464,6 +468,121 @@ TEST_P(EngineProcess, TenThousandProcessCreateKillSoak) {
   EXPECT_EQ(completed, kWaves * kPerWave / 2);
   EXPECT_EQ(unwound, kWaves * kPerWave / 2);
   EXPECT_EQ(sim.liveProcessCount(), 0u);
+}
+
+// ---- Pooled fiber stacks ----
+
+TEST(StackPool, ReturnedStackIsHandedOutAgain) {
+  StackPool pool(64 << 10);
+  const FiberStack a = pool.acquire();
+  const FiberStack b = pool.acquire();
+  EXPECT_NE(a.base, b.base);
+  pool.release(a);
+  const FiberStack c = pool.acquire();
+  EXPECT_EQ(c.base, a.base);
+  EXPECT_EQ(c.guard_bytes, a.guard_bytes);
+  EXPECT_EQ(c.stack_bytes, a.stack_bytes);
+  const FiberStack d = pool.acquire();  // the pool is empty again: a fresh one
+  EXPECT_NE(d.base, a.base);
+  EXPECT_NE(d.base, b.base);
+  pool.release(d);
+  pool.release(b);
+  pool.release(c);
+}
+
+TEST(StackPool, LiveProcessesNeverShareAStackAndFinishedOnesGiveTheirsBack) {
+  Simulation sim;
+  // A local's address tells which stack a process body runs on.
+  auto where = [](std::uintptr_t& at) {
+    return [&at](Process& self) {
+      int local = 0;
+      at = reinterpret_cast<std::uintptr_t>(&local);
+      self.delay(msec(1));
+    };
+  };
+  const std::size_t span = sim.config().fiber_stack_bytes;
+  auto sameStack = [span](std::uintptr_t x, std::uintptr_t y) {
+    return (x > y ? x - y : y - x) < span;
+  };
+  std::uintptr_t a = 0;
+  std::uintptr_t b = 0;
+  std::uintptr_t c = 0;
+  sim.spawn("a", where(a));
+  sim.spawn("b", where(b));
+  sim.run();  // a and b were live at once
+  EXPECT_FALSE(sameStack(a, b));
+  sim.spawn("c", where(c));
+  sim.run();
+  EXPECT_TRUE(sameStack(c, a) || sameStack(c, b));
+}
+
+// Overflow of a recycled stack must still fault, and in that stack's own
+// guard region. The overflowing frames are left uninstrumented so that
+// ASan keeps them on the fiber stack.
+FiberStack g_guarded;
+volatile int g_depth_limit = std::numeric_limits<int>::max();
+
+void onOverflowFault(int, siginfo_t* info, void*) {
+  const auto* addr = static_cast<const unsigned char*>(info->si_addr);
+  _exit(addr >= g_guarded.base && addr < g_guarded.bottom() ? 42 : 43);
+}
+
+__attribute__((noinline, no_sanitize("address"))) int recurseDeep(int depth) {
+  volatile unsigned char frame[4096];
+  frame[0] = static_cast<unsigned char>(depth);
+  if (depth >= g_depth_limit) return frame[0];
+  return recurseDeep(depth + 1) + frame[0];
+}
+
+struct Hop {
+  Fiber* self = nullptr;
+  Fiber* host = nullptr;
+};
+
+void overflowThenExit(void* arg) {
+  auto* hop = static_cast<Hop*>(arg);
+  (void)recurseDeep(0);
+  hop->self->exitTo(*hop->host);
+}
+
+void exitAtOnce(void* arg) {
+  auto* hop = static_cast<Hop*>(arg);
+  hop->self->exitTo(*hop->host);
+}
+
+// Runs a fiber to completion, then overflows the next fiber, which must get
+// the recycled stack. Exits 42 when the fault lands in that stack's guard.
+[[noreturn]] void overflowARecycledStack() {
+  StackPool pool(256 << 10);
+  Fiber host;
+  Hop hop{nullptr, &host};
+  FiberStack first_stack;
+  {
+    Fiber first(pool, &exitAtOnce, &hop);
+    hop.self = &first;
+    first_stack = first.stack();
+    host.switchTo(first);
+  }
+  Fiber second(pool, &overflowThenExit, &hop);
+  hop.self = &second;
+  if (second.stack().base != first_stack.base) _exit(44);  // not recycled
+  g_guarded = second.stack();
+  static unsigned char alt[64 << 10];
+  stack_t ss{};
+  ss.ss_sp = alt;
+  ss.ss_size = sizeof(alt);
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa {};
+  sa.sa_sigaction = &onOverflowFault;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  sigaction(SIGSEGV, &sa, nullptr);
+  sigaction(SIGBUS, &sa, nullptr);
+  host.switchTo(second);
+  _exit(45);  // the recursion returned: no fault at all
+}
+
+TEST(StackPoolDeathTest, OverflowingARecycledStackFaultsInItsGuard) {
+  EXPECT_EXIT(overflowARecycledStack(), ::testing::ExitedWithCode(42), "");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace clouds::sim {
@@ -26,6 +28,43 @@ TEST(Simulation, EqualTimestampsRunInInsertionOrder) {
   }
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(Simulation, EventsOfEveryKindAtOneTimestampRunInInsertionOrder) {
+  // Calls, delay expiries, blockFor timeouts and wake()s all land at 5 ms,
+  // inserted interleaved at 0 ms and at 5 ms itself; they must run in the
+  // order they were inserted, whatever their kind.
+  Simulation sim;
+  std::vector<std::string> order;
+  auto log = [&](std::string what) {
+    EXPECT_EQ(sim.now(), msec(5)) << what;
+    order.push_back(std::move(what));
+  };
+  Process* w = nullptr;
+  sim.schedule(msec(5), [&] {  // seq 0
+    log("call-1");
+    w->wake();                                    // resume, inserted at 5 ms
+    sim.schedule(kZero, [&] { log("call-3"); });  // call, inserted after it
+  });
+  sim.spawn("p", [&](Process& self) {
+    self.delay(msec(5));  // resume, inserted at 0 ms
+    log("delay-p");
+    self.delay(kZero);  // resume, inserted at 5 ms after call-3
+    log("delay0-p");
+  });
+  sim.spawn("q", [&](Process& self) {
+    EXPECT_FALSE(self.blockFor(msec(5)));  // timer, inserted at 0 ms after p's delay
+    log("timer-q");
+  });
+  w = &sim.spawn("w", [&](Process& self) {
+    self.block();
+    log("wake-w");
+  });
+  // A call inserted at 0 ms after all of the above.
+  sim.schedule(kZero, [&] { sim.schedule(msec(5), [&] { log("call-2"); }); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"call-1", "delay-p", "timer-q", "call-2", "wake-w",
+                                             "call-3", "delay0-p"}));
 }
 
 TEST(Simulation, NestedScheduling) {
@@ -72,6 +111,30 @@ TEST(Simulation, StopHaltsExecution) {
 TEST(Simulation, NegativeDelayRejected) {
   Simulation sim;
   EXPECT_THROW(sim.schedule(msec(-1), [] {}), std::invalid_argument);
+}
+
+TEST(Simulation, NegativeProcessDurationsRejected) {
+  Simulation sim;
+  bool delay_threw = false;
+  bool block_threw = false;
+  sim.spawn("p", [&](Process& self) {
+    try {
+      self.delay(msec(-1));
+    } catch (const std::invalid_argument&) {
+      delay_threw = true;
+    }
+    try {
+      (void)self.blockFor(msec(-1));
+    } catch (const std::invalid_argument&) {
+      block_threw = true;
+    }
+    self.delay(msec(1));  // and the process still runs normally
+  });
+  sim.run();
+  EXPECT_TRUE(delay_threw);
+  EXPECT_TRUE(block_threw);
+  EXPECT_EQ(sim.now(), msec(1));
+  EXPECT_EQ(sim.liveProcessCount(), 0u);
 }
 
 TEST(Simulation, RngIsSeedDeterministic) {

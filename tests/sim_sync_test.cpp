@@ -50,6 +50,119 @@ TEST(SimMutex, FifoOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(SimMutex, WaiterKilledInTheQueueDoesNotSwallowTheHandoff) {
+  // A holds the mutex, B and C queue behind it, B is killed while queued,
+  // then A unlocks. The unlock's notification must reach C: a dead waiter
+  // left in the queue would absorb it and strand C on a free mutex.
+  Simulation sim;
+  SimMutex mu;
+  bool c_acquired = false;
+  sim.spawn("A", [&](Process& self) {
+    mu.lock(self);
+    self.delay(msec(10));
+    mu.unlock();
+  });
+  Process& b = sim.spawn("B", [&](Process& self) {
+    self.delay(msec(1));
+    SimLockGuard g(mu, self);
+  });
+  sim.spawn("C", [&](Process& self) {
+    self.delay(msec(2));
+    SimLockGuard g(mu, self);
+    c_acquired = true;
+  });
+  sim.schedule(msec(5), [&] { b.kill(); });
+  sim.run();
+  EXPECT_TRUE(c_acquired);
+  EXPECT_FALSE(mu.locked());
+  EXPECT_EQ(sim.liveProcessCount(), 0u);
+}
+
+TEST(SimMutex, WaiterKilledAfterTheHandoffPassesItOn) {
+  // One event kills the holder A and then the first waiter B, as a node
+  // crash kills its processes in turn. A unwinds first and its unlock hands
+  // the mutex to B, whose kill is already queued; B then unwinds without
+  // taking it, so the handoff must go on to C.
+  Simulation sim;
+  SimMutex mu;
+  bool c_acquired = false;
+  Process& a = sim.spawn("A", [&](Process& self) {
+    SimLockGuard g(mu, self);
+    self.block();  // until killed: no resume of its own is queued
+  });
+  Process& b = sim.spawn("B", [&](Process& self) {
+    self.delay(msec(1));
+    SimLockGuard g(mu, self);
+  });
+  sim.spawn("C", [&](Process& self) {
+    self.delay(msec(2));
+    SimLockGuard g(mu, self);
+    c_acquired = true;
+  });
+  sim.schedule(msec(5), [&] {
+    a.kill();
+    b.kill();
+  });
+  sim.run();
+  EXPECT_TRUE(c_acquired);
+  EXPECT_FALSE(mu.locked());
+  EXPECT_EQ(sim.liveProcessCount(), 0u);
+}
+
+TEST(SimCondition, BroadcastToAKilledWaiterWakesNoLaterWaiter) {
+  // notifyAll wakes the waiters queued when it runs; one of them dying
+  // before it resumes gives nothing to a waiter that queued afterwards.
+  Simulation sim;
+  SimMutex mu;
+  SimCondition cv;
+  int b_wakes = 0;
+  bool c_notified = true;
+  Process& a = sim.spawn("A", [&](Process& self) {
+    mu.lock(self);
+    cv.wait(self, mu);
+    mu.unlock();
+  });
+  sim.spawn("B", [&](Process& self) {
+    self.delay(msec(1));
+    SimLockGuard g(mu, self);
+    cv.wait(self, mu);
+    ++b_wakes;
+  });
+  sim.schedule(msec(5), [&] {
+    cv.notifyAll();
+    a.kill();
+  });
+  sim.spawn("C", [&](Process& self) {
+    self.delay(msec(5));  // queues after the broadcast, before A unwinds
+    SimLockGuard g(mu, self);
+    c_notified = cv.waitFor(self, mu, msec(10));
+  });
+  sim.run();
+  EXPECT_EQ(b_wakes, 1);
+  EXPECT_FALSE(c_notified);
+  EXPECT_EQ(sim.liveProcessCount(), 0u);
+}
+
+TEST(WaitQueue, WaiterKilledInWaitForLeavesTheQueue) {
+  Simulation sim;
+  WaitQueue q;
+  bool c_notified = false;
+  Process& b = sim.spawn("B", [&](Process& self) { (void)q.waitFor(self, msec(100)); });
+  sim.spawn("C", [&](Process& self) {
+    self.delay(msec(1));
+    c_notified = q.waitFor(self, msec(100));
+  });
+  sim.schedule(msec(5), [&] { b.kill(); });
+  sim.schedule(msec(10), [&] {
+    EXPECT_FALSE(q.empty());  // C is still queued, B is gone
+    q.notifyOne();
+  });
+  sim.run();
+  EXPECT_TRUE(c_notified);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(sim.now(), msec(101));  // B's and C's stale timers still drain
+}
+
 TEST(SimMutex, LockForTimesOut) {
   Simulation sim;
   SimMutex mu;

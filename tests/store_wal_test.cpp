@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "sim/simulation.hpp"
+#include "store/checkpoint.hpp"
 
 namespace clouds::store {
 namespace {
@@ -61,6 +64,39 @@ struct WalFixture {
 // ---------------------------------------------------------------------------
 // Write path: read-your-committed-writes before write-back, then write-back.
 // ---------------------------------------------------------------------------
+
+TEST(DirtyTable, PurgesStopAtSegmentBoundaries) {
+  // Three adjacent segment names; each holds pages at both ends of the page
+  // range, so a purge that overran its segment would take a neighbour's.
+  wal::DirtyTable t;
+  const Sysname segs[] = {ra::makeHomedSysname(7, 1), ra::makeHomedSysname(7, 2),
+                          ra::makeHomedSysname(7, 3)};
+  const ra::PageIndex pages[] = {0, 1, 5, std::numeric_limits<ra::PageIndex>::max()};
+  const Bytes image(16, std::byte{1});
+  std::uint64_t lsn = 1;
+  for (const Sysname& s : segs) {
+    for (ra::PageIndex p : pages) t.stage({s, p}, image, lsn++);
+  }
+  auto staged = [&](const Sysname& s) {
+    std::vector<ra::PageIndex> out;
+    for (ra::PageIndex p : pages) {
+      if (t.find({s, p}) != nullptr) out.push_back(p);
+    }
+    return out;
+  };
+  const std::vector<ra::PageIndex> all(std::begin(pages), std::end(pages));
+
+  t.purgeBeyond(segs[1], 5);  // drops pages 5 and UINT32_MAX: at or past the count
+  EXPECT_EQ(staged(segs[0]), all);
+  EXPECT_EQ(staged(segs[1]), (std::vector<ra::PageIndex>{0, 1}));
+  EXPECT_EQ(staged(segs[2]), all);
+
+  t.purgeSegment(segs[1]);
+  EXPECT_EQ(staged(segs[0]), all);
+  EXPECT_TRUE(staged(segs[1]).empty());
+  EXPECT_EQ(staged(segs[2]), all);
+  EXPECT_EQ(t.size(), 2 * all.size());
+}
 
 TEST(WalStore, CommittedWritesVisibleBeforeWriteBack) {
   WalFixture f;

@@ -61,12 +61,7 @@ void DsmServer::loseVolatileState() {
   // reset entry is indistinguishable from a fresh one (directory_[key] and
   // locks_[seg] default-construct on demand), and the embedded mutexes and
   // queues stay alive for the unwinding holders to release.
-  for (auto& [key, e] : directory_) {
-    e.state = PState::uncached;
-    e.copyset.clear();
-    e.owner = net::kNoNode;
-    e.version = 0;
-  }
+  for (auto& [key, e] : directory_) e.reset();
   for (auto& [seg, l] : locks_) {
     l.readers.clear();
     l.writer = 0;
@@ -368,9 +363,10 @@ Result<ra::SegmentInfo> DsmServer::handleStat(sim::Process& self, const Sysname&
 Result<void> DsmServer::handleDestroy(sim::Process& self, const Sysname& name) {
   node_.cpu().compute(self, node_.cost().dsm_server_lookup);
   // Drop directory state; cached copies elsewhere die on their own (any
-  // later fault fails with not_found).
-  const auto range = ra::segmentRange(directory_, name);
-  directory_.erase(range.begin(), range.end());
+  // later fault fails with not_found). Reset, not erased: a write-back batch
+  // waiting for one page's mutex, or a read inside a callback or retrying
+  // after `busy`, still holds its entries.
+  for (auto& [key, e] : ra::segmentRange(directory_, name)) e.reset();
   return store_.destroySegment(name);
 }
 

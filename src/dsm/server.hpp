@@ -66,6 +66,14 @@ class DsmServer {
     net::NodeId owner = net::kNoNode;
     std::uint64_t version = 0;
     sim::SimMutex mu;  // serializes protocol actions on this page
+    // Back to a fresh entry's state, in place. Entries are never erased:
+    // handlers blocked mid-request hold references to them and their mutex.
+    void reset() {
+      state = PState::uncached;
+      copyset.clear();
+      owner = net::kNoNode;
+      version = 0;
+    }
   };
   struct LockEntry {
     std::set<std::uint64_t> readers;

@@ -73,7 +73,7 @@ void Nic::send(sim::Process& self, Frame frame) {
   frame.src = addr_;
   cpu_.compute(self, ether_.cost().eth_cpu_send);
   ++*m_sent_;
-  ether_.transmit(frame);
+  ether_.transmit(std::move(frame));
 }
 
 void Nic::setHandler(ProtocolId protocol, Handler handler) {
@@ -121,7 +121,7 @@ Nic* Ethernet::find(NodeId addr) noexcept {
   return nullptr;
 }
 
-void Ethernet::transmit(const Frame& frame) {
+void Ethernet::transmit(Frame frame) {
   // Fault injection happens at the medium: a dropped frame still occupies
   // wire time (collisions/noise do on a real Ethernet).
   bool drop = false;
@@ -151,12 +151,14 @@ void Ethernet::transmit(const Frame& frame) {
     ++*m_blocked_;
     return;
   }
-  if (duplicate) ++*m_dup_;
   const sim::TimePoint arrival = medium_free_at_ + cost_.eth_propagation;
-  const int copies = duplicate ? 2 : 1;
-  for (int i = 0; i < copies; ++i) {
-    sim_.schedule(arrival - sim_.now(), [this, frame] { deliver(frame); });
+  if (duplicate) {
+    ++*m_dup_;
+    in_flight_.push_back(frame);
+    sim_.schedule(arrival - sim_.now(), [this] { deliver(); });
   }
+  in_flight_.push_back(std::move(frame));
+  sim_.schedule(arrival - sim_.now(), [this] { deliver(); });
 }
 
 namespace {
@@ -194,7 +196,9 @@ bool Ethernet::partitioned(NodeId a, NodeId b) const noexcept {
   return blocked_pairs_.count(pairKey(a, b)) != 0;
 }
 
-void Ethernet::deliver(const Frame& frame) {
+void Ethernet::deliver() {
+  Frame frame = std::move(in_flight_.front());
+  in_flight_.pop_front();
   if (frame.dst == kBroadcast) {
     // One frame on the shared wire, heard by every other interface. A
     // partition suppresses reception per receiver: the frame crossed the
@@ -216,7 +220,7 @@ void Ethernet::deliver(const Frame& frame) {
     ++*m_dropped_;
     return;
   }
-  dst->enqueueReceived(frame);
+  dst->enqueueReceived(std::move(frame));
 }
 
 }  // namespace clouds::net

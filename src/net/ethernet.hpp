@@ -59,7 +59,8 @@ class Ethernet;
 // worker processes.
 class Nic {
  public:
-  using Handler = std::function<void(sim::Process& self, const Frame&)>;
+  // A handler may take the frame's payload apart: the frame is its to keep.
+  using Handler = std::function<void(sim::Process& self, Frame&)>;
 
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
@@ -149,12 +150,16 @@ class Ethernet {
 
  private:
   friend class Nic;
-  void transmit(const Frame& frame);  // called with sender CPU cost already paid
-  void deliver(const Frame& frame);
+  void transmit(Frame frame);  // called with sender CPU cost already paid
+  void deliver();              // event context: the front of in_flight_ arrives
 
   sim::Simulation& sim_;
   const sim::CostModel& cost_;
   std::vector<std::unique_ptr<Nic>> nics_;
+  // Frames on the wire, in transmit order (a duplicated frame twice). The
+  // one medium serializes transmissions, so arrivals fall in the same order
+  // and each delivery event takes the front.
+  std::deque<Frame> in_flight_;
   sim::TimePoint medium_free_at_ = sim::kZero;
   double drop_rate_ = 0.0;
   double dup_rate_ = 0.0;

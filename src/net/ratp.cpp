@@ -8,10 +8,29 @@ namespace clouds::net {
 namespace {
 // Fragment header on the wire: type(1) txid(8) port(2) index(2) count(2) len(4).
 constexpr std::size_t kFragHeader = 1 + 8 + 2 + 2 + 2 + 4;
-// How long a server keeps a completed transaction's reply for duplicate
-// requests. Far above the client's full retry horizon, so a transaction id
-// can never be re-executed.
+// How long a server keeps a transaction's record: a partial request from its
+// first fragment, a finished one (and its reply, for duplicate requests)
+// from the moment its handler returned. Far above the client's full retry
+// horizon, so a transaction id can never be re-executed; a transaction whose
+// handler is still running is never evicted.
 constexpr sim::Duration kReplyCacheTtl = sim::sec(5);
+constexpr sim::TimePoint kNever = sim::TimePoint::max();
+
+// A complete message from its fragments: a lone fragment moves whole, more
+// are joined into one buffer of the total size. Each slot stays engaged, so
+// a late duplicate fragment is still recognised, but keeps no bytes.
+Bytes reassemble(std::vector<std::optional<Bytes>>& frags) {
+  if (frags.size() == 1) return std::move(*frags.front());
+  std::size_t total = 0;
+  for (const auto& f : frags) total += f->size();
+  Bytes message;
+  message.reserve(total);
+  for (auto& f : frags) {
+    message.insert(message.end(), f->begin(), f->end());
+    *f = Bytes();
+  }
+  return message;
+}
 }  // namespace
 
 RatpEndpoint::RatpEndpoint(Nic& nic, std::string name) : nic_(nic), name_(std::move(name)) {
@@ -25,8 +44,7 @@ RatpEndpoint::RatpEndpoint(Nic& nic, std::string name) : nic_(nic), name_(std::m
   m_frags_ = &metrics.counter(name_ + "/ratp/fragments_sent");
   m_peer_deaths_ = &metrics.counter(name_ + "/ratp/peer_deaths");
   m_latency_ = &metrics.histogram(name_ + "/ratp/txn_latency_usec");
-  nic_.setHandler(kProtoRatp,
-                  [this](sim::Process& self, const Frame& frame) { onFrame(self, frame); });
+  nic_.setHandler(kProtoRatp, [this](sim::Process& self, Frame& frame) { onFrame(self, frame); });
 }
 
 void RatpEndpoint::bindService(PortId port, Handler handler) {
@@ -136,7 +154,7 @@ void RatpEndpoint::sendMessage(sim::Process& self, NodeId dst, PacketType type,
   }
 }
 
-void RatpEndpoint::onFrame(sim::Process& self, const Frame& frame) {
+void RatpEndpoint::onFrame(sim::Process& self, Frame& frame) {
   nic_.cpu().compute(self, cost().ratp_cpu_packet);
   Decoder d(frame.payload);
   auto type = d.u8();
@@ -144,44 +162,55 @@ void RatpEndpoint::onFrame(sim::Process& self, const Frame& frame) {
   auto port = d.u16();
   auto index = d.u16();
   auto count = d.u16();
-  auto data = d.bytes();
-  if (!type.ok() || !txid.ok() || !port.ok() || !index.ok() || !count.ok() || !data.ok() ||
-      count.value() == 0 || index.value() >= count.value()) {
+  auto len = d.u32();
+  if (!type.ok() || !txid.ok() || !port.ok() || !index.ok() || !count.ok() || !len.ok() ||
+      len.value() > d.remaining() || count.value() == 0 || index.value() >= count.value()) {
     simulation().trace(name_, "ratp", "malformed frame dropped");
     return;
   }
+  // The fragment's bytes stay in the frame's buffer, header stripped.
+  Bytes data = std::move(frame.payload);
+  data.erase(data.begin(), data.begin() + kFragHeader);
+  data.resize(len.value());
   switch (static_cast<PacketType>(type.value())) {
     case PacketType::request:
       onRequestFrag(self, frame.src, txid.value(), port.value(), index.value(), count.value(),
-                    std::move(data).value());
+                    std::move(data));
       break;
     case PacketType::reply:
-      onReplyFrag(self, txid.value(), index.value(), count.value(), std::move(data).value());
+      onReplyFrag(self, txid.value(), index.value(), count.value(), std::move(data));
       break;
   }
 }
 
 void RatpEndpoint::onRequestFrag(sim::Process& self, NodeId src, std::uint64_t txid, PortId port,
                                  std::uint16_t index, std::uint16_t count, Bytes data) {
-  // Lazily evict records older than the reply-cache TTL; by then their
-  // clients have long stopped retransmitting. Done before the lookup below
-  // so a stale record for this very key cannot shadow the new transaction.
-  while (!expiry_fifo_.empty() && expiry_fifo_.front().first <= simulation().now()) {
-    server_txs_.erase(expiry_fifo_.front().second);
+  // Lazily evict records past their TTL; by then their clients have long
+  // stopped retransmitting. Done before the lookup below so a stale record
+  // for this very key cannot shadow the new transaction.
+  const sim::TimePoint now = simulation().now();
+  while (!expiry_fifo_.empty() && expiry_fifo_.front().first <= now) {
+    const auto& [at, stale] = expiry_fifo_.front();
+    auto it = server_txs_.find(stale);
+    if (it != server_txs_.end() && it->second.expires == at) server_txs_.erase(it);
     expiry_fifo_.pop_front();
   }
   const auto key = std::make_pair(src, txid);
   ServerTx& st = server_txs_[key];
   if (st.frags.empty()) {
     st.frags.resize(count);
-    expiry_fifo_.emplace_back(simulation().now() + kReplyCacheTtl, key);
+    st.expires = now + kReplyCacheTtl;
+    expiry_fifo_.emplace_back(st.expires, key);
   }
-  if (st.replied) {
+  if (st.reply) {
     // Duplicate of a completed transaction: answer from the reply cache,
-    // once per full retransmitted request (on its final fragment).
+    // once per full retransmitted request (on its final fragment). The
+    // local reference keeps the reply alive if a crash clears the cache
+    // while the sends block.
     if (index + 1 == count) {
       ++*m_cache_hits_;
-      sendMessage(self, src, PacketType::reply, txid, port, st.reply);
+      const std::shared_ptr<const Bytes> reply = st.reply;
+      sendMessage(self, src, PacketType::reply, txid, port, *reply);
     }
     return;
   }
@@ -191,15 +220,13 @@ void RatpEndpoint::onRequestFrag(sim::Process& self, NodeId src, std::uint64_t t
   }
   if (st.received == st.frags.size() && !st.dispatched) {
     st.dispatched = true;
+    st.expires = kNever;  // until the worker finishes
     nic_.cpu().compute(self, cost().ratp_reassembly);
     WorkItem item;
     item.txid = txid;
     item.client = src;
     item.port = port;
-    for (auto& f : st.frags) {
-      item.request.insert(item.request.end(), f->begin(), f->end());
-      f->clear();
-    }
+    item.request = reassemble(st.frags);
     dispatch(std::move(item));
   }
 }
@@ -228,20 +255,29 @@ void RatpEndpoint::workerLoop(sim::Process& self) {
     }
     WorkItem item = std::move(work_queue_.front());
     work_queue_.pop_front();
+    const auto key = std::make_pair(item.client, item.txid);
     auto it = services_.find(item.port);
     if (it == services_.end()) {
       simulation().trace(name_, "ratp",
                          "request for unbound port " + std::to_string(item.port) + " ignored");
+      finish(key, nullptr);
       continue;  // no reply: the client will time out
     }
-    Bytes reply = it->second(self, item.client, item.request);
-    auto st = server_txs_.find(std::make_pair(item.client, item.txid));
-    if (st != server_txs_.end()) {
-      st->second.reply = reply;
-      st->second.replied = true;
-    }
-    sendMessage(self, item.client, PacketType::reply, item.txid, item.port, reply);
+    // Held here across the blocking sends: a crash meanwhile clears
+    // server_txs_, and with it the cache's reference.
+    const auto reply = std::make_shared<const Bytes>(it->second(self, item.client, item.request));
+    finish(key, reply);
+    sendMessage(self, item.client, PacketType::reply, item.txid, item.port, *reply);
   }
+}
+
+void RatpEndpoint::finish(const std::pair<NodeId, std::uint64_t>& key,
+                          std::shared_ptr<const Bytes> reply) {
+  auto st = server_txs_.find(key);
+  if (st == server_txs_.end()) return;  // cleared by a crash meanwhile
+  st->second.reply = std::move(reply);
+  st->second.expires = simulation().now() + kReplyCacheTtl;
+  expiry_fifo_.emplace_back(st->second.expires, key);
 }
 
 void RatpEndpoint::onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint16_t index,
@@ -261,10 +297,7 @@ void RatpEndpoint::onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint
   it = pending_.find(txid);
   if (it == pending_.end() || it->second.aborted) return;
   PendingTx& live = it->second;
-  for (auto& f : live.frags) {
-    live.reply.insert(live.reply.end(), f->begin(), f->end());
-    f->clear();
-  }
+  live.reply = reassemble(live.frags);
   live.complete = true;
   live.waiter->wake();
 }

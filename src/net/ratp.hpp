@@ -23,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -99,8 +100,12 @@ class RatpEndpoint {
     std::vector<std::optional<Bytes>> frags;
     std::size_t received = 0;
     bool dispatched = false;
-    bool replied = false;
-    Bytes reply;  // cached for duplicate requests until TTL eviction
+    // Cached for duplicate requests until TTL eviction; shared with the
+    // worker's sends, which a crash clearing server_txs_ must not free.
+    std::shared_ptr<const Bytes> reply;
+    // Eviction time: kReplyCacheTtl after the first fragment, never while
+    // the handler runs, kReplyCacheTtl again once the worker finishes.
+    sim::TimePoint expires = sim::kZero;
   };
   struct WorkItem {
     std::uint64_t txid = 0;
@@ -109,7 +114,7 @@ class RatpEndpoint {
     Bytes request;
   };
 
-  void onFrame(sim::Process& self, const Frame& frame);
+  void onFrame(sim::Process& self, Frame& frame);
   void onRequestFrag(sim::Process& self, NodeId src, std::uint64_t txid, PortId port,
                      std::uint16_t index, std::uint16_t count, Bytes data);
   void onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint16_t index,
@@ -118,6 +123,9 @@ class RatpEndpoint {
                    PortId port, const Bytes& message);
   void dispatch(WorkItem item);
   void workerLoop(sim::Process& self);
+  // The worker is done with a transaction: cache its reply (none for an
+  // unbound port) and start the record's TTL.
+  void finish(const std::pair<NodeId, std::uint64_t>& key, std::shared_ptr<const Bytes> reply);
 
   const sim::CostModel& cost() const { return nic_.network().cost(); }
   sim::Simulation& simulation() { return nic_.network().simulation(); }
@@ -128,7 +136,9 @@ class RatpEndpoint {
   std::map<std::uint64_t, PendingTx> pending_;
   std::map<std::pair<NodeId, std::uint64_t>, ServerTx> server_txs_;
   // Reply-cache eviction is lazy (purged as new transactions arrive) so the
-  // simulation's event queue drains as soon as real work stops.
+  // simulation's event queue drains as soon as real work stops. One record
+  // per ServerTx::expires ever set, in time order; a record evicts its entry
+  // only if that is still the entry's expiry.
   std::deque<std::pair<sim::TimePoint, std::pair<NodeId, std::uint64_t>>> expiry_fifo_;
   std::map<PortId, Handler> services_;
   std::deque<WorkItem> work_queue_;

@@ -31,7 +31,7 @@ Process::~Process() {
 void Process::threadMain() {
   {
     std::unique_lock lk(mu_);
-    cv_.wait(lk, [&] { return state_ == State::running; });
+    cv_.wait(lk, [&] { return process_turn_; });
   }
   runBody();
   // yield(State::done) returned: the thread exits and the scheduler reaps.
@@ -66,9 +66,10 @@ void Process::yield(State next) {
   if (engine_ == Engine::threads) {
     std::unique_lock lk(mu_);
     state_ = next;
+    process_turn_ = false;
     cv_.notify_all();
     if (next == State::done) return;  // thread is about to exit; scheduler reaps it
-    cv_.wait(lk, [&] { return state_ == State::running; });
+    cv_.wait(lk, [&] { return process_turn_; });
     lk.unlock();
   } else {
     state_ = next;
@@ -93,8 +94,9 @@ void Process::resumeNow() {
   if (engine_ == Engine::threads) {
     std::unique_lock lk(mu_);
     state_ = State::running;
+    process_turn_ = true;
     cv_.notify_all();
-    cv_.wait(lk, [&] { return state_ != State::running; });
+    cv_.wait(lk, [&] { return !process_turn_; });
   } else {
     if (!fiber_) {
       fiber_ = std::make_unique<Fiber>(
@@ -107,54 +109,36 @@ void Process::resumeNow() {
 }
 
 void Process::scheduleResume() {
-  if (done()) return;
-  {
-    std::scoped_lock lk(mu_);
-    if (resume_queued_) return;
-    resume_queued_ = true;
-    if (state_ == State::blocked || state_ == State::created) state_ = State::ready;
-  }
+  if (done() || resume_queued_) return;
+  resume_queued_ = true;
+  if (state_ == State::blocked || state_ == State::created) state_ = State::ready;
   sim_.push("Process::scheduleResume", kZero, Simulation::EventKind::resume, false, this, 0);
 }
 
 void Process::onResumeEvent() {
-  {
-    std::scoped_lock lk(mu_);
-    resume_queued_ = false;
-  }
+  resume_queued_ = false;
   if (!done()) resumeNow();
 }
 
 void Process::onTimerEvent(std::uint64_t token) {
-  bool fire = false;
-  {
-    std::scoped_lock lk(mu_);
-    fire = state_ == State::blocked && block_token_ == token && !resume_queued_;
-    if (fire) {
-      timed_out_ = true;
-      ++block_token_;  // a timer fires at most once
-    }
-  }
-  if (fire) resumeNow();
+  if (state_ != State::blocked || block_token_ != token || resume_queued_) return;
+  timed_out_ = true;
+  ++block_token_;  // a timer fires at most once
+  resumeNow();
 }
 
 void Process::delay(Duration d) {
   throwIfKilled();
+  assert(state_ == State::running);
+  if (sim_.resumeInPlace(d)) return;
   sim_.push("Process::delay", d, Simulation::EventKind::resume, false, this, 0);
-  {
-    std::scoped_lock lk(mu_);
-    assert(state_ == State::running);
-    resume_queued_ = true;
-  }
+  resume_queued_ = true;
   yield(State::blocked);
 }
 
 void Process::block() {
   throwIfKilled();
-  {
-    std::scoped_lock lk(mu_);
-    ++block_token_;  // invalidate any stale blockFor timer
-  }
+  ++block_token_;  // invalidate any stale blockFor timer
   yield(State::blocked);
 }
 
@@ -164,38 +148,23 @@ bool Process::blockFor(Duration timeout) {
   // a negative timeout throws before any state changes.
   sim_.push("Process::blockFor", timeout, Simulation::EventKind::timer, false, this,
             block_token_ + 1);
-  {
-    std::scoped_lock lk(mu_);
-    ++block_token_;
-    timed_out_ = false;
-  }
+  ++block_token_;
+  timed_out_ = false;
   yield(State::blocked);
-  bool woken = false;
-  {
-    std::scoped_lock lk(mu_);
-    woken = !timed_out_;
-    timed_out_ = false;
-  }
+  const bool woken = !timed_out_;
+  timed_out_ = false;
   return woken;
 }
 
 void Process::wake() {
-  std::uint64_t invalidate = 0;
-  {
-    std::scoped_lock lk(mu_);
-    if (state_ != State::blocked || resume_queued_) return;
-    invalidate = ++block_token_;  // cancel any outstanding blockFor timeout
-  }
-  (void)invalidate;
+  if (state_ != State::blocked || resume_queued_) return;
+  ++block_token_;  // cancel any outstanding blockFor timeout
   scheduleResume();
 }
 
 void Process::kill() {
-  {
-    std::scoped_lock lk(mu_);
-    if (killed_ || state_ == State::done) return;
-    killed_ = true;
-  }
+  if (killed_ || state_ == State::done) return;
+  killed_ = true;
   if (state_ == State::blocked) scheduleResume();
 }
 

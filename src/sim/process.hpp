@@ -115,11 +115,17 @@ class Process {
   const Engine engine_;
   std::function<void(Process&)> body_;  // released when the body finishes
 
-  // Engine-neutral state machine. The mutex is load-bearing only for the
-  // threads engine (two host threads hand off through it); under fibers
-  // everything runs on one host thread and the uncontended locks are noise.
+  // The threads engine's handoff: the scheduler and the process thread pass
+  // the turn through mu_ and cv_ (threadMain, yield, resumeNow), and only
+  // process_turn_ is read under the lock. Exactly one context runs at a time
+  // in either engine, and under threads every handoff crosses mu_, so the
+  // state machine below needs no lock of its own; under fibers no Process
+  // method takes one.
   std::mutex mu_;
   std::condition_variable cv_;
+  bool process_turn_ = false;
+
+  // Engine-neutral state machine.
   State state_ = State::created;
   bool resume_queued_ = false;
   bool timed_out_ = false;

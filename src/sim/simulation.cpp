@@ -21,8 +21,9 @@ Simulation::~Simulation() { shutdown(); }
 void Simulation::push(const char* who, Duration delay, EventKind kind, bool daemon,
                       Process* process, std::uint64_t arg) {
   if (delay < kZero) throw std::invalid_argument(std::string(who) + ": negative delay");
-  queue_.push_back(Event{now_ + delay, next_seq_++, kind, daemon, process, arg});
-  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+  std::vector<Event>& to = delay == kZero ? now_lane_ : queue_;
+  to.push_back(Event{now_ + delay, next_seq_++, kind, daemon, process, arg});
+  if (delay != kZero) std::push_heap(queue_.begin(), queue_.end(), EventLater{});
   if (!daemon) ++live_events_;
 }
 
@@ -72,18 +73,32 @@ std::size_t Simulation::runUntil(TimePoint horizon, bool bounded) {
   if (running_) throw std::logic_error("Simulation::run is not reentrant");
   running_ = true;
   stopped_ = false;
-  std::size_t executed = 0;
-  while (!queue_.empty() && !stopped_) {
+  horizon_ = horizon;
+  executed_ = 0;
+  while (!stopped_) {
     // An unbounded run drains real work; once only daemon housekeeping
     // (periodic gossip ticks, ...) remains, it would spin forever, so stop
     // and leave the daemon events queued for the next bounded run.
     if (!bounded && live_events_ == 0) break;
-    const Event ev = queue_.front();
-    if (bounded && ev.at > horizon) break;
-    assert(ev.at >= now_);
-    std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-    queue_.pop_back();
-    now_ = ev.at;
+    // Every lane event is due now; a heap event due now as well runs first
+    // only if it was queued first.
+    const bool from_lane = now_head_ < now_lane_.size() &&
+                           (queue_.empty() || queue_.front().at != now_ ||
+                            now_lane_[now_head_].seq < queue_.front().seq);
+    if (!from_lane && queue_.empty()) break;
+    const Event ev = from_lane ? now_lane_[now_head_] : queue_.front();
+    if (ev.at > horizon) break;
+    if (from_lane) {
+      if (++now_head_ == now_lane_.size()) {
+        now_lane_.clear();
+        now_head_ = 0;
+      }
+    } else {
+      assert(ev.at >= now_);
+      std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+      queue_.pop_back();
+      now_ = ev.at;
+    }
     if (!ev.daemon) --live_events_;
     switch (ev.kind) {
       case EventKind::resume:
@@ -101,12 +116,32 @@ std::size_t Simulation::runUntil(TimePoint horizon, bool bounded) {
         break;
       }
     }
-    ++executed;
+    ++executed_;
     ++*events_executed_;
   }
   if (bounded && !stopped_ && now_ < horizon) now_ = horizon;
   running_ = false;
-  return executed;
+  return executed_;
+}
+
+bool Simulation::resumeInPlace(Duration d) {
+  if (d < kZero) throw std::invalid_argument("Process::delay: negative delay");
+  // The queued resume would be next only inside a run that will go on to
+  // take it: no stop, the lane empty, the heap's first event strictly later
+  // (a tie goes to the heap event, queued first), and within the horizon.
+  const TimePoint at = now_ + d;
+  if (!running_ || stopped_ || now_head_ < now_lane_.size() || at > horizon_ ||
+      (!queue_.empty() && queue_.front().at <= at)) {
+    return false;
+  }
+  // Exactly what the queued resume would leave behind: its seq spent, the
+  // clock at its time, one event run and one process resume.
+  ++next_seq_;
+  now_ = at;
+  ++executed_;
+  ++*events_executed_;
+  ++*process_resumes_;
+  return true;
 }
 
 std::size_t Simulation::liveProcessCount() const noexcept {

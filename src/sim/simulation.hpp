@@ -62,7 +62,7 @@ class Simulation {
   void shutdown();
 
   // True when nothing remains scheduled (blocked processes may still exist).
-  bool idle() const noexcept { return queue_.empty(); }
+  bool idle() const noexcept { return queue_.empty() && now_head_ == now_lane_.size(); }
 
   std::size_t liveProcessCount() const noexcept;
 
@@ -107,11 +107,18 @@ class Simulation {
   };
 
   // Queue an event at now() + delay, one seq per call; throws
-  // std::invalid_argument (naming `who`) on a negative delay.
+  // std::invalid_argument (naming `who`) on a negative delay. A zero delay
+  // goes to the now lane, any other to the heap.
   void push(const char* who, Duration delay, EventKind kind, bool daemon, Process* process,
             std::uint64_t arg);
   void pushCall(const char* who, Duration delay, bool daemon, std::function<void()> fn);
   std::size_t runUntil(TimePoint horizon, bool bounded);
+  // Process::delay(d) when the resume it would queue is certain to be the
+  // next event run: advance the clock to now() + d and count that event and
+  // its resume here, with no queueing and no context switch. Returns false,
+  // changing nothing, when any other event could come first; throws on a
+  // negative d, as push does.
+  bool resumeInPlace(Duration d);
 
   SimConfig config_;
   // The scheduler side of every fiber context switch: adopts whichever host
@@ -122,8 +129,15 @@ class Simulation {
   std::uint64_t next_process_id_ = 0;
   bool stopped_ = false;
   bool running_ = false;
+  TimePoint horizon_ = kZero;   // the current run's last event time
+  std::size_t executed_ = 0;    // events run by the current run
   std::size_t live_events_ = 0;  // queued non-daemon events
-  std::vector<Event> queue_;     // binary heap under EventLater
+  std::vector<Event> queue_;     // binary heap under EventLater: events queued with a delay > 0
+  // The now lane: zero-delay events, all due at now_, in seq order from
+  // now_head_ on. The clock cannot pass them, so it only advances once the
+  // lane is empty.
+  std::vector<Event> now_lane_;
+  std::size_t now_head_ = 0;
   std::vector<std::function<void()>> calls_;  // callables of queued call events
   std::vector<std::uint64_t> free_calls_;     // reusable calls_ slots
   // Stacks of finished fibers, handed to new ones. Declared before

@@ -315,5 +315,59 @@ TEST(DsmEdge, DropSegmentDuringBlockedFaultKeepsFrameAlive) {
   f.sim.run();
 }
 
+TEST(DsmEdge, DestroyDuringBlockedWriteBackKeepsDirectoryEntriesAlive) {
+  // A read of page 1 holds its directory entry through a degrade callback to
+  // the page's owner. Meanwhile the owner's write-back of pages 0 and 1
+  // locks page 0 and waits for page 1, and a destroy of the segment lands.
+  // The destroy must reset the entries in place, never erase them: the read
+  // and the batch still hold them, and erasing frees both entries under
+  // them (heap-use-after-free, caught by the ASan lane).
+  EdgeBed f;
+  dsm::DsmServer& server = *f.data[0].server;
+  const net::NodeId owner = f.compute[0].node->id();
+  const net::NodeId reader = f.compute[1].node->id();
+  auto serve = [&](sim::Process& self, net::NodeId client, Encoder e) {
+    const Bytes reply = server.serveDsm(self, client, std::move(e).take());
+    return static_cast<Errc>(reply.at(0));
+  };
+  int finished = 0;
+  f.sim.spawn("setup", [&](sim::Process& self) {
+    f.write64(self, 0, 0, 7);  // both pages exclusive at the owner
+    f.write64(self, 0, 1, 8);
+    f.sim.spawn("read", [&](sim::Process& p) {
+      Encoder e;
+      e.u8(static_cast<std::uint8_t>(dsm::Op::read_page));
+      dsm::encodePageKey(e, {f.seg, 1});
+      (void)serve(p, reader, std::move(e));
+      ++finished;
+    });
+    f.sim.spawn("write-back", [&](sim::Process& p) {
+      p.delay(sim::msec(1));  // inside the read's callback
+      Encoder e;
+      e.u8(static_cast<std::uint8_t>(dsm::Op::write_back_batch));
+      e.boolean(false);
+      dsm::encodePageUpdates(
+          e, {{{f.seg, 0}, Bytes(kPageSize)}, {{f.seg, 1}, Bytes(kPageSize)}});
+      (void)serve(p, owner, std::move(e));
+      ++finished;
+    });
+    f.sim.spawn("destroy", [&](sim::Process& p) {
+      p.delay(sim::msec(2));  // while the batch waits for page 1
+      Encoder e;
+      e.u8(static_cast<std::uint8_t>(dsm::Op::destroy_segment));
+      e.sysname(f.seg);
+      EXPECT_EQ(serve(p, owner, std::move(e)), Errc::ok);
+      ++finished;
+    });
+  });
+  f.sim.run();
+  EXPECT_EQ(finished, 3);
+  f.sim.spawn("after", [&](sim::Process& self) {
+    EXPECT_EQ(f.compute[1].dsm->resolvePage(self, {f.seg, 0}, Access::read).code(),
+              Errc::not_found);
+  });
+  f.sim.run();
+}
+
 }  // namespace
 }  // namespace clouds::test

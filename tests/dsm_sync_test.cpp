@@ -142,6 +142,41 @@ TEST(DsmSemaphores, CrossNodeProducerConsumer) {
   EXPECT_EQ(consumed.size(), 3u);
 }
 
+TEST(DsmSemaphores, BlockedPIsNeverReExecutedByARetransmission) {
+  // A P() blocks at the server for 8 s while its client retransmits every
+  // 2 s, past the reply cache's 5 s TTL. The retransmissions must not run
+  // the P a second time: a ghost P would take the second V, and the P at
+  // 10 s would then wait out the server's cap instead of passing at once.
+  SyncFixture f;
+  std::uint64_t sem = 0;
+  bool first_ok = false;
+  Result<void> late = makeError(Errc::timeout, "not run");
+  sim::Duration late_wait = sim::kZero;
+  f.sim.spawn("setup", [&](sim::Process& self) {
+    auto r = f.compute[0].sync->semCreate(self, f.data[0].node->id(), 0);
+    ASSERT_TRUE(r.ok());
+    sem = r.value();
+    f.sim.spawn("waiter",
+                [&](sim::Process& p) { first_ok = f.compute[0].sync->semP(p, sem).ok(); });
+    f.sim.spawn("poster", [&](sim::Process& p) {
+      p.delay(sim::sec(8) - f.sim.now());
+      ASSERT_TRUE(f.compute[1].sync->semV(p, sem).ok());
+      p.delay(sim::sec(9) - f.sim.now());
+      ASSERT_TRUE(f.compute[1].sync->semV(p, sem).ok());
+    });
+    f.sim.spawn("late", [&](sim::Process& p) {
+      p.delay(sim::sec(10) - f.sim.now());
+      const sim::TimePoint t0 = f.sim.now();
+      late = f.compute[0].sync->semP(p, sem);
+      late_wait = f.sim.now() - t0;
+    });
+  });
+  f.sim.run();
+  EXPECT_TRUE(first_ok);
+  EXPECT_TRUE(late.ok()) << late.error().message;
+  EXPECT_LT(late_wait, sim::sec(1));
+}
+
 TEST(DsmSemaphores, UnknownSemaphoreFails) {
   SyncFixture f;
   f.sim.spawn("t", [&](sim::Process& self) {

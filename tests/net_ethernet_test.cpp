@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
 #include "sim/cost_model.hpp"
@@ -147,6 +149,105 @@ TEST(Ethernet, DuplicationDeliversTwice) {
   });
   f.sim.run();
   EXPECT_EQ(received, 2);
+}
+
+// Frame i carries its number in its first two bytes and a pattern of i in
+// the rest; its length varies with i.
+Bytes numberedPayload(int i) {
+  Bytes payload(static_cast<std::size_t>(2 + (i * 37) % 1400));
+  payload[0] = static_cast<std::byte>(i & 0xff);
+  payload[1] = static_cast<std::byte>(i >> 8);
+  for (std::size_t j = 2; j < payload.size(); ++j) payload[j] = static_cast<std::byte>(i * 13 + j);
+  return payload;
+}
+
+int frameNumber(const Bytes& payload) {
+  return std::to_integer<int>(payload[0]) | (std::to_integer<int>(payload[1]) << 8);
+}
+
+TEST(Ethernet, DropsAndDuplicatesKeepTransmitOrderAndPayloads) {
+  // With drops and duplicates in the same window, every receiver still gets
+  // its frames (unicast and broadcast alike) in transmit order, each intact,
+  // a duplicate right behind its original.
+  EtherFixture f;
+  sim::CpuResource cpuC{f.cost.context_switch};
+  Nic& c = f.ether.attach(3, cpuC, "nodeC");
+  f.ether.setDropRate(0.2);
+  f.ether.setDuplicateRate(0.3);
+  constexpr int kFrames = 300;
+  auto destination = [](int i) { return i % 5 == 4 ? kBroadcast : NodeId(2 + i % 2); };
+  std::map<NodeId, std::vector<int>> got;
+  for (Nic* nic : {&f.b, &c}) {
+    nic->setHandler(kProtoEcho, [&, nic](sim::Process&, const Frame& fr) {
+      const int i = frameNumber(fr.payload);
+      EXPECT_EQ(fr.src, 1u);
+      EXPECT_EQ(fr.payload, numberedPayload(i)) << "frame " << i;
+      EXPECT_TRUE(destination(i) == kBroadcast || destination(i) == nic->address()) << i;
+      got[nic->address()].push_back(i);
+    });
+  }
+  f.sim.spawn("sender", [&](sim::Process& self) {
+    for (int i = 0; i < kFrames; ++i) {
+      f.a.send(self, Frame{kNoNode, destination(i), kProtoEcho, numberedPayload(i)});
+    }
+  });
+  f.sim.run();
+
+  std::vector<int> copies(kFrames, 0);  // deliveries of each frame to one of its receivers
+  for (const auto& [node, frames] : got) {
+    EXPECT_TRUE(std::is_sorted(frames.begin(), frames.end())) << "node " << node;
+    for (int i : frames) {
+      if (destination(i) == kBroadcast && node == 3) continue;  // counted at node 2
+      ++copies[static_cast<std::size_t>(i)];
+    }
+  }
+  for (int i = 4; i < kFrames; i += 5) {  // both receivers heard each broadcast alike
+    EXPECT_EQ(std::count(got[2].begin(), got[2].end(), i),
+              std::count(got[3].begin(), got[3].end(), i));
+  }
+  const auto& m = f.sim.metrics();
+  const std::uint64_t dropped = m.counterValue("net/eth/frames_dropped");
+  const std::uint64_t duplicated = m.counterValue("net/eth/frames_dup");
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_EQ(std::count(copies.begin(), copies.end(), 0), static_cast<long>(dropped));
+  EXPECT_EQ(std::count(copies.begin(), copies.end(), 2), static_cast<long>(duplicated));
+  EXPECT_EQ(std::count(copies.begin(), copies.end(), 1),
+            static_cast<long>(kFrames - dropped - duplicated));
+}
+
+TEST(Ethernet, FrameInFlightToACrashedNicIsLost) {
+  // Three MTU frames queue on the medium; the crash of B lands while all
+  // three are still in flight. B's two are lost, C's arrives intact, and
+  // after a restart B receives again.
+  EtherFixture f;
+  sim::CpuResource cpuC{f.cost.context_switch};
+  Nic& c = f.ether.attach(3, cpuC, "nodeC");
+  std::vector<Bytes> at_b;
+  std::vector<Bytes> at_c;
+  f.b.setHandler(kProtoEcho, [&](sim::Process&, const Frame& fr) { at_b.push_back(fr.payload); });
+  c.setHandler(kProtoEcho, [&](sim::Process&, const Frame& fr) { at_c.push_back(fr.payload); });
+  auto mtuPayload = [&](int i) {
+    Bytes payload = numberedPayload(i);
+    payload.resize(f.cost.eth_mtu, std::byte{0x5a});
+    return payload;
+  };
+  f.sim.spawn("sender", [&](sim::Process& self) {
+    f.a.send(self, Frame{kNoNode, 2, kProtoEcho, mtuPayload(1)});
+    f.a.send(self, Frame{kNoNode, 3, kProtoEcho, mtuPayload(2)});
+    f.a.send(self, Frame{kNoNode, 2, kProtoEcho, mtuPayload(3)});
+    EXPECT_TRUE(at_b.empty());
+    EXPECT_TRUE(at_c.empty());
+    f.b.crash();
+    self.delay(sim::msec(20));
+    f.b.restart();
+    f.a.send(self, Frame{kNoNode, 2, kProtoEcho, mtuPayload(4)});
+  });
+  f.sim.run();
+  EXPECT_EQ(at_b, (std::vector<Bytes>{mtuPayload(4)}));
+  EXPECT_EQ(at_c, (std::vector<Bytes>{mtuPayload(2)}));
+  EXPECT_EQ(f.sim.metrics().counterValue("nodeB/eth/frames_lost"), 2u);
+  EXPECT_EQ(f.sim.metrics().counterValue("net/eth/frames_dropped"), 0u);
 }
 
 }  // namespace

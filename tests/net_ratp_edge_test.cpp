@@ -23,20 +23,27 @@ struct EdgeFixture {
 TEST(RatpEdge, PayloadsAtFragmentBoundaries) {
   EdgeFixture f;
   f.server.bindService(kPortEcho, [](sim::Process&, NodeId, const Bytes& req) { return req; });
-  // The per-fragment capacity is MTU minus the 19-byte header minus the
-  // 4-byte length prefix; probe sizes straddling multiples of it.
-  const std::size_t cap = f.cost.eth_mtu - 19 - 4;
+  // A fragment carries the MTU minus the 19-byte header, whose last four
+  // bytes are the fragment's length; probe sizes straddling one fragment
+  // and three.
+  const std::size_t cap = f.cost.eth_mtu - 19;
+  ASSERT_EQ(cap, 1481u);
   f.sim.spawn("caller", [&](sim::Process& self) {
-    for (std::size_t size :
-         {std::size_t{0}, std::size_t{1}, cap - 1, cap, cap + 1, 3 * cap, 3 * cap + 7}) {
+    for (std::size_t size : {std::size_t{0}, std::size_t{1}, cap - 1, cap, cap + 1, 3 * cap - 1,
+                             3 * cap, 3 * cap + 1}) {
       Bytes payload(size);
       for (std::size_t i = 0; i < size; ++i) payload[i] = static_cast<std::byte>(i ^ size);
+      const std::uint64_t before = f.sim.metrics().counterValue("client/ratp/fragments_sent");
       auto r = f.client.transact(self, 2, kPortEcho, payload);
       ASSERT_TRUE(r.ok()) << "size " << size;
       EXPECT_EQ(r.value(), payload) << "size " << size;
+      const std::size_t fragments = size == 0 ? 1 : (size + cap - 1) / cap;
+      EXPECT_EQ(f.sim.metrics().counterValue("client/ratp/fragments_sent") - before, fragments)
+          << "size " << size;
     }
   });
   f.sim.run();
+  EXPECT_EQ(f.sim.metrics().counterValue("client/ratp/retransmits"), 0u);
 }
 
 TEST(RatpEdge, ReplyCacheEventuallyEvicts) {
@@ -59,17 +66,39 @@ TEST(RatpEdge, ReplyCacheEventuallyEvicts) {
 
 TEST(RatpEdge, MalformedFrameIsIgnored) {
   EdgeFixture f;
-  f.server.bindService(kPortEcho, [](sim::Process&, NodeId, const Bytes& req) { return req; });
+  int executions = 0;
+  f.server.bindService(kPortEcho, [&](sim::Process&, NodeId, const Bytes& req) {
+    ++executions;
+    return req;
+  });
   bool ok = false;
   f.sim.spawn("caller", [&](sim::Process& self) {
     // Garbage frames on the RaTP protocol id must not break the endpoint.
     f.nicA.send(self, Frame{kNoNode, 2, kProtoRatp, Bytes(3, std::byte{0xff})});
     f.nicA.send(self, Frame{kNoNode, 2, kProtoRatp, Bytes{}});
+    // A whole one-fragment request header whose length field claims more
+    // bytes than the frame carries.
+    Encoder e;
+    e.u8(1);  // request
+    e.u64(77);
+    e.u16(kPortEcho);
+    e.u16(0);
+    e.u16(1);
+    e.u32(11);
+    Bytes truncated = std::move(e).take();
+    truncated.resize(truncated.size() + 10);
+    f.nicA.send(self, Frame{kNoNode, 2, kProtoRatp, std::move(truncated)});
     auto r = f.client.transact(self, 2, kPortEcho, toBytes("still works"));
     ok = r.ok();
   });
   f.sim.run();
   EXPECT_TRUE(ok);
+  EXPECT_EQ(executions, 1);
+  int dropped = 0;
+  for (const auto& entry : f.sim.tracer().entries()) {
+    dropped += entry.message == "malformed frame dropped" ? 1 : 0;
+  }
+  EXPECT_EQ(dropped, 3);
 }
 
 TEST(RatpEdge, CrashClearsServerStateAndServiceSurvives) {

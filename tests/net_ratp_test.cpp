@@ -109,27 +109,65 @@ TEST(Ratp, RetransmitsThroughFrameLoss) {
 }
 
 TEST(Ratp, HandlerRunsAtMostOncePerTransaction) {
-  // Lose the reply: the retransmitted request must be answered from the
-  // server's reply cache, never re-executed by the handler.
+  // Lose the reply's first fragment: the retransmitted request must be
+  // answered from the server's reply cache, byte for byte, never
+  // re-executed by the handler. The reply is one fragment, then three (a
+  // fragment carries 1481 bytes).
+  for (const std::size_t size : {std::size_t{1}, std::size_t{3 * 1481 - 100}}) {
+    RatpFixture f;
+    int executions = 0;
+    auto replyTo = [size](const Bytes& req) {
+      Bytes reply(size);
+      for (std::size_t i = 0; i < size; ++i) reply[i] = static_cast<std::byte>(i * 7) ^ req.at(0);
+      return reply;
+    };
+    f.server.bindService(kPortEcho, [&](sim::Process&, NodeId, const Bytes& req) {
+      ++executions;
+      return replyTo(req);
+    });
+    f.sim.spawn("caller", [&](sim::Process& self) {
+      (void)f.client.transact(self, 2, kPortEcho, toBytes("warm"));
+      executions = 0;
+      const auto& m = f.sim.metrics();
+      const std::uint64_t hits = m.counterValue("server/ratp/reply_cache_hits");
+      const std::uint64_t frags = m.counterValue("server/ratp/fragments_sent");
+      // Let the request through, then drop the next frame on the wire — the
+      // reply's first fragment — which forces a client retransmission.
+      f.sim.schedule(sim::msec(2), [&] { f.ether.dropNextFrames(1); });
+      const Bytes request = toBytes("b");
+      auto r = f.client.transact(self, 2, kPortEcho, request);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.value(), replyTo(request)) << size;
+      EXPECT_EQ(executions, 1) << size;
+      EXPECT_EQ(m.counterValue("server/ratp/reply_cache_hits"), hits + 1) << size;
+      // The reply went out twice: once from the handler, once from the cache.
+      EXPECT_EQ(m.counterValue("server/ratp/fragments_sent"), frags + 2 * ((size + 1480) / 1481))
+          << size;
+    });
+    f.sim.run();
+  }
+}
+
+TEST(Ratp, HandlerStillRunningPastTheCacheTtlIsNotRunAgain) {
+  // The handler outlives the reply cache's 5 s TTL, and the client keeps
+  // retransmitting every 2 s meanwhile. A transaction whose handler is
+  // still running must not be evicted, or a retransmission after 5 s would
+  // dispatch the handler a second time.
   RatpFixture f;
   int executions = 0;
-  f.server.bindService(kPortEcho, [&](sim::Process&, NodeId, const Bytes& req) {
+  f.server.bindService(kPortEcho, [&](sim::Process& self, NodeId, const Bytes& req) {
     ++executions;
+    self.delay(sim::sec(8));
     return req;
   });
   f.sim.spawn("caller", [&](sim::Process& self) {
-    (void)f.client.transact(self, 2, kPortEcho, toBytes("warm"));
-    executions = 0;
-    // Let the request through, then drop the next frame on the wire — the
-    // server's reply — which forces a client retransmission.
-    f.sim.schedule(sim::msec(2), [&] { f.ether.dropNextFrames(1); });
-    auto r = f.client.transact(self, 2, kPortEcho, toBytes("b"));
+    auto r = f.client.transact(self, 2, kPortEcho, toBytes("slow"), RatpOptions{sim::sec(2), 9});
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(toString(r.value()), "b");
-    EXPECT_EQ(executions, 1);
-    EXPECT_GE(f.sim.metrics().counterValue("server/ratp/reply_cache_hits"), 1u);
+    EXPECT_EQ(toString(r.value()), "slow");
   });
   f.sim.run();
+  EXPECT_GE(f.sim.metrics().counterValue("client/ratp/retransmits"), 3u);
+  EXPECT_EQ(executions, 1);
 }
 
 TEST(Ratp, TimesOutWhenServerDown) {

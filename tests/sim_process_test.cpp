@@ -470,6 +470,78 @@ TEST_P(EngineProcess, TenThousandProcessCreateKillSoak) {
   EXPECT_EQ(sim.liveProcessCount(), 0u);
 }
 
+// ---- Delays whose resume is the next event ----
+//
+// A delay() whose resume would be the next event anyway runs without
+// queueing it. Nothing observable may tell the two apart: the counts, the
+// clock at every step and the order against other events all hold whichever
+// way a delay is served.
+
+TEST_P(EngineProcess, DelaysOfALoneProcessCountOneEventAndOneResumeEach) {
+  Simulation sim(cfg());
+  int steps = 0;
+  sim.spawn("lone", [&](Process& self) {
+    for (int i = 0; i < 1000; ++i) {
+      self.delay(msec(1));
+      EXPECT_EQ(sim.now(), msec(i + 1));
+      ++steps;
+    }
+  });
+  EXPECT_EQ(sim.run(), 1001u);  // the first resume, then one per delay
+  EXPECT_EQ(steps, 1000);
+  EXPECT_EQ(sim.now(), msec(1000));
+  EXPECT_EQ(sim.metrics().counterValue("sim/events_executed"), 1001u);
+  EXPECT_EQ(sim.metrics().counterValue("sim/process_resumes"), 1001u);
+}
+
+TEST_P(EngineProcess, RunForHorizonInsideADelayStopsThereAndResumesOnTime) {
+  Simulation sim(cfg());
+  std::vector<TimePoint> woke;
+  sim.spawn("sleeper", [&](Process& self) {
+    for (int i = 0; i < 5; ++i) {
+      self.delay(msec(3));
+      woke.push_back(sim.now());
+    }
+  });
+  EXPECT_EQ(sim.runFor(msec(7)), 3u);  // the first resume and the delays due at 3 and 6 ms
+  EXPECT_EQ(woke, (std::vector<TimePoint>{msec(3), msec(6)}));
+  EXPECT_EQ(sim.now(), msec(7));
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(woke, (std::vector<TimePoint>{msec(3), msec(6), msec(9), msec(12), msec(15)}));
+  EXPECT_EQ(sim.metrics().counterValue("sim/events_executed"), 6u);
+}
+
+TEST_P(EngineProcess, StopBeforeADelayHaltsTheRunBeforeItsResume) {
+  Simulation sim(cfg());
+  bool resumed = false;
+  sim.spawn("stopper", [&](Process& self) {
+    sim.stop();
+    self.delay(msec(1));
+    resumed = true;
+  });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(sim.now(), kZero);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(resumed);
+  EXPECT_EQ(sim.now(), msec(1));
+}
+
+TEST_P(EngineProcess, EventDueExactlyAtADelaysEndRunsBeforeTheResume) {
+  Simulation sim(cfg());
+  std::vector<std::string> order;
+  sim.schedule(msec(5), [&] { order.push_back("event"); });
+  sim.spawn("sleeper", [&](Process& self) {
+    self.delay(msec(2));
+    order.push_back("sleeper@2");
+    self.delay(msec(3));  // ends at 5 ms, where the event is already due
+    order.push_back("sleeper@5");
+  });
+  EXPECT_EQ(sim.run(), 4u);
+  EXPECT_EQ(order, (std::vector<std::string>{"sleeper@2", "event", "sleeper@5"}));
+  EXPECT_EQ(sim.now(), msec(5));
+}
+
 // ---- Pooled fiber stacks ----
 
 TEST(StackPool, ReturnedStackIsHandedOutAgain) {

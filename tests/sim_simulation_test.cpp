@@ -65,6 +65,42 @@ TEST(Simulation, EventsOfEveryKindAtOneTimestampRunInInsertionOrder) {
   sim.run();
   EXPECT_EQ(order, (std::vector<std::string>{"call-1", "delay-p", "timer-q", "call-2", "wake-w",
                                              "call-3", "delay0-p"}));
+
+  // Zero-delay events queued at 10 ms while events queued earlier for
+  // 10 ms are still pending: each waits behind every event queued before
+  // it, whichever kind that one is.
+  order.clear();
+  auto at10 = [&](std::string what) {
+    EXPECT_EQ(sim.now(), msec(10)) << what;
+    order.push_back(std::move(what));
+  };
+  Process* v = nullptr;
+  sim.schedule(msec(5), [&] {  // the first event for 10 ms
+    at10("call-a");
+    v->wake();                                      // resume, queued at 10 ms
+    sim.schedule(kZero, [&] { at10("call-a0"); });  // call, after it
+  });
+  sim.spawn("s", [&](Process& self) {
+    self.delay(msec(5));  // resume for 10 ms, queued at 5 ms after call-a
+    at10("delay-s");
+    self.delay(kZero);  // resume, queued at 10 ms after call-a0
+    at10("delay0-s");
+  });
+  v = &sim.spawn("v", [&](Process& self) {
+    self.block();
+    at10("wake-v");
+    sim.schedule(kZero, [&] { at10("call-v0"); });  // after call-b0
+  });
+  sim.schedule(kZero, [&] {  // at 5 ms: two calls for 10 ms, after delay-s
+    sim.schedule(msec(5), [&] {
+      at10("call-b");
+      sim.schedule(kZero, [&] { at10("call-b0"); });  // after delay0-s
+    });
+    sim.schedule(msec(5), [&] { at10("call-c"); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"call-a", "delay-s", "call-b", "call-c", "wake-v",
+                                             "call-a0", "delay0-s", "call-b0", "call-v0"}));
 }
 
 TEST(Simulation, NestedScheduling) {

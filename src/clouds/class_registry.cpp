@@ -4,15 +4,6 @@
 
 namespace clouds::obj {
 
-const char* opLabelName(OpLabel label) noexcept {
-  switch (label) {
-    case OpLabel::s: return "S";
-    case OpLabel::lcp: return "LCP";
-    case OpLabel::gcp: return "GCP";
-  }
-  return "?";
-}
-
 const EntryPointDef* ClassDef::findEntry(const std::string& entry) const {
   for (const auto& e : entries) {
     if (e.name == entry) return &e;

@@ -31,8 +31,6 @@ class ObjectContext;
 
 enum class OpLabel : std::uint8_t { s = 0, lcp = 1, gcp = 2 };
 
-const char* opLabelName(OpLabel label) noexcept;
-
 // Entry-point bodies may fail with ordinary errors (bad arguments) and are
 // aborted via exception when a consistency scope dies (see TxAborted).
 using EntryFn = std::function<Result<Value>(ObjectContext&, const ValueList&)>;

@@ -124,8 +124,6 @@ class ObjectContext {
   net::NodeId nodeId() const noexcept;
   sim::Process& process() noexcept { return *t_.process; }
   CloudsThread& thread() noexcept { return t_; }
-  sim::TimePoint now() const noexcept;
-  double random01();
 
   // ---- Distributed synchronization (data-server semaphores) ----
   Result<std::uint64_t> semCreate(std::int64_t initial);

@@ -818,8 +818,6 @@ Result<std::string> ObjectContext::readLine() {
 }
 
 net::NodeId ObjectContext::nodeId() const noexcept { return rt_.node_.id(); }
-sim::TimePoint ObjectContext::now() const noexcept { return rt_.node_.simulation().now(); }
-double ObjectContext::random01() { return rt_.node_.simulation().uniform01(); }
 
 Result<std::uint64_t> ObjectContext::semCreate(std::int64_t initial) {
   return rt_.sync_.semCreate(*t_.process, ra::sysnameHome(ao_.desc.data_seg), initial);

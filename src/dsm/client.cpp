@@ -175,7 +175,7 @@ Result<void> DsmClientPartition::sendWriteBackBatch(
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::write_back_batch));
   e.boolean(drop);
-  encodePageUpdates(e, updates);
+  store::encodePageUpdates(e, updates);
   CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(segment), std::move(e).take()));
   Decoder d(reply);
   return decodeStatus(d, "write back batch");
@@ -311,18 +311,6 @@ Result<Sysname> DsmClientPartition::createSegment(sim::Process& self, net::NodeI
   Decoder d(reply);
   CLOUDS_TRY(decodeStatus(d, "create segment"));
   return d.sysname();
-}
-
-Result<void> DsmClientPartition::adoptSegment(sim::Process& self, const Sysname& name,
-                                              std::uint64_t length, bool zero_fill) {
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(Op::adopt_segment));
-  e.sysname(name);
-  e.u64(length);
-  e.boolean(zero_fill);
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(name), std::move(e).take()));
-  Decoder d(reply);
-  return decodeStatus(d, "adopt segment");
 }
 
 Result<void> DsmClientPartition::destroySegment(sim::Process& self, const Sysname& name) {

@@ -54,8 +54,6 @@ class DsmClientPartition : public ra::Partition {
   // ---- Segment management (routed to the named data server) ----
   Result<Sysname> createSegment(sim::Process& self, net::NodeId home, std::uint64_t length,
                                 bool zero_fill = true);
-  Result<void> adoptSegment(sim::Process& self, const Sysname& name, std::uint64_t length,
-                            bool zero_fill = true);
   Result<void> destroySegment(sim::Process& self, const Sysname& name);
 
   // ---- Hooks for the consistency layer ----

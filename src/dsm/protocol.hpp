@@ -23,7 +23,6 @@ enum class Op : std::uint8_t {
   read_page = 1,
   write_page = 2,
   create_segment = 4,
-  adopt_segment = 5,
   stat_segment = 6,
   destroy_segment = 7,
   write_back_batch = 8,  // dirty pages of one segment in one exchange
@@ -63,27 +62,6 @@ inline Result<ra::PageKey> decodePageKey(Decoder& d) {
   CLOUDS_TRY_ASSIGN(seg, d.sysname());
   CLOUDS_TRY_ASSIGN(page, d.u32());
   return ra::PageKey{seg, page};
-}
-
-// A page-update list, as write_back_batch and tx_prepare carry it:
-// n:u32, then n x (PageKey, bytes).
-inline void encodePageUpdates(Encoder& e, const std::vector<store::PageUpdate>& updates) {
-  e.u32(static_cast<std::uint32_t>(updates.size()));
-  for (const store::PageUpdate& u : updates) {
-    encodePageKey(e, u.key);
-    e.bytes(u.data);
-  }
-}
-
-inline Result<std::vector<store::PageUpdate>> decodePageUpdates(Decoder& d) {
-  CLOUDS_TRY_ASSIGN(count, d.u32());
-  std::vector<store::PageUpdate> updates;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    CLOUDS_TRY_ASSIGN(key, decodePageKey(d));
-    CLOUDS_TRY_ASSIGN(data, d.bytes());
-    updates.push_back(store::PageUpdate{key, std::move(data)});
-  }
-  return updates;
 }
 
 // A page grant flowing data server -> client.

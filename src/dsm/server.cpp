@@ -349,12 +349,6 @@ Result<Sysname> DsmServer::handleCreate(sim::Process& self, std::uint64_t length
   return store_.createSegment(length, zero_fill);
 }
 
-Result<void> DsmServer::handleAdopt(sim::Process& self, const Sysname& name,
-                                    std::uint64_t length, bool zero_fill) {
-  node_.cpu().compute(self, node_.cost().dsm_server_lookup);
-  return store_.adoptSegment(name, length, zero_fill);
-}
-
 Result<ra::SegmentInfo> DsmServer::handleStat(sim::Process& self, const Sysname& name) {
   node_.cpu().compute(self, node_.cost().dsm_server_lookup);
   return store_.stat(name);
@@ -570,7 +564,7 @@ Bytes DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Bytes& r
     }
     case Op::write_back_batch: {
       auto drop = d.boolean();
-      auto updates = decodePageUpdates(d);
+      auto updates = store::decodePageUpdates(d);
       if (!drop.ok() || !updates.ok()) {
         encodeStatus(reply, Errc::bad_argument);
         break;
@@ -588,18 +582,6 @@ Bytes DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Bytes& r
       auto r = handleCreate(self, length.value(), zf.value());
       encodeStatus(reply, r.code());
       if (r.ok()) reply.sysname(r.value());
-      break;
-    }
-    case Op::adopt_segment: {
-      auto name = d.sysname();
-      auto length = d.u64();
-      auto zf = d.boolean();
-      if (!name.ok() || !length.ok() || !zf.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      auto r = handleAdopt(self, name.value(), length.value(), zf.value());
-      encodeStatus(reply, r.code());
       break;
     }
     case Op::stat_segment: {
@@ -673,7 +655,7 @@ Bytes DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Bytes& r
     }
     case Op::tx_prepare: {
       auto txid = d.u64();
-      auto updates = decodePageUpdates(d);
+      auto updates = store::decodePageUpdates(d);
       if (!txid.ok() || !updates.ok()) {
         encodeStatus(reply, Errc::bad_argument);
         break;

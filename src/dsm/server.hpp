@@ -110,8 +110,6 @@ class DsmServer {
 
   // ---- Segment management ----
   Result<Sysname> handleCreate(sim::Process& self, std::uint64_t length, bool zero_fill);
-  Result<void> handleAdopt(sim::Process& self, const Sysname& name, std::uint64_t length,
-                           bool zero_fill);
   Result<ra::SegmentInfo> handleStat(sim::Process& self, const Sysname& name);
   Result<void> handleDestroy(sim::Process& self, const Sysname& name);
 

@@ -69,7 +69,7 @@ Result<void> SyncClient::prepare(sim::Process& self, net::NodeId server, std::ui
   Encoder e;
   e.u8(static_cast<std::uint8_t>(Op::tx_prepare));
   e.u64(txid);
-  encodePageUpdates(e, updates);
+  store::encodePageUpdates(e, updates);
   CLOUDS_TRY_ASSIGN(reply, dsm_.exchange(self, server, std::move(e).take()));
   Decoder d(reply);
   return decodeStatus(d, "tx_prepare");

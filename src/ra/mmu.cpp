@@ -38,10 +38,4 @@ Result<void> Mmu::access(sim::Process& self, const VirtualSpace& space, VAddr ad
   return okResult();
 }
 
-std::uint64_t Mmu::faultCount() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& p : node_.partitions()) n += p->faultCount();
-  return n;
-}
-
 }  // namespace clouds::ra

@@ -38,8 +38,6 @@ class Mmu {
                  ByteSpan(reinterpret_cast<const std::byte*>(&value), sizeof(T)));
   }
 
-  std::uint64_t faultCount() const noexcept;  // served by this node's partitions
-
  private:
   Result<void> access(sim::Process& self, const VirtualSpace& space, VAddr addr,
                       std::size_t length, Access mode, std::byte* in_out);

@@ -66,12 +66,6 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-void Histogram::clear() {
-  counts_.assign(bounds_.size() + 1, 0);
-  count_ = 0;
-  sum_ = 0;
-}
-
 // ---- MetricsRegistry ----
 
 std::uint64_t& MetricsRegistry::counter(const std::string& name) {

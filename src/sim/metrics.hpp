@@ -54,7 +54,6 @@ class Histogram {
   // Fold another histogram in. Both must share bounds (same metric from
   // same-config universes); mismatched shapes are a programming error.
   void merge(const Histogram& other);
-  void clear();
 
  private:
   std::vector<std::int64_t> bounds_;   // ascending inclusive upper bounds

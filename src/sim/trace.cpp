@@ -1,18 +1,9 @@
 #include "sim/trace.hpp"
 
-#include <cstdio>
-
 namespace clouds::sim {
-
-std::string TraceEntry::toString() const {
-  char head[48];
-  std::snprintf(head, sizeof(head), "[%12.3f ms] ", toMillis(at));
-  return std::string(head) + source + " " + category + ": " + message;
-}
 
 void TraceSink::record(TimePoint at, std::string source, std::string category,
                        std::string message) {
-  if (!enabled_) return;
   ++count_;
   digest_ = clouds::fnv1a(source, digest_);
   digest_ = clouds::fnv1a(category, digest_);

@@ -1,9 +1,10 @@
 // Event tracing.
 //
-// Every subsystem can emit (time, source, category, message) records. Traces
-// serve two purposes: debugging protocol interactions, and the determinism
-// test — two runs with the same seed must produce byte-identical traces, so
-// the suite compares trace digests.
+// Every subsystem can emit (time, source, category, message) records. Each
+// one is folded into a rolling digest, which is what the determinism suite
+// compares: two runs with the same seed must produce byte-identical traces.
+// The records themselves are kept only on request, for a test or a debugging
+// session that reads them; a run keeps none.
 #pragma once
 
 #include <cstdint>
@@ -20,19 +21,15 @@ struct TraceEntry {
   std::string source;    // node or subsystem name
   std::string category;  // e.g. "ratp", "dsm", "fault"
   std::string message;
-
-  std::string toString() const;
 };
 
 class TraceSink {
  public:
   void record(TimePoint at, std::string source, std::string category, std::string message);
 
-  void setEnabled(bool enabled) noexcept { enabled_ = enabled; }
-  bool enabled() const noexcept { return enabled_; }
-
-  // Keep the rolling digest but drop stored entries (benches trace millions
-  // of events; the digest alone is enough for determinism checks).
+  // Store every record for entries() as well as digesting it. Off by
+  // default: a benchmark universe traces hundreds of thousands of records
+  // that nothing reads, and the digest alone carries the determinism check.
   void setKeepEntries(bool keep) noexcept { keep_entries_ = keep; }
 
   const std::vector<TraceEntry>& entries() const noexcept { return entries_; }
@@ -41,8 +38,7 @@ class TraceSink {
   void clear();
 
  private:
-  bool enabled_ = true;
-  bool keep_entries_ = true;
+  bool keep_entries_ = false;
   std::vector<TraceEntry> entries_;
   std::uint64_t digest_ = 0xcbf29ce484222325ULL;
   std::size_t count_ = 0;

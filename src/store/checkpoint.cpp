@@ -48,21 +48,4 @@ void DirtyTable::purgeBeyond(const Sysname& segment, ra::PageIndex page_count) {
   pages_.erase(range.begin(), range.end());
 }
 
-std::uint64_t chainHash(std::uint64_t prev, const ra::PageKey& key, ByteSpan data) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = prev ^ 14695981039346656037ull;
-  auto mix = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (i * 8)) & 0xff)) * kPrime;
-    }
-  };
-  mix(key.segment.hi());
-  mix(key.segment.lo());
-  mix(key.page);
-  for (const std::byte b : data) {
-    h = (h ^ static_cast<std::uint64_t>(b)) * kPrime;
-  }
-  return h;
-}
-
 }  // namespace clouds::store::wal

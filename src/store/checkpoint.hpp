@@ -1,15 +1,11 @@
-// Dirty-page table and checkpoint hashing for the wal engine
-// (docs/STORAGE.md).
+// Dirty-page table for the wal engine (docs/STORAGE.md).
 //
 // Committed page images live here between the log force that made them
 // durable and the asynchronous write-back that folds them into the segment
 // images. Reads are served from this table first (read-your-committed-
 // writes), and repeated writes to a hot page coalesce — only the newest
-// image is ever written back.
-//
-// Checkpoints are content-addressed: every write-back sweep chains an
-// FNV-1a hash of the images it applied onto the previous checkpoint's hash,
-// so a checkpoint record names the exact image state it certifies.
+// image is ever written back. The oldest staged LSN bounds how far a
+// checkpoint may advance the applied watermark.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +54,5 @@ class DirtyTable {
  private:
   std::map<ra::PageKey, DirtyPage> pages_;
 };
-
-// Chained checkpoint content hash (FNV-1a over key + image bytes).
-std::uint64_t chainHash(std::uint64_t prev, const ra::PageKey& key, ByteSpan data);
 
 }  // namespace clouds::store::wal

@@ -77,19 +77,11 @@ void DiskStore::cacheInsert(const ra::PageKey& key) {
 
 Result<Sysname> DiskStore::createSegment(std::uint64_t length, bool zero_fill) {
   const Sysname name = ra::makeHomedSysname(home_, next_seq_++);
-  CLOUDS_TRY(adoptSegment(name, length, zero_fill));
-  return name;
-}
-
-Result<void> DiskStore::adoptSegment(const Sysname& name, std::uint64_t length, bool zero_fill) {
-  if (name.isNull()) return makeError(Errc::bad_argument, "null segment name");
-  if (segments_.count(name) != 0) {
+  if (!segments_.emplace(name, StoredSegment{ra::SegmentInfo{name, length, zero_fill}, {}})
+           .second) {
     return makeError(Errc::already_exists, "segment exists: " + name.toString());
   }
-  StoredSegment seg;
-  seg.info = ra::SegmentInfo{name, length, zero_fill};
-  segments_.emplace(name, std::move(seg));
-  return okResult();
+  return name;
 }
 
 Result<ra::SegmentInfo> DiskStore::stat(const Sysname& segment) const {
@@ -120,11 +112,10 @@ Result<void> DiskStore::destroySegment(const Sysname& segment) {
     return makeError(Errc::not_found, "no segment " + segment.toString());
   }
   if (engine_ == StoreEngine::wal) {
-    // Scrub the committed images so a later adopt of the same sysname (a
-    // replica re-placed here) cannot inherit the destroyed segment's pages
-    // through replay. Prepare records are intentionally left alone: the flat
-    // engine's prepared map also survives a destroy, and the commit then
-    // fails against the missing segment in both engines.
+    // Drop the committed images: no read can reach them again. Prepare
+    // records are intentionally left alone: the flat engine's prepared map
+    // also survives a destroy, and the commit then fails against the
+    // missing segment in both engines.
     dirty_.purgeSegment(segment);
     scrubLogUpdates(segment, 0);
   }
@@ -140,13 +131,6 @@ void DiskStore::scrubLogUpdates(const Sysname& segment, ra::PageIndex page_count
                                    }),
                     r.updates.end());
   }
-}
-
-std::vector<Sysname> DiskStore::listSegments() const {
-  std::vector<Sysname> out;
-  out.reserve(segments_.size());
-  for (const auto& [name, _] : segments_) out.push_back(name);
-  return out;
 }
 
 // ---- Disk-time charging ------------------------------------------------
@@ -449,7 +433,6 @@ Result<std::size_t> DiskStore::writeBackSome(sim::Process& self, std::size_t max
   const auto batch = dirty_.pickBatch(log_.durableLsn(), max_pages);
   if (batch.empty()) return std::size_t{0};
   std::size_t applied = 0;
-  std::uint64_t hash = log_.contentHash();
   {
     sim::SimLockGuard arm(arm_, self);
     if (crash_epoch_ != epoch) return std::size_t{0};
@@ -469,7 +452,6 @@ Result<std::size_t> DiskStore::writeBackSome(sim::Process& self, std::size_t max
       ++*m_writes_;
       ++*m_wal_pages_wb_;
       cacheInsert(key);
-      hash = wal::chainHash(hash, key, dp.data);
       ++applied;
       dirty_.applied(key, dp.lsn);
     }
@@ -482,10 +464,9 @@ Result<std::size_t> DiskStore::writeBackSome(sim::Process& self, std::size_t max
   wal::Record ck;
   ck.kind = wal::RecordKind::checkpoint;
   ck.applied_lsn = new_applied;
-  ck.content_hash = hash;
   const std::uint64_t ck_lsn = log_.append(std::move(ck));
   ++*m_wal_records_;
-  log_.setApplied(new_applied, hash);
+  log_.setApplied(new_applied);
   ++*m_wal_checkpoints_;
   CLOUDS_TRY(forceLog(self, ck_lsn));
   const std::size_t dropped = log_.truncate();
@@ -532,14 +513,10 @@ void DiskStore::loseVolatileState() {
   // checkpoint record was lost simply gets its pages re-staged and
   // re-applied — idempotent, because only durable records reach the images.)
   std::uint64_t applied = 0;
-  std::uint64_t hash = 0;
   for (const wal::Record& r : log_.records()) {
-    if (r.kind == wal::RecordKind::checkpoint) {
-      applied = r.applied_lsn;
-      hash = r.content_hash;
-    }
+    if (r.kind == wal::RecordKind::checkpoint) applied = r.applied_lsn;
   }
-  log_.setApplied(applied, hash);
+  log_.setApplied(applied);
   rebuildVolatileFromLog();
   force_waiters_.notifyAll();
 }
@@ -603,48 +580,40 @@ Result<std::size_t> DiskStore::recover(sim::Process& self) {
 // ---- Snapshots ---------------------------------------------------------
 
 namespace {
-constexpr std::uint32_t kSnapshotMagicV1 = 0xC10D5701u;
-constexpr std::uint32_t kSnapshotMagicV2 = 0xC10D5702u;
+// One layout per magic: a file under any other magic is refused, not
+// misparsed.
+constexpr std::uint32_t kSnapshotMagic = 0xC10D5703u;
 
-void encodePrepared(Encoder& e,
-                    const std::vector<std::pair<std::uint64_t, std::vector<PageUpdate>>>& txns) {
+using PreparedTxns = std::vector<std::pair<std::uint64_t, std::vector<PageUpdate>>>;
+
+void encodePrepared(Encoder& e, const PreparedTxns& txns) {
   e.u32(static_cast<std::uint32_t>(txns.size()));
   for (const auto& [txid, updates] : txns) {
     e.u64(txid);
-    e.u32(static_cast<std::uint32_t>(updates.size()));
-    for (const auto& u : updates) {
-      e.sysname(u.key.segment);
-      e.u32(u.key.page);
-      e.bytes(u.data);
-    }
+    encodePageUpdates(e, updates);
   }
 }
 
-Result<std::vector<std::pair<std::uint64_t, std::vector<PageUpdate>>>> decodePrepared(
-    Decoder& d) {
+Result<PreparedTxns> decodePrepared(Decoder& d) {
   CLOUDS_TRY_ASSIGN(ntx, d.u32());
-  std::vector<std::pair<std::uint64_t, std::vector<PageUpdate>>> txns;
-  txns.reserve(ntx);
+  PreparedTxns txns;
   for (std::uint32_t i = 0; i < ntx; ++i) {
     CLOUDS_TRY_ASSIGN(txid, d.u64());
-    CLOUDS_TRY_ASSIGN(nupd, d.u32());
-    std::vector<PageUpdate> updates;
-    updates.reserve(nupd);
-    for (std::uint32_t u = 0; u < nupd; ++u) {
-      CLOUDS_TRY_ASSIGN(seg, d.sysname());
-      CLOUDS_TRY_ASSIGN(page, d.u32());
-      CLOUDS_TRY_ASSIGN(data, d.bytes());
-      updates.push_back(PageUpdate{ra::PageKey{seg, page}, std::move(data)});
-    }
+    CLOUDS_TRY_ASSIGN(updates, decodePageUpdates(d));
     txns.emplace_back(txid, std::move(updates));
   }
   return txns;
+}
+
+bool wholePages(const std::vector<PageUpdate>& updates) {
+  return std::all_of(updates.begin(), updates.end(),
+                     [](const PageUpdate& u) { return u.data.size() == ra::kPageSize; });
 }
 }  // namespace
 
 Result<void> DiskStore::saveTo(const std::string& path) const {
   Encoder e;
-  e.u32(kSnapshotMagicV2);  // magic + version
+  e.u32(kSnapshotMagic);
   e.u32(home_);
   e.u64(next_seq_);
   e.u32(static_cast<std::uint32_t>(segments_.size()));
@@ -659,7 +628,7 @@ Result<void> DiskStore::saveTo(const std::string& path) const {
     }
   }
   // Engine-neutral prepared section, so either engine can load the snapshot.
-  std::vector<std::pair<std::uint64_t, std::vector<PageUpdate>>> txns;
+  PreparedTxns txns;
   if (engine_ == StoreEngine::wal) {
     for (const auto& [txid, lsn] : prepared_lsn_) {
       const wal::Record* prep = log_.findPrepare(txid);
@@ -729,9 +698,7 @@ Result<void> DiskStore::loadFrom(const std::string& path) {
 
   Decoder d(buf);
   CLOUDS_TRY_ASSIGN(magic, d.u32());
-  if (magic != kSnapshotMagicV1 && magic != kSnapshotMagicV2) {
-    return makeError(Errc::io, "bad snapshot magic in " + path);
-  }
+  if (magic != kSnapshotMagic) return makeError(Errc::io, "bad snapshot magic in " + path);
   CLOUDS_TRY_ASSIGN(home, d.u32());
   CLOUDS_TRY_ASSIGN(seq, d.u64());
   CLOUDS_TRY_ASSIGN(nsegs, d.u32());
@@ -746,18 +713,27 @@ Result<void> DiskStore::loadFrom(const std::string& path) {
     for (std::uint32_t p = 0; p < npages; ++p) {
       CLOUDS_TRY_ASSIGN(idx, d.u32());
       CLOUDS_TRY_ASSIGN(data, d.bytes());
+      // readPage copies kPageSize bytes out of every stored page.
+      if (idx >= seg.info.pageCount() || data.size() != ra::kPageSize) {
+        return makeError(Errc::io,
+                         "bad page " + ra::PageKey{name, idx}.toString() + " in " + path);
+      }
       seg.pages.emplace(idx, std::move(data));
     }
     segments.emplace(name, std::move(seg));
   }
   CLOUDS_TRY_ASSIGN(txns, decodePrepared(d));
-  bool has_wal = false;
+  CLOUDS_TRY_ASSIGN(wal_flag, d.u8());
+  const bool has_wal = wal_flag != 0;
   wal::Log loaded_log;
-  if (magic == kSnapshotMagicV2) {
-    CLOUDS_TRY_ASSIGN(wal_flag, d.u8());
-    has_wal = wal_flag != 0;
-    if (has_wal) CLOUDS_TRY(loaded_log.decode(d));
-  }
+  if (has_wal) CLOUDS_TRY(loaded_log.decode(d));
+  // Prepared and logged images reach the same kPageSize copies through
+  // commit, the dirty table and replay.
+  const bool whole =
+      std::all_of(txns.begin(), txns.end(), [](const auto& t) { return wholePages(t.second); }) &&
+      std::all_of(loaded_log.records().begin(), loaded_log.records().end(),
+                  [](const wal::Record& r) { return wholePages(r.updates); });
+  if (!whole) return makeError(Errc::io, "bad page image size in " + path);
 
   home_ = home;
   next_seq_ = seq;

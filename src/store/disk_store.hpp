@@ -66,12 +66,9 @@ class DiskStore {
 
   // ---- Segment operations (metadata is cheap; page I/O pays disk time) ----
   Result<Sysname> createSegment(std::uint64_t length, bool zero_fill = true);
-  // Adopt a segment under a caller-chosen sysname (replica placement).
-  Result<void> adoptSegment(const Sysname& name, std::uint64_t length, bool zero_fill = true);
   Result<ra::SegmentInfo> stat(const Sysname& segment) const;
   Result<void> resize(const Sysname& segment, std::uint64_t new_length);
   Result<void> destroySegment(const Sysname& segment);
-  std::vector<Sysname> listSegments() const;
 
   // Read a page into out (kPageSize bytes). Pages never written read as
   // zeroes and cost no disk I/O; `was_written` reports which case occurred
@@ -102,7 +99,7 @@ class DiskStore {
   bool needsWriteBack() const;
   // One bounded sweep: apply up to max_pages durable dirty images to the
   // segments (one seek amortized over the batch), append + force a
-  // content-hash checkpoint record, truncate the log. Returns pages applied.
+  // checkpoint record, truncate the log. Returns pages applied.
   Result<std::size_t> writeBackSome(sim::Process& self, std::size_t max_pages);
   // Charge reboot-time log replay (state is already rebuilt eagerly by
   // loseVolatileState); returns the records replayed. No-op under flat.
@@ -134,6 +131,9 @@ class DiskStore {
   void attachMetrics(sim::MetricsRegistry& metrics, const std::string& scope);
 
   // Snapshot all durable state to / from a host file (survives the process).
+  // loadFrom refuses a file of another format version, or one whose page
+  // images or log records could not have been written, with Errc::io and
+  // leaves the store unchanged.
   Result<void> saveTo(const std::string& path) const;
   Result<void> loadFrom(const std::string& path);
 
@@ -143,7 +143,6 @@ class DiskStore {
   std::uint64_t walRecordCount() const noexcept { return log_.recordCount(); }
   std::uint64_t walDurableLsn() const noexcept { return log_.durableLsn(); }
   std::uint64_t walAppliedLsn() const noexcept { return log_.appliedLsn(); }
-  std::uint64_t walCheckpointHash() const noexcept { return log_.contentHash(); }
   std::size_t dirtyPageCount() const noexcept { return dirty_.size(); }
 
  private:

@@ -3,7 +3,30 @@
 #include <algorithm>
 #include <map>
 
-namespace clouds::store::wal {
+namespace clouds::store {
+
+void encodePageUpdates(Encoder& e, const std::vector<PageUpdate>& updates) {
+  e.u32(static_cast<std::uint32_t>(updates.size()));
+  for (const PageUpdate& u : updates) {
+    e.sysname(u.key.segment);
+    e.u32(u.key.page);
+    e.bytes(u.data);
+  }
+}
+
+Result<std::vector<PageUpdate>> decodePageUpdates(Decoder& d) {
+  CLOUDS_TRY_ASSIGN(count, d.u32());
+  std::vector<PageUpdate> updates;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    CLOUDS_TRY_ASSIGN(segment, d.sysname());
+    CLOUDS_TRY_ASSIGN(page, d.u32());
+    CLOUDS_TRY_ASSIGN(data, d.bytes());
+    updates.push_back(PageUpdate{ra::PageKey{segment, page}, std::move(data)});
+  }
+  return updates;
+}
+
+namespace wal {
 
 std::uint64_t Log::append(Record r) {
   r.lsn = next_lsn_++;
@@ -78,42 +101,35 @@ void Log::clear() {
   next_lsn_ = 1;
   durable_lsn_ = 0;
   applied_lsn_ = 0;
-  content_hash_ = 0;
 }
 
 void Log::encode(Encoder& e) const {
   e.u64(next_lsn_);
   e.u64(durable_lsn_);
   e.u64(applied_lsn_);
-  e.u64(content_hash_);
   e.u32(static_cast<std::uint32_t>(records_.size()));
   for (const Record& r : records_) {
     e.u8(static_cast<std::uint8_t>(r.kind));
     e.u64(r.lsn);
     e.u64(r.txid);
     e.u64(r.applied_lsn);
-    e.u64(r.content_hash);
-    e.u32(static_cast<std::uint32_t>(r.updates.size()));
-    for (const PageUpdate& u : r.updates) {
-      e.sysname(u.key.segment);
-      e.u32(u.key.page);
-      e.bytes(u.data);
-    }
+    encodePageUpdates(e, r.updates);
   }
 }
 
 Result<void> Log::decode(Decoder& d) {
-  clear();
   CLOUDS_TRY_ASSIGN(next, d.u64());
   CLOUDS_TRY_ASSIGN(durable, d.u64());
   CLOUDS_TRY_ASSIGN(applied, d.u64());
-  CLOUDS_TRY_ASSIGN(hash, d.u64());
   CLOUDS_TRY_ASSIGN(count, d.u32());
   std::vector<Record> records;
-  records.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     Record r;
     CLOUDS_TRY_ASSIGN(kind, d.u8());
+    if (kind < static_cast<std::uint8_t>(RecordKind::page_write) ||
+        kind > static_cast<std::uint8_t>(RecordKind::checkpoint)) {
+      return makeError(Errc::io, "bad log record kind " + std::to_string(kind));
+    }
     r.kind = static_cast<RecordKind>(kind);
     CLOUDS_TRY_ASSIGN(lsn, d.u64());
     r.lsn = lsn;
@@ -121,23 +137,17 @@ Result<void> Log::decode(Decoder& d) {
     r.txid = txid;
     CLOUDS_TRY_ASSIGN(rec_applied, d.u64());
     r.applied_lsn = rec_applied;
-    CLOUDS_TRY_ASSIGN(rec_hash, d.u64());
-    r.content_hash = rec_hash;
-    CLOUDS_TRY_ASSIGN(nupd, d.u32());
-    for (std::uint32_t u = 0; u < nupd; ++u) {
-      CLOUDS_TRY_ASSIGN(seg, d.sysname());
-      CLOUDS_TRY_ASSIGN(page, d.u32());
-      CLOUDS_TRY_ASSIGN(data, d.bytes());
-      r.updates.push_back(PageUpdate{ra::PageKey{seg, page}, std::move(data)});
-    }
+    CLOUDS_TRY_ASSIGN(updates, decodePageUpdates(d));
+    r.updates = std::move(updates);
     records.push_back(std::move(r));
   }
+  clear();
   next_lsn_ = next;
   durable_lsn_ = durable;
   applied_lsn_ = applied;
-  content_hash_ = hash;
   records_ = std::move(records);
   return okResult();
 }
 
-}  // namespace clouds::store::wal
+}  // namespace wal
+}  // namespace clouds::store

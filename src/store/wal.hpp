@@ -8,10 +8,11 @@
 // torn-tail rule — a force batch is persisted as a prefix or not at all).
 //
 // Truncation keeps recovery bounded: once the checkpointer has applied every
-// page-bearing record up to `applied_lsn_` into the images, records at or
-// below that watermark can be dropped — except prepare records whose
-// transaction is still undecided or whose decision sits above the watermark,
-// because a replayed decision needs the prepared page images.
+// page-bearing record up to `applied_lsn_` into the images (a checkpoint
+// record carries that watermark and nothing else), records at or below it
+// can be dropped — except prepare records whose transaction is still
+// undecided or whose decision sits above the watermark, because a replayed
+// decision needs the prepared page images.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +31,11 @@ struct PageUpdate {
   Bytes data;  // exactly kPageSize bytes
 };
 
+// A page-update list as the DSM wire and the store snapshot carry it:
+// n:u32, then n x (segment, page:u32, bytes).
+void encodePageUpdates(Encoder& e, const std::vector<PageUpdate>& updates);
+Result<std::vector<PageUpdate>> decodePageUpdates(Decoder& d);
+
 namespace wal {
 
 enum class RecordKind : std::uint8_t {
@@ -37,7 +43,7 @@ enum class RecordKind : std::uint8_t {
   prepare = 2,     // 2PC phase 1: staged page images, not yet visible
   commit = 3,      // 2PC decision: the matching prepare's images become current
   abort = 4,       // 2PC decision: the matching prepare is discarded
-  checkpoint = 5,  // images reflect everything <= applied_lsn; chained content hash
+  checkpoint = 5,  // images reflect everything <= applied_lsn
 };
 
 struct Record {
@@ -46,7 +52,6 @@ struct Record {
   std::uint64_t txid = 0;                // prepare / commit / abort
   std::vector<PageUpdate> updates;       // page_write / prepare payload
   std::uint64_t applied_lsn = 0;         // checkpoint
-  std::uint64_t content_hash = 0;        // checkpoint (chained)
 
   // Pages of payload this record forces into the log (decision and
   // checkpoint records are header-sized: they round to one page at most
@@ -64,14 +69,10 @@ class Log {
   std::uint64_t lastLsn() const noexcept { return next_lsn_ - 1; }
   std::uint64_t durableLsn() const noexcept { return durable_lsn_; }
   std::uint64_t appliedLsn() const noexcept { return applied_lsn_; }
-  std::uint64_t contentHash() const noexcept { return content_hash_; }
   void markDurable(std::uint64_t lsn) noexcept {
     if (lsn > durable_lsn_) durable_lsn_ = lsn;
   }
-  void setApplied(std::uint64_t lsn, std::uint64_t hash) noexcept {
-    applied_lsn_ = lsn;
-    content_hash_ = hash;
-  }
+  void setApplied(std::uint64_t lsn) noexcept { applied_lsn_ = lsn; }
 
   const std::vector<Record>& records() const noexcept { return records_; }
   // Mutable access for the store's destroy/resize scrub (see DiskStore).
@@ -104,7 +105,6 @@ class Log {
   std::uint64_t next_lsn_ = 1;
   std::uint64_t durable_lsn_ = 0;
   std::uint64_t applied_lsn_ = 0;
-  std::uint64_t content_hash_ = 0;
 };
 
 }  // namespace wal

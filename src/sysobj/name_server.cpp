@@ -9,9 +9,9 @@ enum class NameOp : std::uint8_t { bind = 50, lookup = 51, unbind = 52, list = 5
 // hops than this means a cycle.
 constexpr int kMaxForwardChain = 8;
 
-// Name-snapshot magics: v1 = bindings only, v2 adds the forwards section.
-constexpr std::uint32_t kSnapshotMagicV1 = 0xC10D7A3Eu;
-constexpr std::uint32_t kSnapshotMagicV2 = 0xC10D7A3Fu;
+// Name-snapshot magic: bindings, then forwards. A file under any other
+// magic is refused.
+constexpr std::uint32_t kSnapshotMagic = 0xC10D7A3Fu;
 
 void encodeStatus(Encoder& e, Errc c) { e.u8(static_cast<std::uint8_t>(c)); }
 
@@ -105,7 +105,7 @@ std::vector<std::string> NameServer::list() const {
 
 Result<void> NameServer::saveTo(const std::string& path) const {
   Encoder e;
-  e.u32(kSnapshotMagicV2);
+  e.u32(kSnapshotMagic);
   e.u32(static_cast<std::uint32_t>(bindings_.size()));
   for (const auto& [name, binding] : bindings_) {
     e.str(name);
@@ -135,9 +135,7 @@ Result<void> NameServer::loadFrom(const std::string& path) {
   std::fclose(f);
   Decoder d(buf);
   CLOUDS_TRY_ASSIGN(magic, d.u32());
-  if (magic != kSnapshotMagicV1 && magic != kSnapshotMagicV2) {
-    return makeError(Errc::io, "bad name snapshot in " + path);
-  }
+  if (magic != kSnapshotMagic) return makeError(Errc::io, "bad name snapshot in " + path);
   CLOUDS_TRY_ASSIGN(count, d.u32());
   std::map<std::string, Binding> loaded;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -151,13 +149,11 @@ Result<void> NameServer::loadFrom(const std::string& path) {
     loaded.emplace(std::move(name), std::move(b));
   }
   std::map<Sysname, Sysname> fwd_loaded;
-  if (magic == kSnapshotMagicV2) {
-    CLOUDS_TRY_ASSIGN(fwds, d.u32());
-    for (std::uint32_t i = 0; i < fwds; ++i) {
-      CLOUDS_TRY_ASSIGN(from, d.sysname());
-      CLOUDS_TRY_ASSIGN(to, d.sysname());
-      fwd_loaded.emplace(from, to);
-    }
+  CLOUDS_TRY_ASSIGN(fwds, d.u32());
+  for (std::uint32_t i = 0; i < fwds; ++i) {
+    CLOUDS_TRY_ASSIGN(from, d.sysname());
+    CLOUDS_TRY_ASSIGN(to, d.sysname());
+    fwd_loaded.emplace(from, to);
   }
   bindings_ = std::move(loaded);
   forwards_ = std::move(fwd_loaded);

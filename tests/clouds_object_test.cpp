@@ -200,6 +200,52 @@ TEST(CloudsObject, VolatileHeapDoesNotPersist) {
   EXPECT_EQ(peek.value().asString().value(), std::string(7, '\0'));
 }
 
+TEST(CloudsObject, VallocRoundTripsThroughTheVolatileHeap) {
+  auto c = makeCluster();
+  obj::ClassDef v;
+  v.name = "valloctest";
+  v.entry("roundtrip", [](obj::ObjectContext& ctx, const ValueList&) -> Result<Value> {
+    CLOUDS_TRY_ASSIGN(first, ctx.valloc(5));
+    CLOUDS_TRY_ASSIGN(second, ctx.valloc(16));
+    if (second < first + 5) return makeError(Errc::internal, "allocations overlap");
+    CLOUDS_TRY(ctx.writeVHeap(first, toBytes("alpha")));
+    CLOUDS_TRY(ctx.writeVHeap(second, toBytes("beta")));
+    Bytes a(5), b(4);
+    CLOUDS_TRY(ctx.readVHeap(first, a));
+    CLOUDS_TRY(ctx.readVHeap(second, b));
+    return Value{toString(a) + "/" + toString(b)};
+  });
+  v.entry("zero", [](obj::ObjectContext& ctx, const ValueList&) -> Result<Value> {
+    CLOUDS_TRY(ctx.valloc(0));
+    return Value{};
+  });
+  c->classes().registerClass(std::move(v));
+  ASSERT_TRUE(c->create("valloctest", "VA").ok());
+  EXPECT_EQ(c->call("VA", "roundtrip").value(), Value{std::string("alpha/beta")});
+  EXPECT_EQ(c->call("VA", "zero").code(), Errc::bad_argument);
+}
+
+TEST(CloudsObject, EntryPointCreatesAndInvokesAnObject) {
+  // docs/PROGRAMMING.md: an object may create another with
+  // ObjectContext::createObject and invoke it by the name it bound.
+  auto c = makeCluster();
+  const net::NodeId data_server = c->dataNode(0).id();
+  obj::ClassDef factory;
+  factory.name = "factory";
+  factory.entry("make", [data_server](obj::ObjectContext& ctx,
+                                      const ValueList& args) -> Result<Value> {
+    CLOUDS_TRY_ASSIGN(name, args[0].asString());
+    CLOUDS_TRY(ctx.createObject("rectangle", data_server, name));
+    CLOUDS_TRY(ctx.call(name, "size", {6, 7}));
+    return ctx.call(name, "area", {});
+  });
+  c->classes().registerClass(std::move(factory));
+  ASSERT_TRUE(c->create("factory", "F").ok());
+  EXPECT_EQ(c->call("F", "make", {std::string("Made")}).value(), Value{42});
+  // The new object is bound and persistent: reachable from outside too.
+  EXPECT_EQ(c->call("Made", "area").value(), Value{42});
+}
+
 TEST(CloudsObject, PerThreadMemoryIsPerThread) {
   auto c = makeCluster();
   obj::ClassDef tls;
@@ -321,6 +367,11 @@ TEST(CloudsObject, ValueRoundTrip) {
   auto decoded = Value::decodeList(encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), vals);
+  // A real reads back as itself, an integer widens, anything else is a
+  // bad argument.
+  EXPECT_EQ(decoded.value()[1].asDouble().value(), 3.5);
+  EXPECT_EQ(decoded.value()[0].asDouble().value(), -5.0);
+  EXPECT_EQ(decoded.value()[3].asDouble().code(), Errc::bad_argument);
 }
 
 }  // namespace

@@ -346,7 +346,7 @@ TEST(DsmEdge, DestroyDuringBlockedWriteBackKeepsDirectoryEntriesAlive) {
       Encoder e;
       e.u8(static_cast<std::uint8_t>(dsm::Op::write_back_batch));
       e.boolean(false);
-      dsm::encodePageUpdates(
+      store::encodePageUpdates(
           e, {{{f.seg, 0}, Bytes(kPageSize)}, {{f.seg, 1}, Bytes(kPageSize)}});
       (void)serve(p, owner, std::move(e));
       ++finished;

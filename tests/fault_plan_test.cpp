@@ -188,6 +188,38 @@ TEST(FaultPlan, RebootRestoresCleanVolatileStateOverDurableStore) {
   EXPECT_EQ(f.sim.metrics().counterValue("data0/fault/reboots"), 1u);
 }
 
+TEST(FaultPlan, StandaloneRebootRestartsANodeCrashedWithoutOne) {
+  // rebootAt pairs with a crashAt that names no reboot time: the node stays
+  // down until the standalone reboot, then serves its durable pages again.
+  Testbed f(1, 1);
+  Sysname seg = f.data[0].store->createSegment(kPageSize).value();
+  sim::FaultPlan plan(f.sim, 5);
+  f.installFaultHooks(plan);
+  plan.crashAt("data0", sim::msec(100));
+  plan.rebootAt("data0", sim::msec(200));
+  plan.arm();
+  EXPECT_EQ(plan.describe(), "@100000us crash data0\n@200000us reboot data0\n");
+
+  bool down_between = false;
+  bool up_after = false;
+  f.sim.spawn("driver", [&](sim::Process& self) {
+    ASSERT_TRUE(f.data[0].store->writePage(self, {seg, 0}, Bytes(kPageSize, std::byte{0x5c})).ok());
+    ASSERT_LT(f.sim.now(), sim::msec(100));
+    self.delay(sim::msec(150) - f.sim.now());
+    down_between = !f.data[0].node->alive();
+    self.delay(sim::msec(100));
+    up_after = f.data[0].node->alive();
+    auto h = f.compute[0].dsm->resolvePage(self, {seg, 0}, Access::read);
+    ASSERT_TRUE(h.ok());
+    EXPECT_EQ(h.value().data[0], std::byte{0x5c});
+  });
+  f.sim.run();
+  EXPECT_TRUE(down_between);
+  EXPECT_TRUE(up_after);
+  EXPECT_EQ(f.sim.metrics().counterValue("data0/fault/crashes"), 1u);
+  EXPECT_EQ(f.sim.metrics().counterValue("data0/fault/reboots"), 1u);
+}
+
 TEST(FaultPlan, DiskErrorWindowSurfacesIoAndHeals) {
   Testbed f(1, 1);
   sim::FaultPlan plan(f.sim, 3);

@@ -66,6 +66,7 @@ TEST(RatpEdge, ReplyCacheEventuallyEvicts) {
 
 TEST(RatpEdge, MalformedFrameIsIgnored) {
   EdgeFixture f;
+  f.sim.tracer().setKeepEntries(true);  // the drops are counted from the trace
   int executions = 0;
   f.server.bindService(kPortEcho, [&](sim::Process&, NodeId, const Bytes& req) {
     ++executions;

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -119,7 +121,6 @@ TEST(WalStore, CommittedWritesVisibleBeforeWriteBack) {
     EXPECT_EQ(f.store.dirtyPageCount(), 0u);
     EXPECT_EQ(f.store.diskWrites(), 1u);
     EXPECT_GT(f.store.walAppliedLsn(), 0u);
-    EXPECT_NE(f.store.walCheckpointHash(), 0u);
     ASSERT_TRUE(f.store.readPage(self, {name, 1}, buf).ok());
     EXPECT_EQ(buf[0], std::byte{0xab});
   });
@@ -418,6 +419,172 @@ TEST(WalStore, SnapshotRoundTripsAcrossEngines) {
     });
   }
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot loading refuses what saveTo never writes. Each case patches one
+// field of a snapshot that saveTo did write.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kSnapTxid = 0x5eed5eed5eed5eedull;
+
+Bytes readFile(const std::string& path) {
+  Bytes out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  std::byte buf[65536];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.insert(out.end(), buf, buf + n);
+  std::fclose(f);
+  return out;
+}
+
+void writeFile(const std::string& path, const Bytes& data) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  std::fclose(f);
+}
+
+// A wal store's snapshot: one two-page segment whose page 0 (tag 0x0a0a)
+// is written back into the segment image and whose page 1 (tag 0x0b0b) is
+// committed but still only in the log, plus transaction kSnapTxid prepared
+// over page 0.
+Bytes savedSnapshot() {
+  WalFixture f;
+  const Sysname seg = f.store.createSegment(2 * ra::kPageSize).value();
+  f.run([&](sim::Process& self) {
+    ASSERT_TRUE(f.store.writePage(self, {seg, 0}, tagged(0x0a0a)).ok());
+    ASSERT_TRUE(f.store.writeBackSome(self, 64).ok());
+    ASSERT_TRUE(f.store.writePage(self, {seg, 1}, tagged(0x0b0b)).ok());
+    std::vector<PageUpdate> ups;
+    ups.push_back({{seg, 0}, tagged(0x0c0c)});
+    ASSERT_TRUE(f.store.prepare(self, kSnapTxid, std::move(ups)).ok());
+  });
+  const std::string path = ::testing::TempDir() + "/clouds_saved_snapshot.bin";
+  EXPECT_TRUE(f.store.saveTo(path).ok());
+  Bytes file = readFile(path);
+  std::remove(path.c_str());
+  return file;
+}
+
+// A field as the snapshot encodes it.
+Bytes field(const std::function<void(Encoder&)>& put) {
+  Encoder e;
+  put(e);
+  return std::move(e).take();
+}
+
+// Offset of the last copy of `what` in `file`.
+std::size_t lastOffset(const Bytes& file, const Bytes& what) {
+  const auto it = std::find_end(file.begin(), file.end(), what.begin(), what.end());
+  EXPECT_NE(it, file.end());
+  return static_cast<std::size_t>(it - file.begin());
+}
+
+void splice(Bytes& file, std::size_t at, std::size_t length, const Bytes& with) {
+  const auto pos = file.begin() + static_cast<std::ptrdiff_t>(at);
+  file.erase(pos, pos + static_cast<std::ptrdiff_t>(length));
+  file.insert(file.begin() + static_cast<std::ptrdiff_t>(at), with.begin(), with.end());
+}
+
+// Loads `file` into a store that holds a segment of its own: the load must
+// fail with Errc::io and leave that store as it was.
+void expectRefused(const Bytes& file) {
+  const std::string path = ::testing::TempDir() + "/clouds_patched_snapshot.bin";
+  writeFile(path, file);
+  sim::CostModel cost;
+  DiskStore store{300, cost, /*cache=*/8, StoreEngine::wal};
+  const Sysname own = store.createSegment(ra::kPageSize).value();
+  EXPECT_EQ(store.loadFrom(path).code(), Errc::io);
+  EXPECT_TRUE(store.stat(own).ok());
+  EXPECT_EQ(store.homeNode(), 300u);
+  EXPECT_FALSE(store.hasPrepared(kSnapTxid));
+  EXPECT_EQ(store.walRecordCount(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(WalStore, SnapshotLoadRefusesPageImagesOfTheWrongSize) {
+  const Bytes saved = savedSnapshot();
+  {
+    // Unpatched, the snapshot loads and serves both pages.
+    const std::string path = ::testing::TempDir() + "/clouds_unpatched_snapshot.bin";
+    writeFile(path, saved);
+    WalFixture f;
+    ASSERT_TRUE(f.store.loadFrom(path).ok());
+    EXPECT_TRUE(f.store.hasPrepared(kSnapTxid));
+    std::remove(path.c_str());
+  }
+  // readPage copies kPageSize bytes out of a stored page, and out of a
+  // logged one through the dirty table: a 10-byte image would be overread.
+  for (const std::uint16_t tag : {0x0a0a, 0x0b0b}) {
+    SCOPED_TRACE(tag);
+    Bytes file = saved;
+    const Bytes image = field([&](Encoder& e) { e.bytes(tagged(tag)); });
+    splice(file, lastOffset(file, image), image.size(),
+           field([](Encoder& e) { e.bytes(Bytes(10, std::byte{0x0a})); }));
+    expectRefused(file);
+  }
+}
+
+TEST(WalStore, SnapshotLoadRefusesAPageBeyondItsSegment) {
+  const Bytes saved = savedSnapshot();
+  // The stored page's index precedes its image.
+  const Bytes image = field([](Encoder& e) { e.bytes(tagged(0x0a0a)); });
+  const std::size_t index_at = lastOffset(saved, image) - 4;
+  for (const std::uint32_t page : {2u, 1000u}) {
+    SCOPED_TRACE(page);
+    Bytes file = saved;
+    splice(file, index_at, 4, field([&](Encoder& e) { e.u32(page); }));
+    expectRefused(file);
+  }
+}
+
+TEST(WalStore, SnapshotLoadRefusesAnUnknownLogRecordKind) {
+  const Bytes saved = savedSnapshot();
+  // The prepare record is kind:u8, lsn:u64, txid:u64, ...; its txid's last
+  // copy in the file is the record's (the prepared section comes first).
+  const std::size_t kind_at =
+      lastOffset(saved, field([](Encoder& e) { e.u64(kSnapTxid); })) - 9;
+  ASSERT_EQ(saved[kind_at], static_cast<std::byte>(wal::RecordKind::prepare));
+  for (const std::uint8_t kind : {0, 6, 255}) {
+    SCOPED_TRACE(kind);
+    Bytes file = saved;
+    file[kind_at] = static_cast<std::byte>(kind);
+    expectRefused(file);
+  }
+}
+
+TEST(WalStore, SnapshotLoadRefusesOtherFormatVersions) {
+  // The layout with checkpoint hashes (magic 0xC10D5702): an empty store
+  // whose log holds one checkpoint record.
+  Encoder v2;
+  v2.u32(0xC10D5702u);
+  v2.u32(100);   // home node
+  v2.u64(1);     // next segment sequence
+  v2.u32(0);     // segments
+  v2.u32(0);     // prepared transactions
+  v2.u8(1);      // a log follows
+  v2.u64(2);     // next lsn
+  v2.u64(1);     // durable lsn
+  v2.u64(1);     // applied lsn
+  v2.u64(0x77);  // content hash
+  v2.u32(1);     // records
+  v2.u8(static_cast<std::uint8_t>(wal::RecordKind::checkpoint));
+  v2.u64(1);     // lsn
+  v2.u64(0);     // txid
+  v2.u64(1);     // applied lsn
+  v2.u64(0x77);  // content hash
+  v2.u32(0);     // updates
+  expectRefused(std::move(v2).take());
+  // The layout before it (magic 0xC10D5701) had no log section.
+  Encoder v1;
+  v1.u32(0xC10D5701u);
+  v1.u32(100);
+  v1.u64(1);
+  v1.u32(0);
+  v1.u32(0);
+  expectRefused(std::move(v1).take());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 // anonymous-segment partition backing volatile memory.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "common/codec.hpp"
 #include "ra/anon_partition.hpp"
 #include "sysobj/name_server.hpp"
 #include "sysobj/user_io.hpp"
@@ -104,6 +107,30 @@ TEST(NameServer, SaveLoadRoundTripPreservesReplicaSets) {
 TEST(NameServer, LoadFromMissingFileFails) {
   SysobjBed f;
   EXPECT_FALSE(f.names.loadFrom("/nonexistent/dir/clouds_names.bin").ok());
+}
+
+TEST(NameServer, LoadRefusesTheBindingsOnlyFormat) {
+  // The layout before forwards (magic 0xC10D7A3E) is refused, and the
+  // bindings already held stay as they were.
+  const std::string path = ::testing::TempDir() + "clouds_names_bindings_only.bin";
+  Encoder e;
+  e.u32(0xC10D7A3Eu);
+  e.u32(1);  // bindings
+  e.str("old");
+  e.u32(1);  // replicas
+  e.sysname(ra::makeHomedSysname(100, 1));
+  const Bytes file = std::move(e).take();
+  std::FILE* out = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), out), file.size());
+  std::fclose(out);
+
+  SysobjBed f;
+  ASSERT_TRUE(f.names.bind("kept", {{ra::makeHomedSysname(100, 2)}}).ok());
+  EXPECT_EQ(f.names.loadFrom(path).code(), Errc::io);
+  EXPECT_TRUE(f.names.lookup("kept").ok());
+  EXPECT_FALSE(f.names.lookup("old").ok());
+  std::remove(path.c_str());
 }
 
 TEST(UserIo, WritesRouteToWindowAndReadsConsumeInput) {

@@ -218,7 +218,7 @@ obj::ClassDef userClass(std::uint64_t cap_local) {
         for (std::uint64_t s = 0; s < S; ++s) {
           ValueList batch{Value{post_id}, Value{author_i}};
           for (const auto r : recipients) {
-            if (r % S == s) batch.push_back(Value{static_cast<std::int64_t>(r)});
+            if (r % S == s) batch.emplace_back(static_cast<std::int64_t>(r));
           }
           if (batch.size() == 2) continue;
           CLOUDS_TRY_ASSIGN(ack, ctx.callObject(dir.timeline[s], "deliver", batch));
@@ -332,7 +332,7 @@ obj::ClassDef followClass(std::uint64_t cap_local) {
         ValueList out;
         out.reserve(rec.count);
         for (std::uint64_t i = 0; i < rec.count; ++i) {
-          out.push_back(Value{static_cast<std::int64_t>(rec.followers[i])});
+          out.emplace_back(static_cast<std::int64_t>(rec.followers[i]));
         }
         return Value{std::move(out)};
       },
@@ -345,7 +345,7 @@ obj::ClassDef followClass(std::uint64_t cap_local) {
     ValueList out;
     out.reserve(rec.count);
     for (std::uint64_t i = 0; i < rec.count; ++i) {
-      out.push_back(Value{static_cast<std::int64_t>(rec.followers[i])});
+      out.emplace_back(static_cast<std::int64_t>(rec.followers[i]));
     }
     return Value{std::move(out)};
   });
@@ -393,8 +393,8 @@ obj::ClassDef timelineClass(std::uint64_t cap_local) {
     out.reserve(2 * n);
     for (std::uint64_t k = 1; k <= n; ++k) {
       const auto slot = (rec.seq - k) % kTimelineCap;
-      out.push_back(Value{static_cast<std::int64_t>(rec.post_ids[slot])});
-      out.push_back(Value{static_cast<std::int64_t>(rec.authors[slot])});
+      out.emplace_back(static_cast<std::int64_t>(rec.post_ids[slot]));
+      out.emplace_back(static_cast<std::int64_t>(rec.authors[slot]));
     }
     return Value{std::move(out)};
   });

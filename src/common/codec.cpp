@@ -23,6 +23,32 @@ void Encoder::bytes(ByteSpan b) {
   raw(b.data(), b.size());
 }
 
+void Encoder::image(const SharedBytes& b) {
+  u32(static_cast<std::uint32_t>(b.size()));
+  if (b.empty()) return;
+  refs_.emplace_back(buf_.size(), b);
+  ref_bytes_ += b.size();
+}
+
+Message Encoder::message() && {
+  if (refs_.empty()) return Message(std::move(buf_));
+  const SharedBytes head(std::move(buf_));
+  Message m;
+  std::size_t at = 0;
+  for (const auto& [splice, image] : refs_) {
+    m.append(Message::Run{head, at, splice - at});
+    m.append(Message::Run{image, 0, image.size()});
+    at = splice;
+  }
+  m.append(Message::Run{head, at, head.size() - at});
+  return m;
+}
+
+Bytes Encoder::take() && {
+  if (refs_.empty()) return std::move(buf_);
+  return std::move(*this).message().flatten();
+}
+
 void Encoder::raw(const void* p, std::size_t n) {
   // The first write reserves 64 bytes, so a message that stays within them
   // allocates once instead of at each doubling as its fields go in.
@@ -32,9 +58,35 @@ void Encoder::raw(const void* p, std::size_t n) {
   buf_.insert(buf_.end(), b, b + n);
 }
 
+Decoder::Decoder(const Message& message) : message_(&message), remaining_(message.size()) {
+  if (message.runCount() != 0) cur_ = message.run(0).bytes();
+}
+
+void Decoder::read(std::byte* out, std::size_t n) {
+  remaining_ -= n;
+  while (n > 0) {
+    if (pos_ == cur_.size()) {
+      cur_ = message_->run(++run_).bytes();
+      pos_ = 0;
+    }
+    const std::size_t take = std::min(n, cur_.size() - pos_);
+    std::memcpy(out, cur_.data() + pos_, take);
+    out += take;
+    pos_ += take;
+    n -= take;
+  }
+}
+
 Result<std::uint8_t> Decoder::u8() {
   if (remaining() < 1) return underflow(1);
-  return static_cast<std::uint8_t>(data_[pos_++]);
+  std::byte b;
+  if (pos_ < cur_.size()) {
+    b = cur_[pos_++];
+    --remaining_;
+  } else {
+    read(&b, 1);
+  }
+  return static_cast<std::uint8_t>(b);
 }
 
 Result<std::int64_t> Decoder::i64() {
@@ -58,18 +110,37 @@ Result<bool> Decoder::boolean() {
 Result<std::string> Decoder::str() {
   CLOUDS_TRY_ASSIGN(n, u32());
   if (remaining() < n) return underflow(n);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-  pos_ += n;
+  std::string s(n, '\0');
+  read(reinterpret_cast<std::byte*>(s.data()), n);
   return s;
 }
 
 Result<Bytes> Decoder::bytes() {
   CLOUDS_TRY_ASSIGN(n, u32());
   if (remaining() < n) return underflow(n);
-  Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-          data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
+  Bytes b(n);
+  read(b.data(), n);
   return b;
+}
+
+Result<SharedBytes> Decoder::image() {
+  CLOUDS_TRY_ASSIGN(n, u32());
+  if (remaining() < n) return underflow(n);
+  if (message_ != nullptr && n != 0) {
+    if (pos_ == cur_.size()) {
+      cur_ = message_->run(++run_).bytes();
+      pos_ = 0;
+    }
+    const Message::Run& r = message_->run(run_);
+    if (pos_ == 0 && r.off == 0 && r.len == n && r.buf.size() == n) {
+      pos_ = n;
+      remaining_ -= n;
+      return r.buf;
+    }
+  }
+  Bytes b(n);
+  read(b.data(), n);
+  return SharedBytes(std::move(b));
 }
 
 Result<Sysname> Decoder::sysname() {

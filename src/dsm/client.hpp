@@ -6,6 +6,11 @@
 // the segment's home data server, install cost (zero-fill or frame copy),
 // and versioned-grant staleness checks.
 //
+// A frame holds the page image it was granted, shared with the store that
+// sent it (every zero-filled frame shares one zero image), and copies it
+// only when a write finds it shared (copy-on-write). Write-backs, prepares
+// and callback surrenders pass the frame's image along by reference.
+//
 // Every request this node makes of a data server (its own page and segment
 // requests, and SyncClient's locks, semaphores and 2PC) is encoded once and
 // sent through exchange(): a RaTP transaction, or — when the server is this
@@ -72,8 +77,8 @@ class DsmClientPartition : public ra::Partition {
 
   // One request to `server`'s kPortDsm service; returns the raw reply.
   // `options` govern the RaTP transaction and are unused by a local call.
-  Result<Bytes> exchange(sim::Process& self, net::NodeId server, Bytes request,
-                         net::RatpOptions options = {});
+  Result<Message> exchange(sim::Process& self, net::NodeId server, Message request,
+                           net::RatpOptions options = {});
 
   // ---- Server -> client coherence callbacks ----
   // The kPortDsmCallback handler: decodes one invalidate/degrade request
@@ -82,7 +87,7 @@ class DsmClientPartition : public ra::Partition {
   // pinned by an open transaction (nothing is surrendered; the server must
   // retry). Bound as the RaTP service, and called directly by a co-located
   // data server.
-  Bytes serveCallback(const Bytes& request);
+  Message serveCallback(const Message& request);
 
   // Node-crash hook: every frame is lost.
   void loseVolatileState();
@@ -107,7 +112,7 @@ class DsmClientPartition : public ra::Partition {
  private:
   enum class FState : std::uint8_t { invalid, shared, exclusive };
   struct Frame {
-    Bytes data;
+    SharedBytes image;  // none while invalid
     FState state = FState::invalid;
     bool dirty = false;
     std::uint64_t version = 0;   // version of the current grant
@@ -132,9 +137,10 @@ class DsmClientPartition : public ra::Partition {
     return home == node_.id() && local_server_ != nullptr;
   }
   void maybeEvict(sim::Process& self);
-  Bytes onInvalidate(const ra::PageKey& key, std::uint64_t version, bool* was_dirty,
-                     bool* busy);
-  Bytes onDegrade(const ra::PageKey& key, std::uint64_t version, bool* was_dirty, bool* busy);
+  SharedBytes onInvalidate(const ra::PageKey& key, std::uint64_t version, bool* was_dirty,
+                           bool* busy);
+  SharedBytes onDegrade(const ra::PageKey& key, std::uint64_t version, bool* was_dirty,
+                        bool* busy);
 
   ra::Node& node_;
   DsmServer* local_server_;

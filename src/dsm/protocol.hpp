@@ -64,17 +64,18 @@ inline Result<ra::PageKey> decodePageKey(Decoder& d) {
   return ra::PageKey{seg, page};
 }
 
-// A page grant flowing data server -> client.
+// A page grant flowing data server -> client. The image is the store's,
+// by reference; a zero-fill grant carries none.
 struct PageGrant {
   std::uint64_t version = 0;
   bool zero_fill = false;  // true: no bytes follow; client zero-fills
-  Bytes data;
+  SharedBytes data;
 };
 
 inline void encodeGrant(Encoder& e, const PageGrant& g) {
   e.u64(g.version);
   e.boolean(g.zero_fill);
-  if (!g.zero_fill) e.bytes(g.data);
+  if (!g.zero_fill) e.image(g.data);
 }
 
 inline Result<PageGrant> decodeGrant(Decoder& d) {
@@ -84,7 +85,7 @@ inline Result<PageGrant> decodeGrant(Decoder& d) {
   CLOUDS_TRY_ASSIGN(zf, d.boolean());
   g.zero_fill = zf;
   if (!g.zero_fill) {
-    CLOUDS_TRY_ASSIGN(data, d.bytes());
+    CLOUDS_TRY_ASSIGN(data, d.image());
     g.data = std::move(data);
   }
   return g;

@@ -27,7 +27,7 @@ DsmServer::DsmServer(ra::Node& node, store::DiskStore& store) : node_(node), sto
   m_wb_adoptions_ = &metrics.counter(node_.name() + "/dsm/writeback_adoptions");
   m_indoubt_ = &metrics.counter(node_.name() + "/dsm/indoubt_at_reboot");
   node_.ratp().bindService(net::kPortDsm,
-                           [this](sim::Process& self, net::NodeId client, const Bytes& req) {
+                           [this](sim::Process& self, net::NodeId client, const Message& req) {
                              return serveDsm(self, client, req);
                            });
   node_.onCrashHook([this] {
@@ -127,50 +127,48 @@ void DsmServer::onClientCrash(net::NodeId client) {
 
 // ---------------------------------------------------------------- coherence
 
-Result<Bytes> DsmServer::callback(sim::Process& self, net::NodeId holder, Op op,
-                                  const ra::PageKey& key, std::uint64_t version) {
+Result<SharedBytes> DsmServer::callback(sim::Process& self, net::NodeId holder, Op op,
+                                        const ra::PageKey& key, std::uint64_t version) {
   ++*(op == Op::invalidate ? m_invalidations_ : m_degrades_);
   Encoder e;
   e.u8(static_cast<std::uint8_t>(op));
   encodePageKey(e, key);
   e.u64(version);
-  Bytes reply;
+  Message reply;
   if (holder == node_.id() && local_client_ != nullptr) {
     node_.cpu().compute(self, node_.cost().syscall);
-    reply = local_client_->serveCallback(std::move(e).take());
+    reply = local_client_->serveCallback(std::move(e).message());
   } else {
     // Callbacks give up well before a waiting fault does, so a dead holder
     // is declared lost while the faulting client is still patient.
     net::RatpOptions opts;
     opts.max_retries = node_.cost().dsm_callback_retries;
     auto r =
-        node_.ratp().transact(self, holder, net::kPortDsmCallback, std::move(e).take(), opts);
+        node_.ratp().transact(self, holder, net::kPortDsmCallback, std::move(e).message(), opts);
     if (!r.ok()) {
       // Holder dead or partitioned: its copy is considered lost (its dirty
       // data, if any, dies with it — standard s-thread crash semantics).
       node_.simulation().trace(node_.name(), "dsm",
                                "callback to node " + std::to_string(holder) +
                                    " failed: copy lost");
-      return Bytes{};
+      return SharedBytes();
     }
     reply = std::move(r).value();
   }
   Decoder d(reply);
   CLOUDS_TRY(decodeStatus(d, "dsm callback"));
   CLOUDS_TRY_ASSIGN(dirty, d.boolean());
-  if (!dirty) return Bytes{};
-  CLOUDS_TRY_ASSIGN(data, d.bytes());
-  return data;
+  if (!dirty) return SharedBytes();
+  return d.image();
 }
 
 Result<PageGrant> DsmServer::loadGrant(sim::Process& self, const ra::PageKey& key,
                                        std::uint64_t version) {
   PageGrant g;
   g.version = version;
-  Bytes page(ra::kPageSize);
-  CLOUDS_TRY_ASSIGN(written, store_.readPage(self, key, page));
-  g.zero_fill = !written;
-  if (written) g.data = std::move(page);
+  CLOUDS_TRY_ASSIGN(image, store_.readPage(self, key));
+  g.zero_fill = image.empty();
+  g.data = std::move(image);
   return g;
 }
 
@@ -204,12 +202,12 @@ Result<PageGrant> DsmServer::handleRead(sim::Process& self, net::NodeId client,
               node_.simulation().trace(node_.name(), "dsm",
                                        "holder of " + key.toString() +
                                            " busy past patience: copy lost");
-              dirty = Bytes{};
+              dirty = SharedBytes();
             }
           }
           if (!deferred) {
             CLOUDS_TRY_ASSIGN(data, std::move(dirty));
-            if (!data.empty()) CLOUDS_TRY(store_.writePage(self, key, data));
+            if (!data.empty()) CLOUDS_TRY(store_.writePage(self, key, std::move(data)));
             e.copyset = {e.owner};
             e.owner = net::kNoNode;
             e.state = PState::shared;
@@ -245,19 +243,19 @@ Result<PageGrant> DsmServer::handleWrite(sim::Process& self, net::NodeId client,
             node_.simulation().trace(node_.name(), "dsm",
                                      "holder of " + key.toString() +
                                          " busy past patience: copy lost");
-            dirty = Bytes{};
+            dirty = SharedBytes();
           }
         }
         if (!deferred) {
           CLOUDS_TRY_ASSIGN(data, std::move(dirty));
-          if (!data.empty()) CLOUDS_TRY(store_.writePage(self, key, data));
+          if (!data.empty()) CLOUDS_TRY(store_.writePage(self, key, std::move(data)));
         }
       } else if (e.state == PState::shared) {
         for (net::NodeId holder : e.copyset) {
           if (holder == client) continue;
           // Shared copies are never dirty, so these can't come back busy.
           CLOUDS_TRY_ASSIGN(dirty, callback(self, holder, Op::invalidate, key, v));
-          if (!dirty.empty()) CLOUDS_TRY(store_.writePage(self, key, dirty));
+          if (!dirty.empty()) CLOUDS_TRY(store_.writePage(self, key, std::move(dirty)));
         }
       }
       if (!deferred) {
@@ -535,7 +533,7 @@ Result<void> DsmServer::handleAbort(sim::Process& self, std::uint64_t txid) {
 
 // ---------------------------------------------------------------- services
 
-Bytes DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Bytes& request) {
+Message DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Message& request) {
   Decoder d(request);
   Encoder reply;
   auto op = d.u8();
@@ -679,7 +677,7 @@ Bytes DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Bytes& r
     default:
       encodeStatus(reply, Errc::bad_argument);
   }
-  return std::move(reply).take();
+  return std::move(reply).message();
 }
 
 }  // namespace clouds::dsm

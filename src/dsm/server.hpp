@@ -46,7 +46,7 @@ class DsmServer {
   // runs its handler and encodes the reply; a malformed or unknown request
   // answers bad_argument. `client` is the requesting node's id. Bound as the
   // RaTP service, and called directly by a co-located client partition.
-  Bytes serveDsm(sim::Process& self, net::NodeId client, const Bytes& request);
+  Message serveDsm(sim::Process& self, net::NodeId client, const Message& request);
 
   // Crash support: volatile directory/lock/semaphore state is lost; the
   // store's images and prepared log survive (store handles its own split).
@@ -127,10 +127,12 @@ class DsmServer {
   Result<void> handleCommit(sim::Process& self, net::NodeId committer, std::uint64_t txid);
   Result<void> handleAbort(sim::Process& self, std::uint64_t txid);
 
-  // Send a coherence callback; returns the holder's dirty data if any.
-  // A dead/unreachable holder is treated as having lost its copy.
-  Result<Bytes> callback(sim::Process& self, net::NodeId holder, Op op, const ra::PageKey& key,
-                         std::uint64_t version);
+  // Send a coherence callback; returns the holder's dirty image if any
+  // (none when clean). A dead/unreachable holder is treated as having lost
+  // its copy.
+  Result<SharedBytes> callback(sim::Process& self, net::NodeId holder, Op op,
+                               const ra::PageKey& key, std::uint64_t version);
+  // The store's image of the page, by reference; none for a zero-fill grant.
   Result<PageGrant> loadGrant(sim::Process& self, const ra::PageKey& key, std::uint64_t version);
 
   ra::Node& node_;

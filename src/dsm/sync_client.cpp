@@ -70,7 +70,7 @@ Result<void> SyncClient::prepare(sim::Process& self, net::NodeId server, std::ui
   e.u8(static_cast<std::uint8_t>(Op::tx_prepare));
   e.u64(txid);
   store::encodePageUpdates(e, updates);
-  CLOUDS_TRY_ASSIGN(reply, dsm_.exchange(self, server, std::move(e).take()));
+  CLOUDS_TRY_ASSIGN(reply, dsm_.exchange(self, server, std::move(e).message()));
   Decoder d(reply);
   return decodeStatus(d, "tx_prepare");
 }

@@ -1,14 +1,26 @@
 #include "load/zipf.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace clouds::load {
 namespace {
 
 double zeta(std::uint64_t n, double theta) {
-  double sum = 0.0;
-  for (std::uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  return sum;
+  // O(n) pow calls, so each (n, θ) is summed once per process: every later
+  // sampler (one per universe) reuses the same bits.
+  static std::mutex mu;
+  static std::map<std::pair<std::uint64_t, double>, double> memo;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto [it, fresh] = memo.try_emplace({n, theta}, 0.0);
+  if (fresh) {
+    double sum = 0.0;
+    for (std::uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    it->second = sum;
+  }
+  return it->second;
 }
 
 }  // namespace

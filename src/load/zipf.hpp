@@ -2,10 +2,11 @@
 // social workload (docs/APP.md §generator).
 //
 // Uses the Gray et al. rejection-free formula popularised by YCSB: zeta(n,θ)
-// is precomputed once (O(n) at construction), then each draw is O(1). Rank 1
-// is the most popular key; ranks are scrambled through an FNV-1a hash so the
-// popular keys are spread across the id space (and therefore across shards)
-// instead of clustering at small ids.
+// is computed once per process for each (n, θ) (O(n), memoized across
+// samplers), then each draw is O(1). Rank 1 is the most popular key; ranks
+// are scrambled through an FNV-1a hash so the popular keys are spread across
+// the id space (and therefore across shards) instead of clustering at small
+// ids.
 #pragma once
 
 #include <cstdint>

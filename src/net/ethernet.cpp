@@ -62,9 +62,9 @@ void Nic::restart() {
 }
 
 void Nic::send(sim::Process& self, Frame frame) {
-  if (frame.payload.size() > ether_.cost().eth_mtu) {
+  if (frame.wireSize() > ether_.cost().eth_mtu) {
     throw std::logic_error("Nic::send: frame exceeds MTU (" +
-                           std::to_string(frame.payload.size()) + " bytes)");
+                           std::to_string(frame.wireSize()) + " bytes)");
   }
   if (!up_) {  // transmissions from a dead node vanish
     ++*m_lost_;
@@ -133,11 +133,11 @@ void Ethernet::transmit(Frame frame) {
   }
   const bool duplicate = !drop && dup_rate_ > 0.0 && sim_.uniform01() < dup_rate_;
 
-  const sim::Duration tx = cost_.ethTxTime(frame.payload.size());
+  const sim::Duration tx = cost_.ethTxTime(frame.wireSize());
   const sim::TimePoint start = std::max(sim_.now(), medium_free_at_);
   medium_free_at_ = start + tx;
   ++*m_on_wire_;
-  *m_bytes_ += frame.payload.size() + cost_.eth_header;
+  *m_bytes_ += frame.wireSize() + cost_.eth_header;
   *m_busy_usec_ += static_cast<std::uint64_t>(tx.count() / 1000);
 
   if (drop) {
@@ -204,6 +204,7 @@ void Ethernet::deliver() {
     // partition suppresses reception per receiver: the frame crossed the
     // sender's segment (already accounted on-wire) but not the cut, so each
     // suppressed copy counts as blocked *and* dropped, like the unicast case.
+    // The receivers' copies share the frame's body.
     for (auto& nic : nics_) {
       if (nic->address() == frame.src) continue;
       if (partitioned(frame.src, nic->address())) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/message.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulation.hpp"
@@ -42,11 +43,19 @@ inline constexpr ProtocolId kProtoUnixUdp = 3;
 inline constexpr ProtocolId kProtoUnixTcp = 4;
 inline constexpr ProtocolId kProtoSched = 5;  // scheduler load reports (sched/)
 
+// A frame carries `payload` by value and then `body` by reference: a
+// protocol puts its header in the payload and the data it forwards in the
+// body (scatter-gather), so a RaTP fragment is a header plus a view of its
+// message, and a broadcast's receivers share one body. The wire carries
+// both, payload first.
 struct Frame {
   NodeId src = kNoNode;
   NodeId dst = kNoNode;
   ProtocolId protocol = 0;
   Bytes payload;
+  Message body{};
+
+  std::size_t wireSize() const noexcept { return payload.size() + body.size(); }
 };
 
 class Ethernet;

@@ -8,7 +8,10 @@
 // Semantics implemented here:
 //  * Connectionless request/reply transactions addressed to (node, port).
 //  * Messages larger than one Ethernet frame are fragmented; the receiver
-//    reassembles with per-fragment duplicate suppression.
+//    reassembles with per-fragment duplicate suppression. A fragment is a
+//    header plus a view of the message (no bytes copied), and reassembly
+//    joins the views, so a page image in a message reaches the receiver's
+//    decoder as the sender's buffer.
 //  * The reply acknowledges the request; the client retransmits the whole
 //    request on timeout. The server's reply cache (VMTP-style, TTL-evicted)
 //    answers duplicate requests with the cached reply instead of re-running
@@ -23,9 +26,9 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -54,8 +57,9 @@ struct RatpOptions {
 
 class RatpEndpoint {
  public:
-  // A handler receives the reassembled request and returns the reply bytes.
-  using Handler = std::function<Bytes(sim::Process& self, NodeId client, const Bytes& request)>;
+  // A handler receives the reassembled request and returns the reply.
+  using Handler =
+      std::function<Message(sim::Process& self, NodeId client, const Message& request)>;
 
   RatpEndpoint(Nic& nic, std::string name);
 
@@ -67,10 +71,22 @@ class RatpEndpoint {
   // Errc::aborted if the transaction is torn down mid-wait (abortPending or
   // endpoint crash), so callers never hang on a transaction that cannot
   // finish.
-  Result<Bytes> transact(sim::Process& self, NodeId dst, PortId port, Bytes request,
-                         RatpOptions options = {});
+  Result<Message> transact(sim::Process& self, NodeId dst, PortId port, Message request,
+                           RatpOptions options = {});
 
-  void bindService(PortId port, Handler handler);
+  // Binds a Handler, or a handler written against contiguous bytes
+  // (`const Bytes& request`), which gets the request copied into one buffer.
+  template <typename F>
+  void bindService(PortId port, F handler) {
+    if constexpr (std::is_invocable_v<F&, sim::Process&, NodeId, const Message&>) {
+      services_[port] = Handler(std::move(handler));
+    } else {
+      services_[port] = [h = std::move(handler)](sim::Process& self, NodeId client,
+                                                 const Message& request) mutable -> Message {
+        return h(self, client, request.flatten());
+      };
+    }
+  }
 
   // Abort every in-flight client transaction: waiters wake and transact
   // returns Errc::aborted. Safe outside process context.
@@ -90,19 +106,20 @@ class RatpEndpoint {
 
   struct PendingTx {  // client side
     sim::Process* waiter = nullptr;
-    std::vector<std::optional<Bytes>> frags;
+    std::vector<std::optional<Message>> frags;
     std::size_t received = 0;
     bool complete = false;
     bool aborted = false;  // torn down mid-wait; waiter returns Errc::aborted
-    Bytes reply;
+    Message reply;
   };
   struct ServerTx {  // server side
-    std::vector<std::optional<Bytes>> frags;
+    std::vector<std::optional<Message>> frags;
     std::size_t received = 0;
     bool dispatched = false;
-    // Cached for duplicate requests until TTL eviction; shared with the
-    // worker's sends, which a crash clearing server_txs_ must not free.
-    std::shared_ptr<const Bytes> reply;
+    // Cached for duplicate requests until TTL eviction. Its buffers are
+    // shared with the worker's sends, which a crash clearing server_txs_
+    // must not free.
+    std::optional<Message> reply;
     // Eviction time: kReplyCacheTtl after the first fragment, never while
     // the handler runs, kReplyCacheTtl again once the worker finishes.
     sim::TimePoint expires = sim::kZero;
@@ -111,21 +128,21 @@ class RatpEndpoint {
     std::uint64_t txid = 0;
     NodeId client = kNoNode;
     PortId port = 0;
-    Bytes request;
+    Message request;
   };
 
   void onFrame(sim::Process& self, Frame& frame);
   void onRequestFrag(sim::Process& self, NodeId src, std::uint64_t txid, PortId port,
-                     std::uint16_t index, std::uint16_t count, Bytes data);
+                     std::uint16_t index, std::uint16_t count, Message data);
   void onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint16_t index,
-                   std::uint16_t count, Bytes data);
+                   std::uint16_t count, Message data);
   void sendMessage(sim::Process& self, NodeId dst, PacketType type, std::uint64_t txid,
-                   PortId port, const Bytes& message);
+                   PortId port, const Message& message);
   void dispatch(WorkItem item);
   void workerLoop(sim::Process& self);
   // The worker is done with a transaction: cache its reply (none for an
   // unbound port) and start the record's TTL.
-  void finish(const std::pair<NodeId, std::uint64_t>& key, std::shared_ptr<const Bytes> reply);
+  void finish(const std::pair<NodeId, std::uint64_t>& key, std::optional<Message> reply);
 
   const sim::CostModel& cost() const { return nic_.network().cost(); }
   sim::Simulation& simulation() { return nic_.network().simulation(); }

@@ -53,7 +53,7 @@ void GossipAgent::broadcast(sim::Process& self) {
   net::Frame frame;
   frame.dst = net::kBroadcast;
   frame.protocol = net::kProtoSched;
-  frame.payload = report.encode();
+  frame.body = report.encode();  // one buffer, shared by every receiver
   node_.nic().send(self, std::move(frame));
   ++*m_sent_;
   node_.simulation().trace(node_.name(), "sched",
@@ -62,7 +62,7 @@ void GossipAgent::broadcast(sim::Process& self) {
 }
 
 void GossipAgent::onFrame(const net::Frame& frame) {
-  auto report = LoadReport::decode(frame.payload);
+  auto report = LoadReport::decode(frame.body);
   if (!report.ok()) {
     node_.simulation().trace(node_.name(), "sched",
                              "malformed load report from node " + std::to_string(frame.src));

@@ -24,7 +24,7 @@ Bytes LoadReport::encode() const {
   return std::move(e).take();
 }
 
-Result<LoadReport> LoadReport::decode(ByteSpan wire) {
+Result<LoadReport> LoadReport::decode(const Message& wire) {
   Decoder d(wire);
   LoadReport r;
   CLOUDS_TRY_ASSIGN(version, d.u8());

@@ -47,7 +47,7 @@ struct LoadReport {
   bool caches(const Sysname& segment) const;
 
   Bytes encode() const;
-  static Result<LoadReport> decode(ByteSpan wire);
+  static Result<LoadReport> decode(const Message& wire);
 };
 
 }  // namespace clouds::sched

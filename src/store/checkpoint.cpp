@@ -1,12 +1,13 @@
 #include "store/checkpoint.hpp"
 
+#include <algorithm>
 #include <limits>
 
 namespace clouds::store::wal {
 
-void DirtyTable::stage(const ra::PageKey& key, ByteSpan data, std::uint64_t lsn) {
+void DirtyTable::stage(const ra::PageKey& key, SharedBytes data, std::uint64_t lsn) {
   DirtyPage& p = pages_[key];
-  p.data.assign(data.begin(), data.end());
+  p.data = std::move(data);
   p.lsn = lsn;
 }
 
@@ -26,6 +27,7 @@ std::uint64_t DirtyTable::minLsn() const {
 std::vector<std::pair<ra::PageKey, DirtyPage>> DirtyTable::pickBatch(
     std::uint64_t durable_lsn, std::size_t max_pages) const {
   std::vector<std::pair<ra::PageKey, DirtyPage>> out;
+  out.reserve(std::min(max_pages, pages_.size()));
   for (const auto& [key, p] : pages_) {
     if (out.size() >= max_pages) break;
     if (p.lsn <= durable_lsn) out.emplace_back(key, p);

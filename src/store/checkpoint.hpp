@@ -2,10 +2,12 @@
 //
 // Committed page images live here between the log force that made them
 // durable and the asynchronous write-back that folds them into the segment
-// images. Reads are served from this table first (read-your-committed-
-// writes), and repeated writes to a hot page coalesce — only the newest
-// image is ever written back. The oldest staged LSN bounds how far a
-// checkpoint may advance the applied watermark.
+// images. An entry shares its image with the log record that staged it, and
+// the write-back hands the same image to the segment. Reads are served from
+// this table first (read-your-committed-writes), and repeated writes to a
+// hot page coalesce — only the newest image is ever written back. The
+// oldest staged LSN bounds how far a checkpoint may advance the applied
+// watermark.
 #pragma once
 
 #include <cstdint>
@@ -18,14 +20,14 @@
 namespace clouds::store::wal {
 
 struct DirtyPage {
-  Bytes data;
+  SharedBytes data;
   std::uint64_t lsn = 0;  // log record that staged this image
 };
 
 class DirtyTable {
  public:
   // Stage an image; a newer record for the same page supersedes the old one.
-  void stage(const ra::PageKey& key, ByteSpan data, std::uint64_t lsn);
+  void stage(const ra::PageKey& key, SharedBytes data, std::uint64_t lsn);
 
   const DirtyPage* find(const ra::PageKey& key) const;
 

@@ -10,7 +10,7 @@ void encodePageUpdates(Encoder& e, const std::vector<PageUpdate>& updates) {
   for (const PageUpdate& u : updates) {
     e.sysname(u.key.segment);
     e.u32(u.key.page);
-    e.bytes(u.data);
+    e.image(u.data);
   }
 }
 
@@ -20,7 +20,7 @@ Result<std::vector<PageUpdate>> decodePageUpdates(Decoder& d) {
   for (std::uint32_t i = 0; i < count; ++i) {
     CLOUDS_TRY_ASSIGN(segment, d.sysname());
     CLOUDS_TRY_ASSIGN(page, d.u32());
-    CLOUDS_TRY_ASSIGN(data, d.bytes());
+    CLOUDS_TRY_ASSIGN(data, d.image());
     updates.push_back(PageUpdate{ra::PageKey{segment, page}, std::move(data)});
   }
   return updates;

@@ -28,11 +28,12 @@ namespace clouds::store {
 
 struct PageUpdate {
   ra::PageKey key;
-  Bytes data;  // exactly kPageSize bytes
+  SharedBytes data;  // exactly kPageSize bytes, shared by reference
 };
 
 // A page-update list as the DSM wire and the store snapshot carry it:
-// n:u32, then n x (segment, page:u32, bytes).
+// n:u32, then n x (segment, page:u32, bytes). The images travel by
+// reference (Encoder::image, Decoder::image).
 void encodePageUpdates(Encoder& e, const std::vector<PageUpdate>& updates);
 Result<std::vector<PageUpdate>> decodePageUpdates(Decoder& d);
 

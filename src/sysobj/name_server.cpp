@@ -28,7 +28,7 @@ NameServer::NameServer(ra::Node& node) : node_(node) {
   m_forwards_installed_ = &metrics.counter(node_.name() + "/names/forwards_installed");
   m_forwards_collapsed_ = &metrics.counter(node_.name() + "/names/forwards_collapsed");
   node_.ratp().bindService(net::kPortNaming,
-                           [this](sim::Process& self, net::NodeId, const Bytes& request) {
+                           [this](sim::Process& self, net::NodeId, const Message& request) {
                              return serve(self, request);
                            });
 }
@@ -160,7 +160,7 @@ Result<void> NameServer::loadFrom(const std::string& path) {
   return okResult();
 }
 
-Bytes NameServer::serve(sim::Process& self, const Bytes& request) {
+Bytes NameServer::serve(sim::Process& self, const Message& request) {
   node_.cpu().compute(self, node_.cost().dsm_server_lookup);
   Decoder d(request);
   Encoder reply;

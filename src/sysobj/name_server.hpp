@@ -49,7 +49,7 @@ class NameServer {
   net::NodeId nodeId() const noexcept { return node_.id(); }
 
  private:
-  Bytes serve(sim::Process& self, const Bytes& request);
+  Bytes serve(sim::Process& self, const Message& request);
   // Follow the forward chain from `s` without mutating the table, appending
   // every link walked to `consumed`. The caller erases the consumed links
   // only once the whole lookup succeeds, so a failed resolve leaves the

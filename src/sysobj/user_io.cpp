@@ -8,7 +8,7 @@ enum class IoOp : std::uint8_t { write = 60, read_line = 61 };
 
 Workstation::Workstation(ra::Node& node) : node_(node) {
   node_.ratp().bindService(net::kPortUserIo,
-                           [this](sim::Process& self, net::NodeId, const Bytes& request) {
+                           [this](sim::Process& self, net::NodeId, const Message& request) {
                              return serve(self, request);
                            });
 }
@@ -22,7 +22,7 @@ std::string Workstation::joinedOutput(WindowId window, const std::string& sep) {
   return out;
 }
 
-Bytes Workstation::serve(sim::Process& self, const Bytes& request) {
+Bytes Workstation::serve(sim::Process& self, const Message& request) {
   node_.cpu().compute(self, node_.cost().syscall);
   Decoder d(request);
   Encoder reply;

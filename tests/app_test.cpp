@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "app/social.hpp"
 #include "load/generator.hpp"
@@ -168,6 +169,28 @@ TEST(ZipfSampler, IsDeterministicSkewedAndInRange) {
   // run to run.
   EXPECT_EQ(load::ZipfSampler::scramble(0, 1000), load::ZipfSampler::scramble(0, 1000));
   EXPECT_NE(load::ZipfSampler::scramble(0, 1000), load::ZipfSampler::scramble(1, 1000));
+}
+
+TEST(ZipfSampler, SecondSamplerReusesZetaAndDrawsTheSameSequence) {
+  // zeta(n, θ) is summed once per process per (n, θ). Samplers built after
+  // one over other parameters, or from the memo, draw the bits a sampler
+  // drew when every constructor summed zeta itself (pinned below).
+  constexpr double kTheta = 0.87;
+  const std::vector<std::uint64_t> pinned{18275, 22065, 27955, 23696,
+                                          24830, 13195, 32941, 39124};
+  const std::vector<std::uint64_t> pinned_other{15254, 38523, 6835,  15261,
+                                                32027, 32391, 38493, 7130};
+  auto draws = [](load::ZipfSampler& z) {
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 8; ++i) out.push_back(z.next());
+    return out;
+  };
+  load::ZipfSampler other(40'962, kTheta, 13);
+  load::ZipfSampler first(40'961, kTheta, 13);
+  load::ZipfSampler second(40'961, kTheta, 13);
+  EXPECT_EQ(draws(other), pinned_other);
+  EXPECT_EQ(draws(first), pinned);
+  EXPECT_EQ(draws(second), pinned);
 }
 
 TEST(Generator, OpenLoopRunCompletesAndRecordsPerOpLatencies) {

@@ -362,7 +362,7 @@ TEST(CloudsObject, ValueRoundTrip) {
   vals.emplace_back(std::string("str"));
   vals.emplace_back(toBytes("blob"));
   vals.emplace_back(ValueList{Value{1}, Value{std::string("nested")}});
-  vals.emplace_back(Value{});
+  vals.emplace_back();
   const Bytes encoded = Value::encodeList(vals);
   auto decoded = Value::decodeList(encoded);
   ASSERT_TRUE(decoded.ok());

@@ -214,7 +214,8 @@ TEST(DsmDispatch, MalformedRequestsAnswerBadArgumentAndChangeNothing) {
 
     for (const int op : {1, 2, 4, 5, 6, 7, 8, 30, 31, 32, 33, 34, 40, 41, 42, 99, 20}) {
       const Bytes reply =
-          f.data[0].server->serveDsm(self, f.compute[0].node->id(), Bytes{std::byte(op)});
+          f.data[0].server->serveDsm(self, f.compute[0].node->id(), Bytes{std::byte(op)})
+              .flatten();
       ASSERT_EQ(reply.size(), 1u) << "op " << op;
       EXPECT_EQ(static_cast<Errc>(reply[0]), Errc::bad_argument) << "op " << op;
     }

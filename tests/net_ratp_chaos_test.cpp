@@ -186,7 +186,7 @@ TEST(RatpChaos, DeadlineDuringReplyReassemblyTimesOutCleanly) {
     EXPECT_FALSE(self.blockFor(cost.ratp_reassembly));
     auto again = client.transact(self, 2, kPortEcho, toBytes("pong"), patient);
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(toString(again.value()), "pong");
+    EXPECT_EQ(toString(again.value().flatten()), "pong");
     ran = true;
   });
   sim.run();

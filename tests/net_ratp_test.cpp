@@ -34,7 +34,7 @@ TEST(Ratp, SmallTransactionRoundTrip) {
   f.sim.spawn("caller", [&](sim::Process& self) {
     auto r = f.client.transact(self, 2, kPortEcho, toBytes("ping"));
     ASSERT_TRUE(r.ok());
-    reply = std::move(r).value();
+    reply = r.value().flatten();
   });
   f.sim.run();
   EXPECT_EQ(toString(reply), "ping");
@@ -67,7 +67,7 @@ TEST(Ratp, LargeMessageIsFragmentedAndReassembled) {
   f.sim.spawn("caller", [&](sim::Process& self) {
     auto r = f.client.transact(self, 2, kPortEcho, big);
     ASSERT_TRUE(r.ok());
-    reply = std::move(r).value();
+    reply = r.value().flatten();
   });
   f.sim.run();
   EXPECT_EQ(reply, big);
@@ -101,7 +101,7 @@ TEST(Ratp, RetransmitsThroughFrameLoss) {
   bool ok = false;
   f.sim.spawn("caller", [&](sim::Process& self) {
     auto r = f.client.transact(self, 2, kPortEcho, toBytes("lossy"));
-    ok = r.ok() && toString(r.value()) == "lossy";
+    ok = r.ok() && toString(r.value().flatten()) == "lossy";
   });
   f.sim.run();
   EXPECT_TRUE(ok);
@@ -163,7 +163,7 @@ TEST(Ratp, HandlerStillRunningPastTheCacheTtlIsNotRunAgain) {
   f.sim.spawn("caller", [&](sim::Process& self) {
     auto r = f.client.transact(self, 2, kPortEcho, toBytes("slow"), RatpOptions{sim::sec(2), 9});
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(toString(r.value()), "slow");
+    EXPECT_EQ(toString(r.value().flatten()), "slow");
   });
   f.sim.run();
   EXPECT_GE(f.sim.metrics().counterValue("client/ratp/retransmits"), 3u);

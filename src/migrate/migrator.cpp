@@ -200,7 +200,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       }
       return fail(page_r.error());
     }
-    if (isForwardPage(ByteSpan(page_r.value().data, ra::kPageSize))) {
+    if (isForwardPage(ByteSpan(page_r.value().data(), ra::kPageSize))) {
       if (hooks_.forget_heat) hooks_.forget_heat(header);
       return fail(makeError(Errc::already_exists, "object was already migrated away"));
     }
@@ -224,7 +224,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       // first; it may predate a concurrent migration).
       dsm_.dropSegment(header);
       CLOUDS_TRY_ASSIGN(page, dsm_.resolvePage(self, {header, 0}, ra::Access::read));
-      ByteSpan image(page.data, ra::kPageSize);
+      ByteSpan image(page.data(), ra::kPageSize);
       if (isForwardPage(image)) {
         return makeError(Errc::already_exists, "object was already migrated away");
       }
@@ -263,7 +263,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
         }
         return fail(page.error());
       }
-      ByteSpan image(page.value().data, ra::kPageSize);
+      ByteSpan image(page.value().data(), ra::kPageSize);
       if (isForwardPage(image)) {
         if (hooks_.forget_heat) hooks_.forget_heat(header);
         return fail(makeError(Errc::already_exists,
@@ -315,7 +315,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       auto page = dsm_.resolvePage(self, {nh, 0}, ra::Access::write);
       if (!page.ok()) return fail(page.error());
       const Bytes image = new_desc.encode();
-      std::memcpy(page.value().data, image.data(), image.size());
+      std::memcpy(page.value().mutableData(), image.data(), image.size());
     }
     // The mandatory write-back: the target store becomes durable owner of
     // every shipped byte before the ownership flip is even proposed.
@@ -351,7 +351,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
         // committed (tombstone visible) or still holds the original.
         dsm_.dropSegment(header);
         auto probe = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
-        if (probe.ok() && isForwardPage(ByteSpan(probe.value().data, ra::kPageSize))) {
+        if (probe.ok() && isForwardPage(ByteSpan(probe.value().data(), ra::kPageSize))) {
           // Fall through: the flip is durable, finish the handoff.
         } else if (probe.ok()) {
           return fail(makeError(Errc::aborted, "commit decision lost; source kept the object"));
@@ -418,9 +418,9 @@ Result<void> Migrator::copySegment(sim::Process& self, const Sysname& from, cons
     // A PageHandle dies at the next block, and resolving the destination
     // page may block on its home server — stage through a local buffer.
     CLOUDS_TRY_ASSIGN(src, dsm_.resolvePage(self, {from, i}, ra::Access::read));
-    std::memcpy(buf.data(), src.data, ra::kPageSize);
+    std::memcpy(buf.data(), src.data(), ra::kPageSize);
     CLOUDS_TRY_ASSIGN(dst, dsm_.resolvePage(self, {to, i}, ra::Access::write));
-    std::memcpy(dst.data, buf.data(), ra::kPageSize);
+    std::memcpy(dst.mutableData(), buf.data(), ra::kPageSize);
   }
   return okResult();
 }

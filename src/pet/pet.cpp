@@ -65,7 +65,7 @@ Result<PetManager::VersionVector> PetManager::readVersions(sim::Process& self, o
                                                            const ReplicatedObject& object) {
   auto h = cluster_.dsmClient(0).resolvePage(self, {object.meta, 0}, ra::Access::read);
   if (!h.ok()) return h.error();
-  Decoder d(ByteSpan(h.value().data, ra::kPageSize));
+  Decoder d(ByteSpan(h.value().data(), ra::kPageSize));
   CLOUDS_TRY_ASSIGN(magic, d.u64());
   if (magic != kMetaMagic) return makeError(Errc::bad_argument, "bad PET meta segment");
   CLOUDS_TRY_ASSIGN(n, d.u32());
@@ -86,7 +86,7 @@ Result<void> PetManager::writeVersions(sim::Process& self, obj::Runtime&,
   for (std::uint64_t v : vv.versions) e.u64(v);
   auto h = cluster_.dsmClient(0).resolvePage(self, {object.meta, 0}, ra::Access::write);
   if (!h.ok()) return h.error();
-  std::copy(e.buffer().begin(), e.buffer().end(), h.value().data);
+  std::copy(e.buffer().begin(), e.buffer().end(), h.value().mutableData());
   return cluster_.dsmClient(0).flushSegment(self, object.meta);
 }
 
@@ -98,7 +98,7 @@ int PetManager::propagate(sim::Process& self, obj::Runtime&, const ReplicatedObj
   dsm::DsmClientPartition& dsmp = cluster_.dsmClient(0);
   auto readDesc = [&](const Sysname& obj_name) -> Result<obj::ObjectDescriptor> {
     CLOUDS_TRY_ASSIGN(h, dsmp.resolvePage(self, {obj_name, 0}, ra::Access::read));
-    return obj::ObjectDescriptor::decode(ByteSpan(h.data, ra::kPageSize));
+    return obj::ObjectDescriptor::decode(ByteSpan(h.data(), ra::kPageSize));
   };
   auto winner_desc = readDesc(object.replicas[static_cast<std::size_t>(winner_idx)]);
   if (!winner_desc.ok()) return 0;
@@ -121,13 +121,13 @@ int PetManager::propagate(sim::Process& self, obj::Runtime&, const ReplicatedObj
           copied = false;
           break;
         }
-        Bytes page(src.value().data, src.value().data + ra::kPageSize);
+        Bytes page(src.value().data(), src.value().data() + ra::kPageSize);
         auto dst = dsmp.resolvePage(self, {to, p}, ra::Access::write);
         if (!dst.ok()) {
           copied = false;
           break;
         }
-        std::copy(page.begin(), page.end(), dst.value().data);
+        std::copy(page.begin(), page.end(), dst.value().mutableData());
       }
       if (copied && !dsmp.flushSegment(self, to).ok()) copied = false;
     };

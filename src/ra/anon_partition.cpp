@@ -24,7 +24,7 @@ Result<PageHandle> AnonPartition::resolvePage(sim::Process& self, const PageKey&
     cpu_.compute(self, cost_.fault_trap + cost_.fault_zero_fill);
     it = frames_.emplace(key, Bytes(kPageSize, std::byte{0})).first;
   }
-  return PageHandle{it->second.data(), true};
+  return PageHandle::readWrite(it->second.data());
 }
 
 Result<SegmentInfo> AnonPartition::stat(sim::Process&, const Sysname& segment) {

@@ -29,9 +29,9 @@ Result<void> Mmu::access(sim::Process& self, const VirtualSpace& space, VAddr ad
     CLOUDS_TRY_ASSIGN(part, node_.partitionFor(t.segment));
     CLOUDS_TRY_ASSIGN(handle, part->resolvePage(self, key, mode));
     if (mode == Access::write) {
-      std::memcpy(handle.data + page_off, in_out + done, chunk);
+      std::memcpy(handle.mutableData() + page_off, in_out + done, chunk);
     } else {
-      std::memcpy(in_out + done, handle.data + page_off, chunk);
+      std::memcpy(in_out + done, handle.data() + page_off, chunk);
     }
     done += chunk;
   }

@@ -26,7 +26,7 @@ struct DsmFixture : Testbed {
                                                                       Access::read);
     EXPECT_TRUE(h.ok());
     std::uint64_t v = 0;
-    std::memcpy(&v, h.value().data + off, sizeof(v));
+    std::memcpy(&v, h.value().data() + off, sizeof(v));
     return v;
   }
   void writeAt(sim::Process& self, int node, std::uint32_t page, std::size_t off,
@@ -34,7 +34,7 @@ struct DsmFixture : Testbed {
     auto h = compute[static_cast<std::size_t>(node)].dsm->resolvePage(self, {seg, page},
                                                                       Access::write);
     ASSERT_TRUE(h.ok());
-    std::memcpy(h.value().data + off, &v, sizeof(v));
+    std::memcpy(h.value().mutableData() + off, &v, sizeof(v));
   }
 };
 
@@ -45,8 +45,8 @@ TEST(Dsm, RemoteReadSeesStoreContents) {
     ASSERT_TRUE(f.data[0].store->writePage(self, {f.seg, 0}, page).ok());
     auto h = f.compute[0].dsm->resolvePage(self, {f.seg, 0}, Access::read);
     ASSERT_TRUE(h.ok());
-    EXPECT_EQ(h.value().data[123], std::byte{0x5c});
-    EXPECT_FALSE(h.value().writable);
+    EXPECT_EQ(h.value().data()[123], std::byte{0x5c});
+    EXPECT_FALSE(h.value().writable());
   });
   f.sim.run();
 }
@@ -160,7 +160,7 @@ TEST(Dsm, FlushSegmentPersistsDirtyPages) {
     f.writeAt(self, 0, 0, 16, 0xabcd);
     ASSERT_TRUE(f.compute[0].dsm->flushSegment(self, f.seg).ok());
     Bytes buf(kPageSize);
-    ASSERT_TRUE(f.data[0].store->readPage(self, {f.seg, 0}, buf).ok());
+    ASSERT_TRUE(readPageInto(*f.data[0].store, self, {f.seg, 0}, buf).ok());
     std::uint64_t v = 0;
     std::memcpy(&v, buf.data() + 16, sizeof(v));
     EXPECT_EQ(v, 0xabcdu);
@@ -261,7 +261,7 @@ TEST(DsmCombined, LocalRequestsCostTheCalibratedFaultsAndStayOffTheWire) {
     }
     auto h = m.combo_dsm.resolvePage(self, {seg, 0}, Access::write);
     ASSERT_TRUE(h.ok());
-    h.value().data[0] = std::byte{7};
+    h.value().mutableData()[0] = std::byte{7};
     ASSERT_TRUE(m.combo_dsm.flushSegment(self, seg).ok());
     EXPECT_EQ(m.counter("net/eth/frames_on_wire"), 0u);
 
@@ -276,7 +276,7 @@ TEST(DsmCombined, LocalRequestsCostTheCalibratedFaultsAndStayOffTheWire) {
     ASSERT_TRUE(m.combo_sync.decide(self, m.combo.id(), tx, /*commit=*/true).ok());
     ASSERT_TRUE(m.combo_sync.unlockAll(self, m.combo.id(), tx).ok());
     Bytes stored(kPageSize);
-    ASSERT_TRUE(m.store.readPage(self, {seg, 1}, stored).ok());
+    ASSERT_TRUE(readPageInto(m.store, self, {seg, 1}, stored).ok());
     EXPECT_EQ(stored[0], std::byte{9});
     EXPECT_EQ(m.counter("combo/ratp/transactions"), 0u);
     EXPECT_EQ(m.counter("net/eth/frames_on_wire"), 0u);
@@ -285,7 +285,7 @@ TEST(DsmCombined, LocalRequestsCostTheCalibratedFaultsAndStayOffTheWire) {
     // page 0 by a local callback: the combined node starts no transaction.
     auto w = m.cpu_dsm.resolvePage(self, {seg, 0}, Access::write);
     ASSERT_TRUE(w.ok());
-    EXPECT_EQ(w.value().data[0], std::byte{7});
+    EXPECT_EQ(w.value().data()[0], std::byte{7});
     EXPECT_EQ(m.counter("combo/dsm/invalidations"), 1u);
     EXPECT_EQ(m.counter("combo/ratp/transactions"), 0u);
 

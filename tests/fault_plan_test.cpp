@@ -170,7 +170,7 @@ TEST(FaultPlan, RebootRestoresCleanVolatileStateOverDurableStore) {
     // modification is never written back.
     auto h = f.compute[0].dsm->resolvePage(self, {seg, 0}, Access::write);
     ASSERT_TRUE(h.ok());
-    h.value().data[0] = std::byte{0x99};
+    h.value().mutableData()[0] = std::byte{0x99};
 
     f.crashData(0);
     f.restartData(0);
@@ -180,8 +180,8 @@ TEST(FaultPlan, RebootRestoresCleanVolatileStateOverDurableStore) {
     f.compute[0].dsm->loseVolatileState();
     auto h2 = f.compute[0].dsm->resolvePage(self, {seg, 0}, Access::read);
     ASSERT_TRUE(h2.ok());
-    EXPECT_EQ(h2.value().data[0], std::byte{0x42});
-    EXPECT_EQ(h2.value().data[100], std::byte{0x42});
+    EXPECT_EQ(h2.value().data()[0], std::byte{0x42});
+    EXPECT_EQ(h2.value().data()[100], std::byte{0x42});
   });
   f.sim.run();
   EXPECT_EQ(f.sim.metrics().counterValue("data0/fault/crashes"), 1u);
@@ -211,7 +211,7 @@ TEST(FaultPlan, StandaloneRebootRestartsANodeCrashedWithoutOne) {
     up_after = f.data[0].node->alive();
     auto h = f.compute[0].dsm->resolvePage(self, {seg, 0}, Access::read);
     ASSERT_TRUE(h.ok());
-    EXPECT_EQ(h.value().data[0], std::byte{0x5c});
+    EXPECT_EQ(h.value().data()[0], std::byte{0x5c});
   });
   f.sim.run();
   EXPECT_TRUE(down_between);

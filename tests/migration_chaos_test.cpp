@@ -43,7 +43,7 @@ Bytes readHeaderPage(Cluster& c, const Sysname& header) {
     auto p = c.dsmClient(0).resolvePage(*t.process, {header, 0}, ra::Access::read);
     if (p.ok()) {
       out.resize(ra::kPageSize);
-      std::memcpy(out.data(), p.value().data, ra::kPageSize);
+      std::memcpy(out.data(), p.value().data(), ra::kPageSize);
     }
   });
   c.run();

@@ -440,7 +440,7 @@ TEST(Migration, CachedActivationChasesAfterMigrationWithoutLeakingScope) {
   c.runtime(2).spawnThread("probe", [&](obj::CloudsThread& t) {
     auto page = c.dsmClient(2).resolvePage(*t.process, {old_sys.value(), 0}, ra::Access::read);
     if (!page.ok()) return;
-    auto d = obj::ObjectDescriptor::decode(ByteSpan(page.value().data, ra::kPageSize));
+    auto d = obj::ObjectDescriptor::decode(ByteSpan(page.value().data(), ra::kPageSize));
     if (!d.ok()) return;
     desc = d.value();
     probed = true;

@@ -89,6 +89,18 @@ TEST(RatpEdge, MalformedFrameIsIgnored) {
     Bytes truncated = std::move(e).take();
     truncated.resize(truncated.size() + 10);
     f.nicA.send(self, Frame{kNoNode, 2, kProtoRatp, std::move(truncated)});
+    // A whole empty request whose payload runs on past the header: a
+    // fragment's bytes travel only in the frame's body.
+    Encoder extra;
+    extra.u8(1);  // request
+    extra.u64(78);
+    extra.u16(kPortEcho);
+    extra.u16(0);
+    extra.u16(1);
+    extra.u32(0);
+    Bytes overlong = std::move(extra).take();
+    overlong.resize(overlong.size() + 10);
+    f.nicA.send(self, Frame{kNoNode, 2, kProtoRatp, std::move(overlong)});
     auto r = f.client.transact(self, 2, kPortEcho, toBytes("still works"));
     ok = r.ok();
   });
@@ -99,7 +111,7 @@ TEST(RatpEdge, MalformedFrameIsIgnored) {
   for (const auto& entry : f.sim.tracer().entries()) {
     dropped += entry.message == "malformed frame dropped" ? 1 : 0;
   }
-  EXPECT_EQ(dropped, 3);
+  EXPECT_EQ(dropped, 4);
 }
 
 TEST(RatpEdge, CrashClearsServerStateAndServiceSurvives) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "sim/simulation.hpp"
+#include "store_read.hpp"
 
 namespace clouds::store {
 namespace {
@@ -40,7 +41,7 @@ TEST(DiskStore, UnwrittenPagesReadZeroWithoutDiskIo) {
   auto name = f.store.createSegment(ra::kPageSize).value();
   f.run([&](sim::Process& self) {
     Bytes buf(ra::kPageSize, std::byte{0xff});
-    auto written = f.store.readPage(self, {name, 0}, buf);
+    auto written = test::readPageInto(f.store, self, {name, 0}, buf);
     ASSERT_TRUE(written.ok());
     EXPECT_FALSE(written.value());
     EXPECT_EQ(buf[0], std::byte{0});
@@ -55,7 +56,7 @@ TEST(DiskStore, WriteThenReadBackWithDiskCosts) {
   f.run([&](sim::Process& self) {
     ASSERT_TRUE(f.store.writePage(self, {name, 1}, StoreFixture::page(std::byte{0xab})).ok());
     Bytes buf(ra::kPageSize);
-    auto written = f.store.readPage(self, {name, 1}, buf);
+    auto written = test::readPageInto(f.store, self, {name, 1}, buf);
     ASSERT_TRUE(written.ok());
     EXPECT_TRUE(written.value());
     EXPECT_EQ(buf[100], std::byte{0xab});
@@ -73,7 +74,7 @@ TEST(DiskStore, BufferCacheMissPaysSeek) {
     f.store.clearBufferCache();
     const auto before = f.sim.now();
     Bytes buf(ra::kPageSize);
-    ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());
+    ASSERT_TRUE(test::readPageInto(f.store, self, {name, 0}, buf).ok());
     EXPECT_EQ(f.sim.now() - before, f.cost.disk_seek_rotate + f.cost.disk_per_page);
     EXPECT_EQ(f.store.diskReads(), 1u);
   });
@@ -89,7 +90,7 @@ TEST(DiskStore, CacheEvictsLru) {
     }
     Bytes buf(ra::kPageSize);
     const auto reads_before = f.store.diskReads();
-    ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());  // evicted: page 0 re-read
+    ASSERT_TRUE(test::readPageInto(f.store, self, {name, 0}, buf).ok());  // evicted: page 0 re-read
     EXPECT_EQ(f.store.diskReads(), reads_before + 1);
   });
 }
@@ -108,15 +109,15 @@ TEST(DiskStore, CacheCountersTrackHitsMissesEvictions) {
     EXPECT_EQ(m.counterValue("ds/store/cache_evictions"), 1u);  // page 0 fell out for page 4
     EXPECT_EQ(m.counterValue("ds/disk/writes"), 5u);
     Bytes buf(ra::kPageSize);
-    ASSERT_TRUE(f.store.readPage(self, {name, 4}, buf).ok());  // resident
+    ASSERT_TRUE(test::readPageInto(f.store, self, {name, 4}, buf).ok());  // resident
     EXPECT_EQ(m.counterValue("ds/store/cache_hits"), 1u);
     EXPECT_EQ(m.counterValue("ds/store/cache_misses"), 0u);
-    ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());  // was evicted
+    ASSERT_TRUE(test::readPageInto(f.store, self, {name, 0}, buf).ok());  // was evicted
     EXPECT_EQ(m.counterValue("ds/store/cache_misses"), 1u);
     EXPECT_EQ(m.counterValue("ds/store/cache_evictions"), 2u);  // page 1 is the LRU victim now
     // The hit refreshed recency, so page 4 must still be resident.
     const auto reads = f.store.diskReads();
-    ASSERT_TRUE(f.store.readPage(self, {name, 4}, buf).ok());
+    ASSERT_TRUE(test::readPageInto(f.store, self, {name, 4}, buf).ok());
     EXPECT_EQ(f.store.diskReads(), reads);
   });
 }
@@ -126,10 +127,8 @@ TEST(DiskStore, OutOfRangeAndUnknownErrors) {
   auto name = f.store.createSegment(ra::kPageSize).value();
   f.run([&](sim::Process& self) {
     Bytes buf(ra::kPageSize);
-    EXPECT_EQ(f.store.readPage(self, {name, 5}, buf).code(), Errc::bad_argument);
-    EXPECT_EQ(f.store.readPage(self, {Sysname(1, 2), 0}, buf).code(), Errc::not_found);
-    Bytes small(10);
-    EXPECT_EQ(f.store.readPage(self, {name, 0}, small).code(), Errc::bad_argument);
+    EXPECT_EQ(test::readPageInto(f.store, self, {name, 5}, buf).code(), Errc::bad_argument);
+    EXPECT_EQ(test::readPageInto(f.store, self, {Sysname(1, 2), 0}, buf).code(), Errc::not_found);
   });
 }
 
@@ -143,12 +142,12 @@ TEST(DiskStore, PreparedTransactionLifecycle) {
     EXPECT_TRUE(f.store.hasPrepared(777));
     // Not yet visible.
     Bytes buf(ra::kPageSize);
-    ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());
+    ASSERT_TRUE(test::readPageInto(f.store, self, {name, 0}, buf).ok());
     EXPECT_EQ(buf[0], std::byte{0});
     // Commit applies.
     ASSERT_TRUE(f.store.commitPrepared(self, 777).ok());
     EXPECT_FALSE(f.store.hasPrepared(777));
-    ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());
+    ASSERT_TRUE(test::readPageInto(f.store, self, {name, 0}, buf).ok());
     EXPECT_EQ(buf[0], std::byte{0x42});
     // Idempotent: committing again is a no-op.
     ASSERT_TRUE(f.store.commitPrepared(self, 777).ok());
@@ -164,7 +163,7 @@ TEST(DiskStore, AbortDiscardsPrepared) {
     ASSERT_TRUE(f.store.prepare(self, 1, std::move(ups)).ok());
     ASSERT_TRUE(f.store.abortPrepared(self, 1).ok());
     Bytes buf(ra::kPageSize);
-    ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());
+    ASSERT_TRUE(test::readPageInto(f.store, self, {name, 0}, buf).ok());
     EXPECT_EQ(buf[0], std::byte{0});
   });
 }
@@ -181,7 +180,7 @@ TEST(DiskStore, PreparedLogSurvivesVolatileLoss) {
     EXPECT_EQ(f.store.preparedKeys(5).size(), 1u);
     ASSERT_TRUE(f.store.commitPrepared(self, 5).ok());
     Bytes buf(ra::kPageSize);
-    ASSERT_TRUE(f.store.readPage(self, {name, 0}, buf).ok());
+    ASSERT_TRUE(test::readPageInto(f.store, self, {name, 0}, buf).ok());
     EXPECT_EQ(buf[0], std::byte{0x33});
   });
 }
@@ -206,7 +205,7 @@ TEST(DiskStore, SnapshotRoundTripThroughHostFile) {
     EXPECT_TRUE(f.store.hasPrepared(9));  // in-doubt transaction survives shutdown
     f.run([&](sim::Process& self) {
       Bytes buf(ra::kPageSize);
-      ASSERT_TRUE(f.store.readPage(self, {name, 1}, buf).ok());
+      ASSERT_TRUE(test::readPageInto(f.store, self, {name, 1}, buf).ok());
       EXPECT_EQ(buf[0], std::byte{0x5a});
       // New segments do not collide with pre-shutdown names.
       auto fresh = f.store.createSegment(ra::kPageSize);
@@ -224,10 +223,10 @@ TEST(DiskStore, ResizeDropsTruncatedPages) {
     ASSERT_TRUE(f.store.writePage(self, {name, 2}, StoreFixture::page(std::byte{9})).ok());
     ASSERT_TRUE(f.store.resize(name, ra::kPageSize).ok());
     Bytes buf(ra::kPageSize);
-    EXPECT_EQ(f.store.readPage(self, {name, 2}, buf).code(), Errc::bad_argument);
+    EXPECT_EQ(test::readPageInto(f.store, self, {name, 2}, buf).code(), Errc::bad_argument);
     ASSERT_TRUE(f.store.resize(name, 3 * ra::kPageSize).ok());
     // Regrown pages are zero-filled, not resurrected.
-    auto written = f.store.readPage(self, {name, 2}, buf);
+    auto written = test::readPageInto(f.store, self, {name, 2}, buf);
     ASSERT_TRUE(written.ok());
     EXPECT_FALSE(written.value());
   });

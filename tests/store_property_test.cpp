@@ -7,6 +7,7 @@
 
 #include "sim/simulation.hpp"
 #include "store/disk_store.hpp"
+#include "store_read.hpp"
 
 namespace clouds::store {
 namespace {
@@ -74,7 +75,7 @@ TEST_P(StorePropertySweep, RandomOpsMatchReferenceModel) {
         case 5: {  // read-check one page against the model
           const auto page = static_cast<ra::PageIndex>(rng() % kPages);
           Bytes buf(ra::kPageSize);
-          auto written = store.readPage(self, {seg, page}, buf);
+          auto written = test::readPageInto(store, self, {seg, page}, buf);
           ASSERT_TRUE(written.ok());
           if (committed.count(page) != 0) {
             EXPECT_TRUE(written.value());
@@ -90,7 +91,7 @@ TEST_P(StorePropertySweep, RandomOpsMatchReferenceModel) {
     // Full final audit, including the prepared set.
     for (std::uint32_t p = 0; p < kPages; ++p) {
       Bytes buf(ra::kPageSize);
-      ASSERT_TRUE(store.readPage(self, {seg, p}, buf).ok());
+      ASSERT_TRUE(test::readPageInto(store, self, {seg, p}, buf).ok());
       const std::byte want = committed.count(p) != 0 ? committed[p] : std::byte{0};
       EXPECT_EQ(buf[100], want) << "final page " << p;
     }

@@ -172,9 +172,9 @@ TEST(AnonPartition, ZeroFilledCreateAccessDestroy) {
     EXPECT_TRUE(anon.serves(seg));
     auto h = anon.resolvePage(self, {seg, 0}, ra::Access::write);
     ASSERT_TRUE(h.ok());
-    h.value().data[5] = std::byte{0xaa};
+    h.value().mutableData()[5] = std::byte{0xaa};
     auto h2 = anon.resolvePage(self, {seg, 0}, ra::Access::read);
-    EXPECT_EQ(h2.value().data[5], std::byte{0xaa});  // same frame
+    EXPECT_EQ(h2.value().data()[5], std::byte{0xaa});  // same frame
     EXPECT_EQ(anon.resolvePage(self, {seg, 5}, ra::Access::read).code(), Errc::protection);
     anon.destroy(seg);
     EXPECT_EQ(anon.resolvePage(self, {seg, 0}, ra::Access::read).code(), Errc::not_found);

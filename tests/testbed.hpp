@@ -19,6 +19,7 @@
 #include "sim/fault.hpp"
 #include "sim/simulation.hpp"
 #include "store/disk_store.hpp"
+#include "store_read.hpp"
 
 namespace clouds::test {
 

@@ -13,6 +13,7 @@ constexpr net::NodeId kComputeBase = 1;
 constexpr net::NodeId kCombinedBase = 50;
 constexpr net::NodeId kDataBase = 100;
 constexpr net::NodeId kWorkstationBase = 200;
+constexpr std::size_t kStoreCachePages = 256;  // buffer cache per data server
 }  // namespace
 
 Cluster::Machine Cluster::makeMachine(net::NodeId id, const std::string& name, bool data_role,
@@ -23,8 +24,8 @@ Cluster::Machine Cluster::makeMachine(net::NodeId id, const std::string& name, b
   if (compute_role) roles |= static_cast<int>(ra::NodeRole::compute);
   m.node = std::make_unique<ra::Node>(sim_, config_.cost, ether_, id, name, roles);
   if (data_role) {
-    m.store = std::make_unique<store::DiskStore>(m.node->id(), config_.cost,
-                                                 config_.store_cache_pages, config_.store_engine);
+    m.store = std::make_unique<store::DiskStore>(m.node->id(), config_.cost, kStoreCachePages,
+                                                 config_.store_engine);
     m.store->attachMetrics(sim_.metrics(), name);
     m.server = std::make_unique<dsm::DsmServer>(*m.node, *m.store);
     // wal engine: background write-back daemon, gated on the node being up
@@ -76,37 +77,20 @@ void Cluster::finishComputeRole(Machine& m) {
   m.runtime->onThreadCompleted([mon = m.sched->monitor()](sim::Duration latency) {
     mon->recordCompletion(latency);
   });
-  // The Migrator reaches into the runtime only through these closures
-  // (migrate/ sits below clouds/ in the layering).
-  obj::Runtime* rt = m.runtime.get();
-  migrate::Migrator::Hooks mh;
-  mh.begin_drain = [rt](const Sysname& o) { return rt->beginDrain(o); };
-  mh.end_drain = [rt](const Sysname& o) { rt->endDrain(o); };
-  mh.wait_quiesced = [rt](sim::Process& self, const Sysname& o, sim::Duration timeout) {
-    return rt->waitQuiesced(self, o, timeout);
-  };
-  mh.flush_deactivate = [rt](sim::Process& self, const Sysname& o) {
-    return rt->flushForMigration(self, o);
-  };
-  mh.pick_hot = [rt](std::uint64_t min_heat) { return rt->hottestObject(min_heat); };
-  mh.pick_spread = [this, rt, node = m.node.get()](std::uint64_t min_heat) {
-    return rt->spreadCandidate(min_heat, dataHomeOf(node->id()));
-  };
-  mh.homed_hot_count = [rt](std::uint64_t min_heat, net::NodeId home) {
-    return rt->homedHotCount(min_heat, home);
-  };
-  mh.forget_heat = [rt](const Sysname& header) { rt->forgetHeat(header); };
-  mh.data_home_of = [this](net::NodeId peer) { return dataHomeOf(peer); };
-  mh.committed = [this, rt](const Sysname& old_header, const Sysname& new_header) {
-    rt->forgetHeat(old_header);
-    // Keep the façade's locality hints pointing at the live incarnation.
+  std::set<net::NodeId> data_homes;
+  for (const auto& other : machines_) {
+    if (other.store != nullptr) data_homes.insert(other.node->id());
+  }
+  m.migrator = std::make_unique<migrate::Migrator>(*m.runtime, m.sched->table(),
+                                                   std::move(data_homes),
+                                                   data_view_.front().node->id(),
+                                                   migrateOptions(m.node->id()));
+  // Keep the façade's locality hints pointing at the live incarnation.
+  m.migrator->onCommitted([this](const Sysname& old_header, const Sysname& new_header) {
     for (auto& [name, sys] : created_objects_) {
       if (sys == old_header) sys = new_header;
     }
-  };
-  m.migrator = std::make_unique<migrate::Migrator>(*m.node, *m.dsm, &m.sched->table(),
-                                                   data_view_.front().node->id(),
-                                                   migrateOptions(m.node->id()), std::move(mh));
+  });
 }
 
 // Per-node migration options: stagger daemon ticks like the gossip ticks,

@@ -46,7 +46,6 @@ struct ClusterConfig {
   sim::Engine engine = sim::Engine::fibers;
   sim::CostModel cost;
   std::size_t frame_capacity = 2048;   // DSM frames per compute server
-  std::size_t store_cache_pages = 256; // buffer cache per data server
   // Storage engine per data server (docs/STORAGE.md): `wal` is the
   // log-structured default (group commit + async batched write-back);
   // `flat` is the original synchronous reference path, kept selectable so

@@ -48,9 +48,8 @@ Runtime::Runtime(ra::Node& node, dsm::DsmClientPartition& dsm, ra::AnonPartition
   node_.onCrashHook([this] {
     // Activations are volatile kernel state. Threads killed by the crash
     // unwind *after* this hook runs, so their invocation frames still hold
-    // raw ActiveObject pointers into active_; bumping the epoch tells those
-    // frames their activation is gone and must not be touched.
-    ++activation_epoch_;
+    // raw ActiveObject pointers into active_; the node's bumped boot epoch
+    // tells those frames their activation is gone and must not be touched.
     active_.clear();
     // Drain gates and heat counters die with the node (the Migrator's crash
     // hook force-resets its FSM in the same sweep).
@@ -441,8 +440,8 @@ Result<Value> Runtime::invokeOnce(CloudsThread& t, const Sysname& object,
     std::uint64_t epoch;
     ~Cleanup() {
       // A node crash destroys every activation before the killed threads
-      // unwind; ao then dangles. The epoch mismatch detects that case.
-      if (rt->activation_epoch_ == epoch) {
+      // unwind; ao then dangles. The boot epoch mismatch detects that case.
+      if (rt->node_.bootEpoch() == epoch) {
         ao->executing_threads -= 1;
         if (ao->executing_threads == 0 && rt->draining_.count(ao->header) != 0) {
           rt->quiesce_gate_.notifyAll();  // the migrator may be waiting on us
@@ -451,7 +450,7 @@ Result<Value> Runtime::invokeOnce(CloudsThread& t, const Sysname& object,
       t->call_stack.pop_back();
       t->label_stack.pop_back();
     }
-  } cleanup{this, ao, &t, activation_epoch_};
+  } cleanup{this, ao, &t, node_.bootEpoch()};
 
   // Map the thread's stack into the object's space; on return it is
   // remapped into the caller (we charge both sides' costs).
@@ -593,26 +592,36 @@ void Runtime::reapThread(CloudsThread& t) {
   std::erase_if(threads_, [&](const auto& p) { return p.get() == &t; });
 }
 
-std::shared_ptr<Runtime::ThreadHandle> Runtime::startThread(const Sysname& object,
-                                                            const std::string& entry,
-                                                            ValueList args,
-                                                            net::NodeId workstation,
-                                                            sysobj::WindowId window) {
+template <typename Run>
+std::shared_ptr<Runtime::ThreadHandle> Runtime::startInvocation(Run run, net::NodeId workstation,
+                                                                sysobj::WindowId window) {
   auto handle = std::make_shared<ThreadHandle>();
   const std::uint64_t id = (static_cast<std::uint64_t>(node_.id()) << 40) | next_thread_++;
   handle->thread_id = id;
   const sim::TimePoint started = node_.simulation().now();
   node_.spawnIsiBa("thread" + std::to_string(id & 0xffffff),
-                   [this, handle, id, workstation, window, object, entry, started,
-                    args = std::move(args)](sim::Process& self) {
+                   [this, handle, id, workstation, window, started,
+                    run = std::move(run)](sim::Process& self) {
                      CloudsThread& t = adoptThread(id, workstation, window, self);
-                     handle->result = invoke(t, object, entry, args);
+                     handle->result = run(t);
                      handle->done = true;
                      handle->completed_at = node_.simulation().now();
                      if (thread_completed_) thread_completed_(handle->completed_at - started);
                      reapThread(t);
                    });
   return handle;
+}
+
+std::shared_ptr<Runtime::ThreadHandle> Runtime::startThread(const Sysname& object,
+                                                            const std::string& entry,
+                                                            ValueList args,
+                                                            net::NodeId workstation,
+                                                            sysobj::WindowId window) {
+  return startInvocation(
+      [this, object, entry, args = std::move(args)](CloudsThread& t) {
+        return invoke(t, object, entry, args);
+      },
+      workstation, window);
 }
 
 void Runtime::spawnThread(const std::string& name, std::function<void(CloudsThread&)> body,
@@ -629,21 +638,11 @@ void Runtime::spawnThread(const std::string& name, std::function<void(CloudsThre
 std::shared_ptr<Runtime::ThreadHandle> Runtime::startThreadByName(
     const std::string& object_name, const std::string& entry, ValueList args,
     net::NodeId workstation, sysobj::WindowId window) {
-  auto handle = std::make_shared<ThreadHandle>();
-  const std::uint64_t id = (static_cast<std::uint64_t>(node_.id()) << 40) | next_thread_++;
-  handle->thread_id = id;
-  const sim::TimePoint started = node_.simulation().now();
-  node_.spawnIsiBa("thread" + std::to_string(id & 0xffffff),
-                   [this, handle, id, workstation, window, object_name, entry, started,
-                    args = std::move(args)](sim::Process& self) {
-                     CloudsThread& t = adoptThread(id, workstation, window, self);
-                     handle->result = invokeByName(t, object_name, entry, args);
-                     handle->done = true;
-                     handle->completed_at = node_.simulation().now();
-                     if (thread_completed_) thread_completed_(handle->completed_at - started);
-                     reapThread(t);
-                   });
-  return handle;
+  return startInvocation(
+      [this, object_name, entry, args = std::move(args)](CloudsThread& t) {
+        return invokeByName(t, object_name, entry, args);
+      },
+      workstation, window);
 }
 
 // ================================================================ context

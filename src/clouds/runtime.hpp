@@ -39,6 +39,7 @@ class Runtime {
           ClassRegistry& classes, net::NodeId name_server);
 
   ra::Node& node() noexcept { return node_; }
+  dsm::DsmClientPartition& dsm() noexcept { return dsm_; }
   sysobj::NameClient& names() noexcept { return names_; }
   dsm::SyncClient& sync() noexcept { return sync_; }
   consistency::TxnRuntime& txn() noexcept { return txn_; }
@@ -53,7 +54,7 @@ class Runtime {
   Result<void> deactivateObject(sim::Process& self, const Sysname& object, bool flush = true);
   bool isActive(const Sysname& object) const { return active_.count(object) != 0; }
 
-  // ---- Migration support (the Migrator's drain / quiesce / pick hooks) ----
+  // ---- Migration support (what the Migrator calls to drain / quiesce / pick) ----
   // Gate new local invocations of the object; in-flight ones (and re-entrant
   // self-calls of a gated thread) run to completion. False if already gated.
   bool beginDrain(const Sysname& object) { return draining_.insert(object).second; }
@@ -130,6 +131,11 @@ class Runtime {
   friend class ObjectContext;
 
   Result<ActiveObject*> activate(sim::Process& self, const Sysname& object);
+  // startThread / startThreadByName: a Clouds thread whose body is
+  // `run(thread) -> Result<Value>`, reporting through the returned handle.
+  template <typename Run>
+  std::shared_ptr<ThreadHandle> startInvocation(Run run, net::NodeId workstation,
+                                                sysobj::WindowId window);
   Result<Value> invokeOnce(CloudsThread& t, const Sysname& object, const std::string& entry,
                            const ValueList& args);
   // Confirm a forward stub behind `object` (fresh read of its header page)
@@ -162,9 +168,6 @@ class Runtime {
   // Per-object local invocation counts (volatile) — the migrator's notion
   // of "hot".
   std::map<Sysname, std::uint64_t> heat_;
-  // Bumped whenever active_ is wiped wholesale (node crash); lets in-flight
-  // invocation frames detect that their ActiveObject* no longer exists.
-  std::uint64_t activation_epoch_ = 0;
   std::vector<std::unique_ptr<CloudsThread>> threads_;
   std::uint64_t next_thread_ = 1;
   // Counters ("<node>/obj/..."), resolved at construction.

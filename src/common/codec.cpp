@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 
 namespace clouds {
@@ -153,6 +154,26 @@ Error Decoder::underflow(std::size_t want) const {
   return makeError(Errc::bad_argument,
                    "decode underflow: want " + std::to_string(want) + " bytes, have " +
                        std::to_string(remaining()));
+}
+
+Result<void> writeHostFile(const std::string& path, ByteSpan data) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return makeError(Errc::io, "cannot open " + path);
+  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
+  std::fclose(f);
+  if (!ok) return makeError(Errc::io, "short write to " + path);
+  return okResult();
+}
+
+Result<Bytes> readHostFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return makeError(Errc::io, "cannot open " + path);
+  Bytes buf;
+  std::byte tmp[65536];
+  std::size_t n = 0;
+  while ((n = std::fread(tmp, 1, sizeof(tmp), f)) > 0) buf.insert(buf.end(), tmp, tmp + n);
+  std::fclose(f);
+  return buf;
 }
 
 }  // namespace clouds

@@ -130,4 +130,9 @@ class Decoder {
   std::size_t remaining_ = 0;
 };
 
+// Whole-file host I/O for snapshots: write `data` as the file at `path`, or
+// read a file back. Failures are Errc::io naming the path.
+Result<void> writeHostFile(const std::string& path, ByteSpan data);
+Result<Bytes> readHostFile(const std::string& path);
+
 }  // namespace clouds

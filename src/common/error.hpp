@@ -49,7 +49,18 @@ inline Error makeError(Errc code, std::string message) {
 template <typename T>
 class [[nodiscard]] Result {
  public:
+  // GCC 12 under -fsanitize=address,undefined reports the inactive members
+  // of a freshly built std::variant temporary (an obj::Value) as "maybe
+  // uninitialized" when it is moved in here. Restructuring each returning
+  // site only moves the report to the next one.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
   Result(T value) : state_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
   Result(Error error) : state_(std::move(error)) {}  // NOLINT(google-explicit-constructor)
 
   bool ok() const noexcept { return std::holds_alternative<T>(state_); }

@@ -21,7 +21,6 @@ void TxnRuntime::onAccess(sim::Process& self, TxScope& scope, const Sysname& seg
   if (scope.write_set.count(segment) != 0) return;
   if (!need_write && scope.read_set.count(segment) != 0) return;
 
-  ++scope.lock_waits;
   ++*m_lock_waits_;
   auto r = sync_.lock(self, segment,
                       need_write ? dsm::LockMode::exclusive : dsm::LockMode::shared,

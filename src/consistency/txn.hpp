@@ -45,7 +45,6 @@ struct TxScope {
   std::set<Sysname> read_set;   // segments read-locked
   std::set<Sysname> write_set;  // segments write-locked (dirty pages collected)
   std::set<net::NodeId> lock_servers;
-  std::uint64_t lock_waits = 0;
 };
 
 class TxnRuntime {

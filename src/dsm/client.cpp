@@ -344,6 +344,21 @@ Result<void> DsmClientPartition::destroySegment(sim::Process& self, const Sysnam
   return decodeStatus(d, "destroy segment");
 }
 
+Result<void> DsmClientPartition::copySegment(sim::Process& self, const Sysname& from,
+                                             const Sysname& to, std::uint64_t length) {
+  const auto pages = static_cast<std::uint32_t>((length + ra::kPageSize - 1) / ra::kPageSize);
+  Bytes buf(ra::kPageSize);
+  for (std::uint32_t i = 0; i < pages; ++i) {
+    // A PageHandle dies at the next block, and resolving the target page
+    // may block on its home server: stage through a local buffer.
+    CLOUDS_TRY_ASSIGN(src, resolvePage(self, {from, i}, ra::Access::read));
+    std::memcpy(buf.data(), src.data(), ra::kPageSize);
+    CLOUDS_TRY_ASSIGN(dst, resolvePage(self, {to, i}, ra::Access::write));
+    std::memcpy(dst.mutableData(), buf.data(), ra::kPageSize);
+  }
+  return okResult();
+}
+
 // ---------------------------------------------------------------- hooks
 
 Result<void> DsmClientPartition::flushSegment(sim::Process& self, const Sysname& segment) {

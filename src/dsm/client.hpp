@@ -60,6 +60,11 @@ class DsmClientPartition : public ra::Partition {
   Result<Sysname> createSegment(sim::Process& self, net::NodeId home, std::uint64_t length,
                                 bool zero_fill = true);
   Result<void> destroySegment(sim::Process& self, const Sysname& name);
+  // Copy the first `length` bytes of `from` into `to`, page by page: a read
+  // of each source page, then a write of the target page. The copy sits in
+  // dirty frames until the target is flushed.
+  Result<void> copySegment(sim::Process& self, const Sysname& from, const Sysname& to,
+                           std::uint64_t length);
 
   // ---- Hooks for the consistency layer ----
   // Dirty exclusive frames of the segment, as page updates (for 2PC).

@@ -66,7 +66,6 @@ void DsmServer::loseVolatileState() {
     l.readers.clear();
     l.writer = 0;
     l.upgrade_waiter = 0;
-    l.upgrade_since = sim::kZero;
     l.granted_at.clear();
   }
   // Semaphore ids do carry presence semantics (P/V on an unknown id is
@@ -384,11 +383,6 @@ Result<void> DsmServer::handleLock(sim::Process& self, const Sysname& segment, L
         ++it;
       }
     }
-    // A stranded upgrade slot (its worker died) expires like a lease.
-    if (l.upgrade_waiter != 0 &&
-        node_.simulation().now() - l.upgrade_since > 2 * node_.cost().lock_wait_timeout) {
-      l.upgrade_waiter = 0;
-    }
     const bool held_shared = l.readers.count(owner) != 0;
     if (mode == LockMode::shared) {
       // New shared admissions yield to a pending upgrade (else it starves).
@@ -418,7 +412,6 @@ Result<void> DsmServer::handleLock(sim::Process& self, const Sysname& segment, L
       }
       if (held_shared && l.upgrade_waiter == 0) {
         l.upgrade_waiter = owner;  // claim the upgrade slot and wait
-        l.upgrade_since = node_.simulation().now();
       }
     }
     const sim::Duration remaining = deadline - node_.simulation().now();

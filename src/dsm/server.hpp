@@ -82,9 +82,10 @@ class DsmServer {
     // cp-thread read-locks, then upgrades). One owner at a time may hold
     // the upgrade slot; other readers that also want to upgrade are wounded
     // immediately (deadlock error -> abort -> retry with backoff), which
-    // guarantees a winner per round.
+    // guarantees a winner per round. The claiming handler clears the slot
+    // on every path that returns, by its lock_wait_timeout deadline at the
+    // latest; a crash of this server or of the client resets it.
     std::uint64_t upgrade_waiter = 0;
-    sim::TimePoint upgrade_since = sim::kZero;
     // Leases: a holder that neither commits nor aborts (its node crashed)
     // loses its locks after lock_lease_ttl; an unlock refreshes nothing —
     // cp scopes are short relative to the lease.

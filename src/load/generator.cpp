@@ -4,6 +4,10 @@
 
 namespace clouds::load {
 
+namespace {
+constexpr std::int64_t kReadLimit = 10;  // timeline entries per read
+}  // namespace
+
 const char* opKindName(OpKind k) noexcept {
   switch (k) {
     case OpKind::read: return "read";
@@ -80,13 +84,11 @@ void Generator::fire() {
       break;
   }
   p.key = key;
-  p.node = options_.use_scheduler
-               ? cluster_.scheduleComputeServer(hint)
-               : static_cast<int>(issued_ % static_cast<std::uint64_t>(cluster_.computeCount()));
+  p.node = cluster_.scheduleComputeServer(hint);
 
   switch (p.kind) {
     case OpKind::read:
-      p.handle = app_.startRead(key, options_.read_limit, p.node);
+      p.handle = app_.startRead(key, kReadLimit, p.node);
       break;
     case OpKind::post:
       p.handle = app_.startPost(key, "p" + std::to_string(issued_), p.node);

@@ -46,10 +46,6 @@ struct GeneratorOptions {
   double diurnal_amplitude = 0.6;
   sim::Duration diurnal_period = sim::sec(40);
   Mix mix;
-  std::int64_t read_limit = 10;   // timeline entries per read
-  // true: place each op via the gossip scheduler with the target shard as
-  // locality hint. false: round-robin over compute servers (baseline).
-  bool use_scheduler = true;
 };
 
 class Generator {

@@ -5,15 +5,21 @@
 
 namespace clouds::migrate {
 
-Migrator::Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTable* table,
-                   net::NodeId name_server, Options options, Hooks hooks)
-    : node_(node),
-      dsm_(dsm),
+namespace {
+// How long a drain waits for in-flight invocations to leave the object.
+constexpr sim::Duration kDrainTimeout = sim::msec(500);
+}  // namespace
+
+Migrator::Migrator(obj::Runtime& runtime, sched::LoadTable& table,
+                   std::set<net::NodeId> data_homes, net::NodeId name_server, Options options)
+    : node_(runtime.node()),
+      runtime_(runtime),
+      dsm_(runtime.dsm()),
       table_(table),
-      sync_(dsm),
-      names_(node, name_server),
-      options_(options),
-      hooks_(std::move(hooks)) {
+      data_homes_(std::move(data_homes)),
+      sync_(dsm_),
+      names_(node_, name_server),
+      options_(options) {
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
   m_started_ = &metrics.counter(node_.name() + "/migrate/started");
   m_committed_ = &metrics.counter(node_.name() + "/migrate/committed");
@@ -25,46 +31,24 @@ Migrator::Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTabl
     if (state_hook_) state_hook_(s);
   });
   node_.onCrashHook([this] {
-    // The node layer kills the loop IsiBa (and any in-flight migrateObject
+    // The node layer kills the daemon (and any in-flight migrateObject
     // thread) by RAII unwinding; protocol state is volatile. The durable
     // outcome of an interrupted handoff is decided solely by the source
     // store's header page + 2PC log, not by anything we hold here.
-    loop_ = nullptr;
-    ++epoch_;
     fsm_.forceIdle();
     event("crash");
   });
-  node_.onRestartHook([this] { start(); });
-  start();
-}
-
-void Migrator::start() {
-  if (!options_.enabled || table_ == nullptr) return;
-  loop_ = &node_.spawnIsiBa("migrate.daemon", [this](sim::Process& self) { loop(self); });
-}
-
-void Migrator::loop(sim::Process& self) {
-  armTick(options_.phase > sim::kZero ? options_.phase : options_.interval);
-  for (;;) {
-    self.block();  // woken by the daemon tick
-    const bool attempted = tick(self);
-    armTick(attempted ? options_.cooldown : options_.interval);
-  }
-}
-
-void Migrator::armTick(sim::Duration delay) {
-  const std::uint64_t epoch = epoch_;
-  sim::Process* loop = loop_;
-  node_.simulation().scheduleDaemon(delay, [this, epoch, loop] {
-    // A tick armed before a crash must not wake the post-restart loop.
-    if (epoch == epoch_ && loop != nullptr && loop == loop_) loop->wake();
-  });
+  node_.spawnDaemon("migrate.daemon", options_.enabled,
+                    options_.phase > sim::kZero ? options_.phase : options_.interval,
+                    [this](sim::Process& self) {
+                      return tick(self) ? options_.cooldown : options_.interval;
+                    });
 }
 
 bool Migrator::tick(sim::Process& self) {
   if (fsm_.state() != State::idle) return false;
   const sim::TimePoint now = node_.simulation().now();
-  const sched::LoadTable::Entry* me = table_->find(node_.id());
+  const sched::LoadTable::Entry* me = table_.find(node_.id());
   if (me == nullptr) return false;
   if (me->effectiveLoad() < options_.high_watermark) return rebalanceTick(self, *me, now);
   // Pressure is relative: only the hottest node in view sheds (ties break
@@ -72,24 +56,23 @@ bool Migrator::tick(sim::Process& self) {
   // backlog merely trails a hotter peer would otherwise race it for the
   // same objects — two daemons deadlocking on the same segment locks — or
   // churn an object between peers while the real hotspot stays saturated.
-  for (const auto& [peer, e] : table_->entries()) {
-    if (e.self || table_->stale(e, now)) continue;
+  for (const auto& [peer, e] : table_.entries()) {
+    if (e.self || table_.stale(e, now)) continue;
     const std::uint64_t peer_load = e.effectiveLoad();
     if (peer_load > me->effectiveLoad() ||
         (peer_load == me->effectiveLoad() && peer > node_.id())) {
       return false;
     }
   }
-  const auto cold = table_->coldestPeerBelow(
+  const auto cold = table_.coldestPeerBelow(
       options_.low_watermark, now, [this, now](net::NodeId peer) {
         const auto it = last_shipped_.find(peer);
         return it == last_shipped_.end() || now - it->second >= options_.target_backoff;
       });
   if (!cold.has_value()) return false;
-  const net::NodeId target = hooks_.data_home_of ? hooks_.data_home_of(*cold) : net::kNoNode;
+  const net::NodeId target = dataHomeOf(*cold);
   if (target == net::kNoNode) return false;  // diskless peer cannot adopt segments
-  if (!hooks_.pick_hot) return false;
-  const auto hot = hooks_.pick_hot(options_.min_heat);
+  const auto hot = runtime_.hottestObject(options_.min_heat);
   if (!hot.has_value()) return false;
   if (ra::sysnameHome(*hot) == target) return false;  // already lives there
   if (migrateObject(self, *hot, target).ok()) {
@@ -109,21 +92,22 @@ bool Migrator::rebalanceTick(sim::Process& self, const sched::LoadTable::Entry& 
                              sim::TimePoint now) {
   if (!options_.rebalance) return false;
   if (me.effectiveLoad() > options_.low_watermark) return false;  // not quiet yet
-  if (!hooks_.pick_spread || !hooks_.homed_hot_count || !hooks_.data_home_of) return false;
-  const net::NodeId my_home = hooks_.data_home_of(node_.id());
+  // Our own pile must be the exact live count: the gossiped self-report
+  // lags by a gossip interval, and shipping on a stale pile would overshoot
+  // the spread.
+  const net::NodeId my_home = dataHomeOf(node_.id());
   if (my_home == net::kNoNode) return false;
-  const auto pile =
-      static_cast<std::uint32_t>(hooks_.homed_hot_count(options_.min_heat, my_home));
+  const auto pile = static_cast<std::uint32_t>(runtime_.homedHotCount(options_.min_heat, my_home));
   if (pile < 2) return false;
-  const auto cold = table_->coldestPeerBelow(
+  const auto cold = table_.coldestPeerBelow(
       options_.low_watermark, now, [this, now, pile](net::NodeId peer) {
         const auto it = last_shipped_.find(peer);
         if (it != last_shipped_.end() && now - it->second < options_.target_backoff) {
           return false;
         }
-        const net::NodeId peer_home = hooks_.data_home_of(peer);
+        const net::NodeId peer_home = dataHomeOf(peer);
         if (peer_home == net::kNoNode) return false;
-        const sched::LoadTable::Entry* e = table_->find(peer);
+        const sched::LoadTable::Entry* e = table_.find(peer);
         if (e == nullptr) return false;
         // The peer's gossiped homed_hot misses objects it stores but never
         // executes: an adopted object keeps being invoked from HERE, so its
@@ -132,13 +116,14 @@ bool Migrator::rebalanceTick(sim::Process& self, const sched::LoadTable::Entry& 
         // not sum, since an object invoked from both sides would otherwise
         // be double-counted. Without this, one cold peer swallows the whole
         // pile one backoff period at a time (1-3-0 instead of 2-1-1).
-        const std::size_t local = hooks_.homed_hot_count(options_.min_heat, peer_home);
+        const std::size_t local = runtime_.homedHotCount(options_.min_heat, peer_home);
         const std::size_t known = std::max<std::size_t>(e->report.homed_hot, local);
         return known + 1 < pile;
       });
   if (!cold.has_value()) return false;
-  const net::NodeId target = hooks_.data_home_of(*cold);
-  const auto candidate = hooks_.pick_spread(options_.min_heat);
+  const net::NodeId target = dataHomeOf(*cold);
+  // The coldest object of the pile: the cheapest to lose.
+  const auto candidate = runtime_.spreadCandidate(options_.min_heat, my_home);
   if (!candidate.has_value()) return false;
   if (ra::sysnameHome(*candidate) == target) return false;
   event("rebalance pile " + std::to_string(pile) + " -> node " + std::to_string(target));
@@ -178,7 +163,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       (void)dsm_.destroySegment(self, s);
     }
     if (locked) (void)sync_.unlockAll(self, source, tx);
-    if (draining) hooks_.end_drain(header);
+    if (draining) runtime_.endDrain(header);
     ++*m_aborted_;
     event("abort: " + err.toString());
     fsm_.abort();
@@ -190,29 +175,27 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
   // object before it migrated away still holds heat under the dead name;
   // probing the header page first turns that case into a cheap no-op.
   // Draining first instead would block real invocations (still entering
-  // through the forwarding chain) for the whole drain_timeout.
+  // through the forwarding chain) for the whole kDrainTimeout.
   {
     dsm_.dropSegment(header);
     auto page_r = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
     if (!page_r.ok()) {
-      if (page_r.error().code == Errc::not_found && hooks_.forget_heat) {
-        hooks_.forget_heat(header);
-      }
+      if (page_r.error().code == Errc::not_found) runtime_.forgetHeat(header);
       return fail(page_r.error());
     }
     if (isForwardPage(ByteSpan(page_r.value().data(), ra::kPageSize))) {
-      if (hooks_.forget_heat) hooks_.forget_heat(header);
+      runtime_.forgetHeat(header);
       return fail(makeError(Errc::already_exists, "object was already migrated away"));
     }
   }
 
   // ---- draining: stop new local invocations, wait out in-flight ones ----
-  if (!hooks_.begin_drain || !hooks_.begin_drain(header)) {
+  if (!runtime_.beginDrain(header)) {
     return fail(makeError(Errc::busy, "object is already draining"));
   }
   draining = true;
   {
-    auto r = hooks_.wait_quiesced(self, header, options_.drain_timeout);
+    auto r = runtime_.waitQuiesced(self, header, kDrainTimeout);
     if (!r.ok()) return fail(r.error());
   }
   // Exclusive locks keep remote transactional writers out of the payload
@@ -235,9 +218,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       // away; its heat was earned under a dead name. Forget it so the next
       // tick picks a live object instead of re-probing this one forever.
       const Errc code = desc_r.error().code;
-      if ((code == Errc::already_exists || code == Errc::not_found) && hooks_.forget_heat) {
-        hooks_.forget_heat(header);
-      }
+      if (code == Errc::already_exists || code == Errc::not_found) runtime_.forgetHeat(header);
       return fail(desc_r.error());
     }
     const obj::ObjectDescriptor desc = std::move(desc_r).value();
@@ -258,14 +239,12 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       dsm_.dropSegment(header);
       auto page = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
       if (!page.ok()) {
-        if (page.error().code == Errc::not_found && hooks_.forget_heat) {
-          hooks_.forget_heat(header);
-        }
+        if (page.error().code == Errc::not_found) runtime_.forgetHeat(header);
         return fail(page.error());
       }
       ByteSpan image(page.value().data(), ra::kPageSize);
       if (isForwardPage(image)) {
-        if (hooks_.forget_heat) hooks_.forget_heat(header);
+        runtime_.forgetHeat(header);
         return fail(makeError(Errc::already_exists,
                               "object migrated away while awaiting segment locks"));
       }
@@ -280,7 +259,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     // Flush + tear down the local activation so the source store holds the
     // object's authoritative bytes.
     {
-      auto r = hooks_.flush_deactivate(self, header);
+      auto r = runtime_.flushForMigration(self, header);
       if (!r.ok()) return fail(r.error());
     }
     if (!fsm_.drained()) return fail(makeError(Errc::internal, "fsm refused drained()"));
@@ -302,8 +281,8 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     const Sysname nh = nh_r.value();
 
     {
-      auto r = copySegment(self, desc.data_seg, nd, desc.data_size);
-      if (r.ok()) r = copySegment(self, desc.pheap_seg, np, desc.pheap_size);
+      auto r = dsm_.copySegment(self, desc.data_seg, nd, desc.data_size);
+      if (r.ok()) r = dsm_.copySegment(self, desc.pheap_seg, np, desc.pheap_size);
       if (!r.ok()) return fail(r.error());
     }
     // New header: the old descriptor re-pointed at the adopted segments
@@ -362,7 +341,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
           ++*m_in_doubt_;
           event("in doubt: " + r.error().toString());
           if (locked) (void)sync_.unlockAll(self, source, tx);
-          hooks_.end_drain(header);
+          runtime_.endDrain(header);
           fsm_.abort();
           fsm_.reset();
           return makeError(Errc::timeout,
@@ -377,7 +356,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     // gossip won't say so until its next report. Charge the handoff to our
     // local view (same inflight correction the placement chooser uses) so
     // the next tick doesn't dogpile every hot object onto one cold peer.
-    if (table_ != nullptr) table_->notePlacement(target);
+    table_.notePlacement(target);
 
     // ---- adopted: publish, GC, release ----
     // Our own cached header frame still holds the old descriptor (the
@@ -403,26 +382,12 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     // object it just gave away — herding the scheduler right back here.
     for (const Sysname& s : {nd, np, nh}) dsm_.dropSegment(s);
     (void)sync_.unlockAll(self, source, tx);
-    hooks_.end_drain(header);
-    if (hooks_.committed) hooks_.committed(header, nh);
+    runtime_.endDrain(header);
+    runtime_.forgetHeat(header);
+    if (committed_hook_) committed_hook_(header, nh);
     fsm_.finish();
     return nh;
   }
-}
-
-Result<void> Migrator::copySegment(sim::Process& self, const Sysname& from, const Sysname& to,
-                                   std::uint64_t length) {
-  const auto pages = static_cast<std::uint32_t>((length + ra::kPageSize - 1) / ra::kPageSize);
-  Bytes buf(ra::kPageSize);
-  for (std::uint32_t i = 0; i < pages; ++i) {
-    // A PageHandle dies at the next block, and resolving the destination
-    // page may block on its home server — stage through a local buffer.
-    CLOUDS_TRY_ASSIGN(src, dsm_.resolvePage(self, {from, i}, ra::Access::read));
-    std::memcpy(buf.data(), src.data(), ra::kPageSize);
-    CLOUDS_TRY_ASSIGN(dst, dsm_.resolvePage(self, {to, i}, ra::Access::write));
-    std::memcpy(dst.mutableData(), buf.data(), ra::kPageSize);
-  }
-  return okResult();
 }
 
 void Migrator::event(std::string what) {

@@ -9,19 +9,20 @@
 // single 2PC-logged page write (see docs/MIGRATION.md for the full crash
 // matrix).
 //
-// Layering: migrate/ sits *below* clouds/ — everything it needs from the
-// object runtime (drain gate, quiesce wait, activation flush, hot-object
-// pick) is injected as Hooks closures, mirroring sched::LoadMonitor's
-// Providers. The cluster façade wires them up.
+// Layering: migrate/ builds into the clouds_core library with the object
+// runtime it serves, and calls that Runtime directly for the drain gate,
+// the quiesce wait, the activation flush and the hot-object picks. The
+// cluster façade supplies only what a node cannot see itself: which peers
+// have a co-located data server, and a notice of each committed handoff.
 #pragma once
 
 #include <functional>
 #include <map>
-#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "clouds/object.hpp"
+#include "clouds/runtime.hpp"
 #include "dsm/client.hpp"
 #include "dsm/sync_client.hpp"
 #include "migrate/protocol.hpp"
@@ -44,7 +45,6 @@ class Migrator {
     std::uint64_t high_watermark = 6;  // local effectiveLoad >= high ...
     std::uint64_t low_watermark = 2;   // ... while a fresh peer is <= low
     std::uint64_t min_heat = 2;        // invocations before an object counts as hot
-    sim::Duration drain_timeout = sim::msec(500);
     // Don't ship a second object to the same peer until its own gossip has
     // had time to reflect the first handoff — a cold peer's report lags the
     // load we just gave it, and trusting it verbatim dogpiles every hot
@@ -62,44 +62,10 @@ class Migrator {
     bool rebalance = false;
   };
 
-  // Closures into the clouds/ object runtime and cluster topology.
-  struct Hooks {
-    // Drain gate: returns false if the object is already draining.
-    std::function<bool(const Sysname&)> begin_drain;
-    std::function<void(const Sysname&)> end_drain;
-    // Wait until no local thread executes inside the draining object.
-    std::function<Result<void>(sim::Process&, const Sysname&, sim::Duration)> wait_quiesced;
-    // Flush the activation's dirty pages and tear it down, making the home
-    // store authoritative (ok when the object is not active).
-    std::function<Result<void>(sim::Process&, const Sysname&)> flush_deactivate;
-    // Hottest local candidate (header sysname) with at least min_heat
-    // invocations; nullopt when nothing qualifies.
-    std::function<std::optional<Sysname>(std::uint64_t)> pick_hot;
-    // Coldest member of the pile homed on this node's own data server (the
-    // rebalance nudge ships the cheapest-to-lose object and keeps the
-    // hottest one's cache locality); nullopt when nothing qualifies.
-    std::function<std::optional<Sysname>(std::uint64_t)> pick_spread;
-    // Live count of active objects with >= min_heat invocations homed on
-    // the given data server. For our own home this must be exact (the
-    // gossiped self-report lags by a gossip interval, and shipping on a
-    // stale pile would overshoot the spread). For a peer's home it is the
-    // local view: adopted incarnations we keep invoking stay in OUR
-    // activation table with their new home, which is exactly what the
-    // peer's own report can never show (heat is invocation-local, so a
-    // node that stores a pile nobody invokes through it reports zero).
-    std::function<std::size_t(std::uint64_t, net::NodeId)> homed_hot_count;
-    // Data server co-located with a compute peer (kNoNode: peer is diskless
-    // and cannot adopt segments).
-    std::function<net::NodeId(net::NodeId)> data_home_of;
-    // Ownership handed off durably: old header -> new header.
-    std::function<void(const Sysname&, const Sysname&)> committed;
-    // Drop a heat entry whose sysname turned out to be a tombstone (the
-    // object migrated away and the stale name must stop winning pick_hot).
-    std::function<void(const Sysname&)> forget_heat;
-  };
-
-  Migrator(ra::Node& node, dsm::DsmClientPartition& dsm, sched::LoadTable* table,
-           net::NodeId name_server, Options options, Hooks hooks);
+  // `data_homes` lists the nodes with a data server: a compute peer in it
+  // can adopt segments, any other is diskless.
+  Migrator(obj::Runtime& runtime, sched::LoadTable& table, std::set<net::NodeId> data_homes,
+           net::NodeId name_server, Options options);
 
   // The synchronous protocol: drain -> lock -> ship -> 2PC flip -> forward
   // -> GC. Returns the new header sysname (homed on `target`). On any
@@ -117,31 +83,34 @@ class Migrator {
   // protocol states.
   const std::vector<std::string>& events() const noexcept { return events_; }
   void onStateChange(std::function<void(State)> fn) { state_hook_ = std::move(fn); }
+  // Notice of a durable handoff: old header -> new header.
+  void onCommitted(std::function<void(const Sysname&, const Sysname&)> fn) {
+    committed_hook_ = std::move(fn);
+  }
 
  private:
-  void start();
-  void loop(sim::Process& self);
-  void armTick(sim::Duration delay);
   bool tick(sim::Process& self);  // true if a migration was attempted
   bool rebalanceTick(sim::Process& self, const sched::LoadTable::Entry& me,
                      sim::TimePoint now);
   void event(std::string what);
-  Result<void> copySegment(sim::Process& self, const Sysname& from, const Sysname& to,
-                           std::uint64_t length);
+  // The data server co-located with a compute node (kNoNode: diskless).
+  net::NodeId dataHomeOf(net::NodeId compute) const {
+    return data_homes_.count(compute) != 0 ? compute : net::kNoNode;
+  }
 
   ra::Node& node_;
+  obj::Runtime& runtime_;
   dsm::DsmClientPartition& dsm_;
-  sched::LoadTable* table_;  // null: no gossip view, daemon never triggers
+  sched::LoadTable& table_;
+  std::set<net::NodeId> data_homes_;
   dsm::SyncClient sync_;
   sysobj::NameClient names_;
   Options options_;
-  Hooks hooks_;
   MigrationFsm fsm_;
   std::vector<std::string> events_;
   std::function<void(State)> state_hook_;
-  sim::Process* loop_ = nullptr;
+  std::function<void(const Sysname&, const Sysname&)> committed_hook_;
   std::map<net::NodeId, sim::TimePoint> last_shipped_;  // target -> commit time
-  std::uint64_t epoch_ = 0;  // bumped on crash: stale ticks must not wake a new loop
   std::uint64_t seq_ = 0;    // migration txid sequence (high bit set: disjoint
                              // from TxnRuntime's txids on the same node)
   // Counters ("<node>/migrate/..."), resolved at construction. in_doubt

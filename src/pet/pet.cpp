@@ -112,29 +112,14 @@ int PetManager::propagate(sim::Process& self, obj::Runtime&, const ReplicatedObj
     if (static_cast<int>(r) == winner_idx) continue;
     auto target_desc = readDesc(object.replicas[r]);
     if (!target_desc.ok()) continue;  // replica's data server is down
-    bool copied = true;
-    auto copySegment = [&](const Sysname& from, const Sysname& to, std::uint64_t bytes) {
-      const auto pages = static_cast<std::uint32_t>((bytes + ra::kPageSize - 1) / ra::kPageSize);
-      for (std::uint32_t p = 0; p < pages && copied; ++p) {
-        auto src = dsmp.resolvePage(self, {from, p}, ra::Access::read);
-        if (!src.ok()) {
-          copied = false;
-          break;
-        }
-        Bytes page(src.value().data(), src.value().data() + ra::kPageSize);
-        auto dst = dsmp.resolvePage(self, {to, p}, ra::Access::write);
-        if (!dst.ok()) {
-          copied = false;
-          break;
-        }
-        std::copy(page.begin(), page.end(), dst.value().mutableData());
-      }
-      if (copied && !dsmp.flushSegment(self, to).ok()) copied = false;
+    auto copy = [&](const Sysname& from, const Sysname& to, std::uint64_t bytes) {
+      return dsmp.copySegment(self, from, to, bytes).ok() && dsmp.flushSegment(self, to).ok();
     };
-    copySegment(winner_desc.value().data_seg, target_desc.value().data_seg,
-                winner_desc.value().data_size);
-    copySegment(winner_desc.value().pheap_seg, target_desc.value().pheap_seg,
-                winner_desc.value().pheap_size);
+    const bool copied =
+        copy(winner_desc.value().data_seg, target_desc.value().data_seg,
+             winner_desc.value().data_size) &&
+        copy(winner_desc.value().pheap_seg, target_desc.value().pheap_seg,
+             winner_desc.value().pheap_size);
     if (copied) {
       ++written;
       vv.versions[r] = new_version;

@@ -25,6 +25,25 @@ sim::Process& Node::spawnIsiBa(const std::string& name, std::function<void(sim::
   return p;
 }
 
+void Node::spawnDaemon(const std::string& name, bool enabled, sim::Duration first,
+                       std::function<sim::Duration(sim::Process&)> body) {
+  if (!enabled) return;
+  auto spawn = [this, name, first, body = std::move(body)] {
+    spawnIsiBa(name, [this, first, body](sim::Process& self) {
+      const std::uint64_t epoch = boot_epoch_;
+      for (sim::Duration delay = first;; delay = body(self)) {
+        sim_.scheduleDaemon(delay, [this, epoch, &self] {
+          // A tick armed before a crash belongs to a dead incarnation.
+          if (epoch == boot_epoch_) self.wake();
+        });
+        self.block();  // woken by the tick
+      }
+    });
+  };
+  onRestartHook(spawn);
+  spawn();
+}
+
 void Node::addPartition(std::unique_ptr<Partition> p) {
   partitions_.push_back(std::move(p));
 }
@@ -40,6 +59,7 @@ Result<Partition*> Node::partitionFor(const Sysname& segment) {
 void Node::crash() {
   if (!alive_) return;
   alive_ = false;
+  ++boot_epoch_;
   ++*m_fault_crashes_;
   sim_.trace(name_, "node", "CRASH");
   nic_.crash();

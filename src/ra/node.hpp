@@ -43,6 +43,10 @@ class Node {
   const std::string& name() const noexcept { return name_; }
   bool hasRole(NodeRole r) const noexcept { return (roles_ & static_cast<int>(r)) != 0; }
   bool alive() const noexcept { return alive_; }
+  // How many times this node has crashed. crash() bumps it before any crash
+  // hook runs, so it names the incarnation the next restart() begins; it
+  // equals the "<name>/fault/crashes" counter.
+  std::uint64_t bootEpoch() const noexcept { return boot_epoch_; }
 
   sim::Simulation& simulation() noexcept { return sim_; }
   const sim::CostModel& cost() const noexcept { return cost_; }
@@ -53,6 +57,13 @@ class Node {
   // Spawn a kernel-managed lightweight process (an IsiBa). It is killed if
   // this node crashes. Name is prefixed with the node name.
   sim::Process& spawnIsiBa(const std::string& name, std::function<void(sim::Process&)> body);
+  // Spawn a daemon IsiBa: it sleeps `first`, runs `body`, then sleeps the
+  // delay `body` returns, forever. Its ticks are daemon events, so it never
+  // keeps an unbounded run() alive, and a tick armed in an earlier boot
+  // epoch wakes nothing. It dies with the node and restart() respawns it. A
+  // disabled daemon spawns nothing.
+  void spawnDaemon(const std::string& name, bool enabled, sim::Duration first,
+                   std::function<sim::Duration(sim::Process&)> body);
 
   // ---- Partitions ----
   void addPartition(std::unique_ptr<Partition> p);
@@ -84,6 +95,7 @@ class Node {
   std::string name_;
   int roles_;
   bool alive_ = true;
+  std::uint64_t boot_epoch_ = 0;
   sim::CpuResource cpu_;
   net::Nic& nic_;
   net::RatpEndpoint ratp_;

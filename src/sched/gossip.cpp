@@ -4,46 +4,25 @@ namespace clouds::sched {
 
 GossipAgent::GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor,
                          Options options)
-    : node_(node), table_(table), monitor_(monitor), options_(options) {
+    : node_(node), table_(table), monitor_(monitor) {
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
   m_sent_ = &metrics.counter(node_.name() + "/sched/reports_sent");
   m_received_ = &metrics.counter(node_.name() + "/sched/reports_received");
   node_.nic().setHandler(net::kProtoSched,
                          [this](sim::Process&, const net::Frame& f) { onFrame(f); });
   node_.onCrashHook([this] {
-    // The node layer kills the loop IsiBa; drop our reference and invalidate
-    // any tick already in flight. Load knowledge is volatile kernel state.
-    loop_ = nullptr;
-    ++epoch_;
+    // Load knowledge is volatile kernel state.
     table_.clear();
     if (monitor_ != nullptr) monitor_->reset();
   });
-  node_.onRestartHook([this] { start(); });
-  start();
-}
-
-void GossipAgent::start() {
-  if (!options_.enabled || monitor_ == nullptr) return;  // listeners never tick
-  loop_ = &node_.spawnIsiBa("sched.gossip", [this](sim::Process& self) { loop(self); });
-}
-
-void GossipAgent::loop(sim::Process& self) {
-  armTick(options_.phase > sim::kZero ? options_.phase : options_.interval);
-  for (;;) {
-    self.block();  // woken by the daemon tick
-    broadcast(self);
-    table_.evictSilent(node_.simulation().now());
-    armTick(options_.interval);
-  }
-}
-
-void GossipAgent::armTick(sim::Duration delay) {
-  const std::uint64_t epoch = epoch_;
-  sim::Process* loop = loop_;
-  node_.simulation().scheduleDaemon(delay, [this, epoch, loop] {
-    // A tick armed before a crash must not wake the post-restart loop.
-    if (epoch == epoch_ && loop != nullptr && loop == loop_) loop->wake();
-  });
+  // Listeners never tick.
+  node_.spawnDaemon("sched.gossip", options.enabled && monitor_ != nullptr,
+                    options.phase > sim::kZero ? options.phase : options.interval,
+                    [this, interval = options.interval](sim::Process& self) {
+                      broadcast(self);
+                      table_.evictSilent(node_.simulation().now());
+                      return interval;
+                    });
 }
 
 void GossipAgent::broadcast(sim::Process& self) {

@@ -8,10 +8,10 @@
 // moves as messages: a partitioned or crashed server simply stops being
 // heard, its entries age out, and schedulers degrade to their stale view.
 //
-// The tick itself is a *daemon* event (sim::Simulation::scheduleDaemon), so
-// periodic gossip does not keep "drain the cluster" run() loops alive. The
-// loop process dies with the node (it is an IsiBa); a restart hook respawns
-// it, and the crash hook clears the volatile LoadTable.
+// The loop is the node's daemon IsiBa (ra::Node::spawnDaemon): its tick is
+// a daemon event, so periodic gossip does not keep "drain the cluster" run()
+// loops alive, and it dies with the node and comes back with it. The crash
+// hook clears the volatile LoadTable.
 #pragma once
 
 #include <cstdint>
@@ -36,19 +36,13 @@ class GossipAgent {
   GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor, Options options);
 
  private:
-  void start();
-  void loop(sim::Process& self);
-  void armTick(sim::Duration delay);
   void broadcast(sim::Process& self);
   void onFrame(const net::Frame& frame);
 
   ra::Node& node_;
   LoadTable& table_;
   LoadMonitor* monitor_;
-  Options options_;
-  sim::Process* loop_ = nullptr;
-  std::uint64_t epoch_ = 0;  // bumped on crash: stale ticks must not wake a new loop
-  std::uint64_t seq_ = 0;    // monotone across restarts
+  std::uint64_t seq_ = 0;  // monotone across restarts
   std::uint64_t* m_sent_;
   std::uint64_t* m_received_;
 };

@@ -38,17 +38,18 @@ namespace clouds::sim {
 
 enum class Engine : std::uint8_t { threads, fibers };
 
+// Stack reserved per fiber (virtual memory; pages commit lazily, so idle
+// fibers cost a few KiB of RSS). A guard region below the stack turns
+// overflow into a deterministic fault instead of silent corruption.
+// ASan builds get 8x: redzones between locals inflate every frame ~3-4x,
+// and the deepest invocation chains (nested object invocations over DSM
+// during crash recovery) genuinely overflow 1 MiB under instrumentation.
+// Unused by the threads engine (host threads get the default 8 MiB).
+inline constexpr std::size_t kFiberStackBytes = CLOUDS_SIM_ASAN ? (8u << 20) : (1u << 20);
+
 struct SimConfig {
   std::uint64_t seed = 1;
   Engine engine = Engine::fibers;
-  // Stack reserved per fiber (virtual memory; pages commit lazily, so idle
-  // fibers cost a few KiB of RSS). A guard region below the stack turns
-  // overflow into a deterministic fault instead of silent corruption.
-  // ASan builds get 8x: redzones between locals inflate every frame ~3-4x,
-  // and the deepest invocation chains (nested object invocations over DSM
-  // during crash recovery) genuinely overflow 1 MiB under instrumentation.
-  // Ignored by the threads engine (host threads get the default 8 MiB).
-  std::size_t fiber_stack_bytes = CLOUDS_SIM_ASAN ? (8u << 20) : (1u << 20);
 };
 
 inline const char* engineName(Engine e) noexcept {

@@ -10,7 +10,7 @@ namespace clouds::sim {
 Simulation::Simulation(std::uint64_t seed) : Simulation(SimConfig{.seed = seed}) {}
 
 Simulation::Simulation(const SimConfig& config)
-    : config_(config), stacks_(config.fiber_stack_bytes), rng_(config.seed) {
+    : config_(config), stacks_(kFiberStackBytes), rng_(config.seed) {
   events_executed_ = &metrics_.counter("sim/events_executed");
   process_resumes_ = &metrics_.counter("sim/process_resumes");
   processes_spawned_ = &metrics_.counter("sim/processes_spawned");

@@ -1,7 +1,6 @@
 #include "store/disk_store.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/codec.hpp"
 #include "sim/simulation.hpp"
@@ -636,13 +635,7 @@ Result<void> DiskStore::saveTo(const std::string& path) const {
   encodePrepared(e, txns);
   e.u8(engine_ == StoreEngine::wal ? 1 : 0);
   if (engine_ == StoreEngine::wal) log_.encode(e);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return makeError(Errc::io, "cannot open " + path);
-  const Bytes buf = std::move(e).take();
-  const bool ok = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-  std::fclose(f);
-  if (!ok) return makeError(Errc::io, "short write to " + path);
-  return okResult();
+  return writeHostFile(path, std::move(e).take());
 }
 
 void DiskStore::replayIntoImages(const wal::Log& log) {
@@ -682,14 +675,7 @@ void DiskStore::replayIntoImages(const wal::Log& log) {
 }
 
 Result<void> DiskStore::loadFrom(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return makeError(Errc::io, "cannot open " + path);
-  Bytes buf;
-  std::byte tmp[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(tmp, 1, sizeof(tmp), f)) > 0) buf.insert(buf.end(), tmp, tmp + n);
-  std::fclose(f);
-
+  CLOUDS_TRY_ASSIGN(buf, readHostFile(path));
   Decoder d(buf);
   CLOUDS_TRY_ASSIGN(magic, d.u32());
   if (magic != kSnapshotMagic) return makeError(Errc::io, "bad snapshot magic in " + path);

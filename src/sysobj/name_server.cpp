@@ -117,22 +117,11 @@ Result<void> NameServer::saveTo(const std::string& path) const {
     e.sysname(from);
     e.sysname(to);
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return makeError(Errc::io, "cannot open " + path);
-  const bool ok = std::fwrite(e.buffer().data(), 1, e.size(), f) == e.size();
-  std::fclose(f);
-  if (!ok) return makeError(Errc::io, "short write to " + path);
-  return okResult();
+  return writeHostFile(path, e.buffer());
 }
 
 Result<void> NameServer::loadFrom(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return makeError(Errc::io, "cannot open " + path);
-  Bytes buf;
-  std::byte tmp[16384];
-  std::size_t n = 0;
-  while ((n = std::fread(tmp, 1, sizeof(tmp), f)) > 0) buf.insert(buf.end(), tmp, tmp + n);
-  std::fclose(f);
+  CLOUDS_TRY_ASSIGN(buf, readHostFile(path));
   Decoder d(buf);
   CLOUDS_TRY_ASSIGN(magic, d.u32());
   if (magic != kSnapshotMagic) return makeError(Errc::io, "bad name snapshot in " + path);

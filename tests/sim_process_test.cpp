@@ -572,7 +572,7 @@ TEST(StackPool, LiveProcessesNeverShareAStackAndFinishedOnesGiveTheirsBack) {
       self.delay(msec(1));
     };
   };
-  const std::size_t span = sim.config().fiber_stack_bytes;
+  const std::size_t span = kFiberStackBytes;
   auto sameStack = [span](std::uintptr_t x, std::uintptr_t y) {
     return (x > y ? x - y : y - x) < span;
   };

@@ -37,8 +37,7 @@ Cluster::Machine Cluster::makeMachine(net::NodeId id, const std::string& name, b
     // On a combined machine the client partition short-circuits requests
     // for locally homed segments ("data access via local disk is faster
     // than data access over a network", paper §3).
-    auto dsm_part = std::make_unique<dsm::DsmClientPartition>(*m.node, m.server.get(),
-                                                              config_.frame_capacity);
+    auto dsm_part = std::make_unique<dsm::DsmClientPartition>(*m.node, m.server.get());
     m.dsm = dsm_part.get();
     m.node->addPartition(std::move(dsm_part));
     auto anon_part =
@@ -47,16 +46,6 @@ Cluster::Machine Cluster::makeMachine(net::NodeId id, const std::string& name, b
     m.node->addPartition(std::move(anon_part));
   }
   return m;
-}
-
-// Per-node gossip options: a deterministic phase offset (derived from the
-// node id) staggers the fleet's broadcast ticks on the shared medium.
-sched::Agent::Options Cluster::agentOptions(net::NodeId id) const {
-  sched::Agent::Options opts = config_.sched;
-  if (opts.gossip_phase == sim::kZero) {
-    opts.gossip_phase = sim::usec(5000 + 500 * static_cast<std::int64_t>(id % 97));
-  }
-  return opts;
 }
 
 void Cluster::finishComputeRole(Machine& m) {
@@ -72,8 +61,7 @@ void Cluster::finishComputeRole(Machine& m) {
   prov.homed_hot_objects = [this, rt0 = m.runtime.get(), node = m.node.get()] {
     return rt0->homedHotCount(config_.migrate.min_heat, dataHomeOf(node->id()));
   };
-  m.sched = std::make_unique<sched::Agent>(*m.node, agentOptions(m.node->id()),
-                                           std::move(prov));
+  m.sched = std::make_unique<sched::Agent>(*m.node, config_.sched, std::move(prov));
   m.runtime->onThreadCompleted([mon = m.sched->monitor()](sim::Duration latency) {
     mon->recordCompletion(latency);
   });
@@ -84,23 +72,13 @@ void Cluster::finishComputeRole(Machine& m) {
   m.migrator = std::make_unique<migrate::Migrator>(*m.runtime, m.sched->table(),
                                                    std::move(data_homes),
                                                    data_view_.front().node->id(),
-                                                   migrateOptions(m.node->id()));
+                                                   config_.migrate);
   // Keep the façade's locality hints pointing at the live incarnation.
   m.migrator->onCommitted([this](const Sysname& old_header, const Sysname& new_header) {
     for (auto& [name, sys] : created_objects_) {
       if (sys == old_header) sys = new_header;
     }
   });
-}
-
-// Per-node migration options: stagger daemon ticks like the gossip ticks,
-// on a different stride so the two families of timers interleave.
-migrate::Migrator::Options Cluster::migrateOptions(net::NodeId id) const {
-  migrate::Migrator::Options opts = config_.migrate;
-  if (opts.phase == sim::kZero) {
-    opts.phase = sim::usec(9000 + 700 * static_cast<std::int64_t>(id % 89));
-  }
-  return opts;
 }
 
 net::NodeId Cluster::dataHomeOf(net::NodeId compute) const {
@@ -166,7 +144,7 @@ Cluster::Cluster(ClusterConfig config)
   // unbound protocol handler.
   for (auto& m : machines_) {
     if (m.runtime == nullptr) {
-      m.sched = std::make_unique<sched::Agent>(*m.node, agentOptions(m.node->id()),
+      m.sched = std::make_unique<sched::Agent>(*m.node, config_.sched,
                                                sched::LoadMonitor::Providers{});
     }
   }
@@ -179,7 +157,7 @@ Cluster::Cluster(ClusterConfig config)
     wn.ws = std::make_unique<sysobj::Workstation>(*wn.node);
     // Workstations are where users submit threads, so each runs a listener
     // agent: its LoadTable is built only from received broadcasts.
-    wn.agent = std::make_unique<sched::Agent>(*wn.node, agentOptions(wn.node->id()),
+    wn.agent = std::make_unique<sched::Agent>(*wn.node, config_.sched,
                                               sched::LoadMonitor::Providers{});
     workstations_.push_back(std::move(wn));
   }
@@ -361,38 +339,29 @@ std::string Cluster::Stats::toString() const {
   return out;
 }
 
-void Cluster::notifyClientCrash(net::NodeId client) {
-  // Surviving data servers detect the dead client (peer death / membership)
-  // and purge its page copies and locks instead of waiting out lease TTLs.
-  for (auto& dv : data_view_) {
-    if (!dv.node->alive() || dv.node->id() == client) continue;
-    dv.server->onClientCrash(client);
+void Cluster::crashNode(ra::Node& node) {
+  node.crash();
+  if (node.hasRole(ra::NodeRole::compute)) {
+    // Surviving data servers detect the dead client (peer death /
+    // membership) and purge its page copies and locks instead of waiting
+    // out lease TTLs.
+    for (auto& dv : data_view_) {
+      if (dv.node->alive()) dv.server->onClientCrash(node.id());
+    }
+  }
+  if (node.hasRole(ra::NodeRole::data)) {
+    // The crashed data server's volatile directory died with it, so every
+    // grant it issued is void; surviving clients drop the cached copies it
+    // can no longer invalidate (dirty frames stay for write-back adoption).
+    for (auto& cv : compute_view_) {
+      if (cv.node->alive()) cv.dsm->purgeHomedOn(node.id());
+    }
   }
 }
 
-void Cluster::notifyServerCrash(net::NodeId server) {
-  // The crashed data server's volatile directory died with it, so every
-  // grant it issued is void; surviving clients drop the cached copies it
-  // can no longer invalidate (dirty frames stay for write-back adoption).
-  for (auto& cv : compute_view_) {
-    if (!cv.node->alive() || cv.node->id() == server) continue;
-    cv.dsm->purgeHomedOn(server);
-  }
-}
+void Cluster::crashCompute(int idx) { crashNode(*compute_view_.at(idx).node); }
 
-void Cluster::crashCompute(int idx) {
-  ra::Node& n = *compute_view_.at(idx).node;
-  n.crash();
-  notifyClientCrash(n.id());
-}
-
-void Cluster::crashData(int idx) {
-  ra::Node& n = *data_view_.at(idx).node;
-  n.crash();
-  // A combined machine's compute role dies with it.
-  if (n.hasRole(ra::NodeRole::compute)) notifyClientCrash(n.id());
-  notifyServerCrash(n.id());
-}
+void Cluster::crashData(int idx) { crashNode(*data_view_.at(idx).node); }
 
 std::vector<net::NodeId> Cluster::resolveNames(const std::vector<std::string>& names) const {
   std::vector<net::NodeId> out;
@@ -415,11 +384,7 @@ void Cluster::installFaultHooks(sim::FaultPlan& plan) {
   for (auto& m : machines_) {
     ra::Node* node = m.node.get();
     sim::FaultHooks hooks;
-    hooks.crash = [this, node] {
-      node->crash();
-      if (node->hasRole(ra::NodeRole::compute)) notifyClientCrash(node->id());
-      if (node->hasRole(ra::NodeRole::data)) notifyServerCrash(node->id());
-    };
+    hooks.crash = [this, node] { crashNode(*node); };
     hooks.reboot = [node] { node->restart(); };
     if (m.store != nullptr) {
       store::DiskStore* st = m.store.get();

@@ -45,7 +45,6 @@ struct ClusterConfig {
   // (tests/sim_engine_equivalence_test.cpp).
   sim::Engine engine = sim::Engine::fibers;
   sim::CostModel cost;
-  std::size_t frame_capacity = 2048;   // DSM frames per compute server
   // Storage engine per data server (docs/STORAGE.md): `wal` is the
   // log-structured default (group commit + async batched write-back);
   // `flat` is the original synchronous reference path, kept selectable so
@@ -53,12 +52,10 @@ struct ClusterConfig {
   store::StoreEngine store_engine = store::StoreEngine::wal;
   // Distributed scheduling (src/sched): placement policy, gossip cadence,
   // staleness windows. policy = PolicyKind::oracle restores the old
-  // omniscient baseline. A zero gossip_phase gets a deterministic per-node
-  // offset so the fleet's broadcasts do not collide on one tick.
+  // omniscient baseline.
   sched::Agent::Options sched;
   // Object migration (src/migrate): daemon watermarks and cadence. Disabled
-  // by default; migrateObjectSync works regardless. A zero phase gets a
-  // deterministic per-node offset, staggered against the gossip ticks.
+  // by default; migrateObjectSync works regardless.
   migrate::Migrator::Options migrate;
 };
 
@@ -210,8 +207,10 @@ class Cluster {
   Stats stats() const;
 
   // ---- Failure injection (paper §5.2) ----
-  // Crashing a compute role notifies the surviving data servers so they
-  // purge the dead client's page copies and reclaim its locks.
+  // Crashing a machine crashes every role it has, whichever view names it.
+  // A dead compute role makes the surviving data servers purge its page
+  // copies and reclaim its locks; a dead data role makes the surviving
+  // compute roles drop the copies it granted.
   void crashCompute(int idx);
   void restartCompute(int idx) { compute_view_.at(idx).node->restart(); }
   void crashData(int idx);
@@ -257,11 +256,9 @@ class Cluster {
   Machine makeMachine(net::NodeId id, const std::string& name, bool data_role,
                       bool compute_role);
   void finishComputeRole(Machine& m);
-  void notifyClientCrash(net::NodeId client);
-  void notifyServerCrash(net::NodeId server);
+  // Crash a machine and send each notice its roles call for.
+  void crashNode(ra::Node& node);
   std::vector<net::NodeId> resolveNames(const std::vector<std::string>& names) const;
-  sched::Agent::Options agentOptions(net::NodeId id) const;
-  migrate::Migrator::Options migrateOptions(net::NodeId id) const;
   sched::Scheduler* chooserScheduler();
   int computeIndexOf(net::NodeId id) const;
 

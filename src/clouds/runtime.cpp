@@ -34,8 +34,7 @@ Runtime::Runtime(ra::Node& node, dsm::DsmClientPartition& dsm, ra::AnonPartition
       anon_(anon),
       classes_(classes),
       mmu_(node),
-      sync_(dsm),
-      txn_(node, dsm, sync_),
+      txn_(node, dsm),
       names_(node, name_server),
       io_(node) {
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
@@ -819,9 +818,9 @@ Result<std::string> ObjectContext::readLine() {
 net::NodeId ObjectContext::nodeId() const noexcept { return rt_.node_.id(); }
 
 Result<std::uint64_t> ObjectContext::semCreate(std::int64_t initial) {
-  return rt_.sync_.semCreate(*t_.process, ra::sysnameHome(ao_.desc.data_seg), initial);
+  return rt_.dsm_.semCreate(*t_.process, ra::sysnameHome(ao_.desc.data_seg), initial);
 }
-Result<void> ObjectContext::semP(std::uint64_t sem) { return rt_.sync_.semP(*t_.process, sem); }
-Result<void> ObjectContext::semV(std::uint64_t sem) { return rt_.sync_.semV(*t_.process, sem); }
+Result<void> ObjectContext::semP(std::uint64_t sem) { return rt_.dsm_.semP(*t_.process, sem); }
+Result<void> ObjectContext::semV(std::uint64_t sem) { return rt_.dsm_.semV(*t_.process, sem); }
 
 }  // namespace clouds::obj

@@ -23,7 +23,6 @@
 #include "clouds/thread.hpp"
 #include "consistency/txn.hpp"
 #include "dsm/client.hpp"
-#include "dsm/sync_client.hpp"
 #include "ra/anon_partition.hpp"
 #include "ra/mmu.hpp"
 #include "ra/node.hpp"
@@ -41,7 +40,6 @@ class Runtime {
   ra::Node& node() noexcept { return node_; }
   dsm::DsmClientPartition& dsm() noexcept { return dsm_; }
   sysobj::NameClient& names() noexcept { return names_; }
-  dsm::SyncClient& sync() noexcept { return sync_; }
   consistency::TxnRuntime& txn() noexcept { return txn_; }
 
   // ---- Object manager ----
@@ -154,7 +152,6 @@ class Runtime {
   ra::AnonPartition& anon_;
   ClassRegistry& classes_;
   ra::Mmu mmu_;
-  dsm::SyncClient sync_;
   consistency::TxnRuntime txn_;
   sysobj::NameClient names_;
   sysobj::IoClient io_;

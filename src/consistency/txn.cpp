@@ -22,9 +22,8 @@ void TxnRuntime::onAccess(sim::Process& self, TxScope& scope, const Sysname& seg
   if (!need_write && scope.read_set.count(segment) != 0) return;
 
   ++*m_lock_waits_;
-  auto r = sync_.lock(self, segment,
-                      need_write ? dsm::LockMode::exclusive : dsm::LockMode::shared,
-                      scope.txid);
+  auto r = dsm_.lock(self, segment,
+                     need_write ? dsm::LockMode::exclusive : dsm::LockMode::shared, scope.txid);
   if (!r.ok()) {
     throw TxAborted{r.error().code,
                     "segment lock on " + segment.toString() + ": " + r.error().toString()};
@@ -73,7 +72,7 @@ Result<void> TxnRuntime::commitGlobal(sim::Process& self, TxScope& scope) {
   // Phase 1: prepare everywhere.
   std::set<net::NodeId> prepared;
   for (const auto& [server, updates] : by_server) {
-    auto r = sync_.prepare(self, server, scope.txid, updates);
+    auto r = dsm_.prepare(self, server, scope.txid, updates);
     if (!r.ok()) {
       ++*m_participant_failures_;
       node_.simulation().trace(node_.name(), "txn",
@@ -96,7 +95,7 @@ Result<void> TxnRuntime::commitGlobal(sim::Process& self, TxScope& scope) {
   if (by_server.size() <= 1) {
     for (const auto& [server, updates] : by_server) {
       (void)updates;
-      auto r = sync_.decide(self, server, scope.txid, /*commit=*/true);
+      auto r = dsm_.decide(self, server, scope.txid, /*commit=*/true);
       if (!r.ok()) {
         ++*m_participant_failures_;
         node_.simulation().trace(node_.name(), "txn",
@@ -118,7 +117,7 @@ Result<void> TxnRuntime::commitGlobal(sim::Process& self, TxScope& scope) {
       node_.spawnIsiBa("txn" + std::to_string(txid & 0xffffffff) + ":commit->" +
                            std::to_string(target),
                        [this, st, target, txid](sim::Process& p) {
-                         auto r = sync_.decide(p, target, txid, /*commit=*/true);
+                         auto r = dsm_.decide(p, target, txid, /*commit=*/true);
                          if (!r.ok()) {
                            ++st->failures;
                            st->traces.push_back("commit decision to node " +
@@ -144,8 +143,8 @@ Result<void> TxnRuntime::commitLocal(sim::Process& self, TxScope& scope) {
   const auto by_server = collectUpdates(scope);
   bool any_failed = false;
   for (const auto& [server, updates] : by_server) {
-    auto p = sync_.prepare(self, server, scope.txid, updates);
-    if (p.ok()) p = sync_.decide(self, server, scope.txid, /*commit=*/true);
+    auto p = dsm_.prepare(self, server, scope.txid, updates);
+    if (p.ok()) p = dsm_.decide(self, server, scope.txid, /*commit=*/true);
     if (!p.ok()) {
       any_failed = true;
       for (const Sysname& seg : scope.write_set) {
@@ -168,7 +167,7 @@ void TxnRuntime::rollback(sim::Process& self, TxScope& scope,
   // writes; the store still holds the pre-transaction images.
   for (const Sysname& seg : scope.write_set) dsm_.dropSegment(seg);
   for (net::NodeId server : prepared_servers) {
-    (void)sync_.decide(self, server, scope.txid, /*commit=*/false);
+    (void)dsm_.decide(self, server, scope.txid, /*commit=*/false);
   }
   releaseLocks(self, scope);
 }
@@ -176,7 +175,7 @@ void TxnRuntime::rollback(sim::Process& self, TxScope& scope,
 void TxnRuntime::releaseLocks(sim::Process& self, TxScope& scope) {
   for (const Sysname& seg : scope.write_set) dsm_.unpinSegment(seg);
   for (net::NodeId server : scope.lock_servers) {
-    (void)sync_.unlockAll(self, server, scope.txid);
+    (void)dsm_.unlockAll(self, server, scope.txid);
   }
   scope.lock_servers.clear();
   scope.read_set.clear();

@@ -28,7 +28,6 @@
 
 #include "clouds/class_registry.hpp"
 #include "dsm/client.hpp"
-#include "dsm/sync_client.hpp"
 #include "ra/node.hpp"
 
 namespace clouds::consistency {
@@ -49,8 +48,7 @@ struct TxScope {
 
 class TxnRuntime {
  public:
-  TxnRuntime(ra::Node& node, dsm::DsmClientPartition& dsmp, dsm::SyncClient& sync)
-      : node_(node), dsm_(dsmp), sync_(sync) {
+  TxnRuntime(ra::Node& node, dsm::DsmClientPartition& dsmp) : node_(node), dsm_(dsmp) {
     sim::MetricsRegistry& metrics = node_.simulation().metrics();
     m_commits_ = &metrics.counter(node_.name() + "/txn/commits");
     m_aborts_ = &metrics.counter(node_.name() + "/txn/aborts");
@@ -80,7 +78,6 @@ class TxnRuntime {
 
   ra::Node& node_;
   dsm::DsmClientPartition& dsm_;
-  dsm::SyncClient& sync_;
   std::uint32_t next_tx_ = 1;
   // Registry handles ("<node>/txn/..."), resolved at construction.
   std::uint64_t* m_commits_;

@@ -164,43 +164,40 @@ Result<bool> DsmClientPartition::fault(sim::Process& self, const ra::PageKey& ke
 }
 
 Result<Message> DsmClientPartition::exchange(sim::Process& self, net::NodeId server,
-                                             Message request, net::RatpOptions options) {
+                                             const Request& request) {
+  Message message = encodeRequest(request);
   if (homedHere(server)) {
     node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->serveDsm(self, node_.id(), request);
+    return local_server_->serveDsm(self, node_.id(), message);
   }
-  return node_.ratp().transact(self, server, net::kPortDsm, std::move(request), options);
+  return node_.ratp().transact(self, server, net::kPortDsm, std::move(message),
+                               patience(request.op, node_.cost()));
+}
+
+Result<void> DsmClientPartition::call(sim::Process& self, net::NodeId server,
+                                      const Request& request) {
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, server, request));
+  Decoder d(reply);
+  return decodeStatus(d, request.op);
 }
 
 Result<PageGrant> DsmClientPartition::requestPage(sim::Process& self, const ra::PageKey& key,
                                                   ra::Access access) {
   const net::NodeId home = ra::sysnameHome(key.segment);
   if (!homedHere(home)) ++*m_remote_fetches_;
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(access == ra::Access::read ? Op::read_page : Op::write_page));
-  encodePageKey(e, key);
-  // A fault must outlast the server's coherence-callback patience (the
-  // server may spend ~1 s deciding a slow holder is dead before it can
-  // grant); retransmissions are deduplicated server-side.
-  net::RatpOptions opts;
-  opts.max_retries = node_.cost().dsm_callback_retries + 20;
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, std::move(e).message(), opts));
+  const Op op = access == ra::Access::read ? Op::read_page : Op::write_page;
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, {.op = op, .key = key}));
   Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "page fault"));
+  CLOUDS_TRY(decodeStatus(d, op));
   return decodeGrant(d);
 }
 
-Result<void> DsmClientPartition::sendWriteBackBatch(
-    sim::Process& self, const Sysname& segment, const std::vector<store::PageUpdate>& updates,
-    bool drop) {
+Result<void> DsmClientPartition::sendWriteBackBatch(sim::Process& self, const Sysname& segment,
+                                                    std::vector<store::PageUpdate> updates,
+                                                    bool drop) {
   *m_write_backs_ += updates.size();
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(Op::write_back_batch));
-  e.boolean(drop);
-  store::encodePageUpdates(e, updates);
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(segment), std::move(e).message()));
-  Decoder d(reply);
-  return decodeStatus(d, "write back batch");
+  return call(self, ra::sysnameHome(segment),
+              {.op = Op::write_back_batch, .drop = drop, .updates = std::move(updates)});
 }
 
 void DsmClientPartition::maybeEvict(sim::Process& self) {
@@ -233,45 +230,6 @@ void DsmClientPartition::maybeEvict(sim::Process& self) {
 
 // ---------------------------------------------------------------- callbacks
 
-SharedBytes DsmClientPartition::onInvalidate(const ra::PageKey& key, std::uint64_t version,
-                                             bool* was_dirty, bool* busy) {
-  Frame& f = frames_[key];
-  *was_dirty = f.state == FState::exclusive && f.dirty;
-  *busy = *was_dirty && pinned_.count(key.segment) != 0;
-  if (*busy) {
-    // Uncommitted bytes of an open transaction: refuse to surrender them.
-    // The frame (and the grant version we would have recorded) is untouched
-    // so the server's retry after commit/abort sees a clean resolution.
-    *was_dirty = false;
-    return {};
-  }
-  ++*m_invalidated_;
-  f.max_seen = std::max(f.max_seen, version);
-  SharedBytes data = std::move(f.image);
-  f.image = SharedBytes();
-  f.state = FState::invalid;
-  f.dirty = false;
-  return *was_dirty ? data : SharedBytes();
-}
-
-SharedBytes DsmClientPartition::onDegrade(const ra::PageKey& key, std::uint64_t version,
-                                          bool* was_dirty, bool* busy) {
-  Frame& f = frames_[key];
-  *was_dirty = f.state == FState::exclusive && f.dirty;
-  *busy = *was_dirty && pinned_.count(key.segment) != 0;
-  if (*busy) {
-    *was_dirty = false;
-    return {};
-  }
-  ++*m_degraded_;
-  f.max_seen = std::max(f.max_seen, version);
-  SharedBytes data;
-  if (*was_dirty) data = f.image;  // the frame keeps it, now shared and clean
-  if (f.state == FState::exclusive) f.state = FState::shared;
-  f.dirty = false;
-  return data;
-}
-
 void DsmClientPartition::pinSegment(const Sysname& segment) { ++pinned_[segment]; }
 
 void DsmClientPartition::unpinSegment(const Sysname& segment) {
@@ -280,42 +238,49 @@ void DsmClientPartition::unpinSegment(const Sysname& segment) {
   if (--it->second <= 0) pinned_.erase(it);
 }
 
-Message DsmClientPartition::serveCallback(const Message& request) {
-  Decoder d(request);
+Message DsmClientPartition::serveCallback(const Message& message) {
   Encoder reply;
-  auto op = d.u8();
-  auto key = decodePageKey(d);
-  auto version = d.u64();
-  const bool known = op.ok() && (op.value() == static_cast<std::uint8_t>(Op::invalidate) ||
-                                 op.value() == static_cast<std::uint8_t>(Op::degrade));
-  if (!known || !key.ok() || !version.ok()) {
+  auto request = decodeRequest(message);
+  if (!request.ok() || (request.value().op != Op::invalidate &&
+                        request.value().op != Op::degrade)) {
     encodeStatus(reply, Errc::bad_argument);
-    return std::move(reply).take();
+    return std::move(reply).message();
   }
-  bool dirty = false;
-  bool busy = false;
-  SharedBytes data = static_cast<Op>(op.value()) == Op::invalidate
-                         ? onInvalidate(key.value(), version.value(), &dirty, &busy)
-                         : onDegrade(key.value(), version.value(), &dirty, &busy);
-  if (busy) {
+  const Request& r = request.value();
+  Frame& f = frames_[r.key];
+  const bool dirty = f.state == FState::exclusive && f.dirty;
+  if (dirty && pinned_.count(r.key.segment) != 0) {
+    // Uncommitted bytes of an open transaction: refuse to surrender them.
+    // The frame (and the grant version we would have recorded) is untouched
+    // so the server's retry after commit/abort sees a clean resolution.
     encodeStatus(reply, Errc::busy);
-  } else {
-    encodeStatus(reply, Errc::ok);
-    reply.boolean(dirty);
-    if (dirty) reply.image(data);
+    return std::move(reply).message();
   }
+  // Surrender: the dirty image goes to the server, which folds it into the
+  // store. An invalidated frame drops its image; a degraded one keeps it,
+  // now shared and clean.
+  ++*(r.op == Op::invalidate ? m_invalidated_ : m_degraded_);
+  f.max_seen = std::max(f.max_seen, r.version);
+  encodeStatus(reply, Errc::ok);
+  reply.boolean(dirty);
+  if (dirty) reply.image(f.image);
+  if (r.op == Op::invalidate) {
+    f.image = SharedBytes();
+    f.state = FState::invalid;
+  } else if (f.state == FState::exclusive) {
+    f.state = FState::shared;
+  }
+  f.dirty = false;
   return std::move(reply).message();
 }
 
 // ---------------------------------------------------------------- segment ops
 
 Result<ra::SegmentInfo> DsmClientPartition::stat(sim::Process& self, const Sysname& segment) {
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(Op::stat_segment));
-  e.sysname(segment);
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(segment), std::move(e).take()));
+  const Request request{.op = Op::stat_segment, .segment = segment};
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(segment), request));
   Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "stat"));
+  CLOUDS_TRY(decodeStatus(d, request.op));
   CLOUDS_TRY_ASSIGN(name, d.sysname());
   CLOUDS_TRY_ASSIGN(length, d.u64());
   CLOUDS_TRY_ASSIGN(zf, d.boolean());
@@ -324,24 +289,16 @@ Result<ra::SegmentInfo> DsmClientPartition::stat(sim::Process& self, const Sysna
 
 Result<Sysname> DsmClientPartition::createSegment(sim::Process& self, net::NodeId home,
                                                   std::uint64_t length, bool zero_fill) {
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(Op::create_segment));
-  e.u64(length);
-  e.boolean(zero_fill);
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, std::move(e).take()));
+  const Request request{.op = Op::create_segment, .length = length, .zero_fill = zero_fill};
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, request));
   Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "create segment"));
+  CLOUDS_TRY(decodeStatus(d, request.op));
   return d.sysname();
 }
 
 Result<void> DsmClientPartition::destroySegment(sim::Process& self, const Sysname& name) {
   dropSegment(name);
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(Op::destroy_segment));
-  e.sysname(name);
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(name), std::move(e).take()));
-  Decoder d(reply);
-  return decodeStatus(d, "destroy segment");
+  return call(self, ra::sysnameHome(name), {.op = Op::destroy_segment, .segment = name});
 }
 
 Result<void> DsmClientPartition::copySegment(sim::Process& self, const Sysname& from,
@@ -357,6 +314,47 @@ Result<void> DsmClientPartition::copySegment(sim::Process& self, const Sysname& 
     std::memcpy(dst.mutableData(), buf.data(), ra::kPageSize);
   }
   return okResult();
+}
+
+// ---------------------------------------------------------------- locks, semaphores, 2PC
+
+Result<void> DsmClientPartition::lock(sim::Process& self, const Sysname& segment, LockMode mode,
+                                      std::uint64_t owner) {
+  return call(self, ra::sysnameHome(segment),
+              {.op = Op::lock, .segment = segment, .mode = mode, .owner = owner});
+}
+
+Result<void> DsmClientPartition::unlockAll(sim::Process& self, net::NodeId server,
+                                           std::uint64_t owner) {
+  return call(self, server, {.op = Op::unlock_all, .owner = owner});
+}
+
+Result<std::uint64_t> DsmClientPartition::semCreate(sim::Process& self, net::NodeId server,
+                                                    std::int64_t initial) {
+  const Request request{.op = Op::sem_create, .initial = initial};
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, server, request));
+  Decoder d(reply);
+  CLOUDS_TRY(decodeStatus(d, request.op));
+  return d.u64();
+}
+
+Result<void> DsmClientPartition::semP(sim::Process& self, std::uint64_t sem) {
+  return call(self, static_cast<net::NodeId>(sem >> 32), {.op = Op::sem_p, .sem = sem});
+}
+
+Result<void> DsmClientPartition::semV(sim::Process& self, std::uint64_t sem) {
+  return call(self, static_cast<net::NodeId>(sem >> 32), {.op = Op::sem_v, .sem = sem});
+}
+
+Result<void> DsmClientPartition::prepare(sim::Process& self, net::NodeId server,
+                                         std::uint64_t txid,
+                                         std::vector<store::PageUpdate> updates) {
+  return call(self, server, {.op = Op::tx_prepare, .txid = txid, .updates = std::move(updates)});
+}
+
+Result<void> DsmClientPartition::decide(sim::Process& self, net::NodeId server,
+                                        std::uint64_t txid, bool commit) {
+  return call(self, server, {.op = commit ? Op::tx_commit : Op::tx_abort, .txid = txid});
 }
 
 // ---------------------------------------------------------------- hooks
@@ -383,7 +381,7 @@ Result<void> DsmClientPartition::flushSegment(sim::Process& self, const Sysname&
       sent.push_back(key);
     }
     if (batch.empty()) continue;
-    CLOUDS_TRY(sendWriteBackBatch(self, segment, batch, /*drop=*/false));
+    CLOUDS_TRY(sendWriteBackBatch(self, segment, std::move(batch), /*drop=*/false));
     for (const ra::PageKey& key : sent) {
       auto it = frames_.find(key);
       if (it != frames_.end() && it->second.state == FState::exclusive) {

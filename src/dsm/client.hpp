@@ -11,12 +11,17 @@
 // only when a write finds it shared (copy-on-write). Write-backs, prepares
 // and callback surrenders pass the frame's image along by reference.
 //
-// Every request this node makes of a data server (its own page and segment
-// requests, and SyncClient's locks, semaphores and 2PC) is encoded once and
-// sent through exchange(): a RaTP transaction, or — when the server is this
-// very node — a syscall into the co-located server's dispatcher.
+// It is also the node's client of the data servers' other services (paper
+// §3.2: "The synchronization support provided by data servers allows
+// threads to synchronize their actions regardless of where they execute"):
+// segment locks, distributed semaphores, and the two-phase-commit
+// participant. Every request this node makes of a data server is a
+// dsm::Request, and exchange() is the one place it becomes a message: a
+// RaTP transaction with its op's patience (dsm/protocol.hpp), or — when
+// the server is this very node — a syscall into the co-located server's
+// dispatcher.
 //
-// It also answers the server's invalidate/degrade callbacks through one
+// It answers the server's invalidate/degrade callbacks through one
 // handler, serveCallback(), surrendering dirty data, and provides the hooks
 // the consistency layer needs (collect / clean / drop a segment's dirty
 // frames).
@@ -43,8 +48,6 @@ class DsmClientPartition : public ra::Partition {
   DsmClientPartition(ra::Node& node, DsmServer* local_server,
                      std::size_t frame_capacity = 2048);
 
-  ra::Node& node() noexcept { return node_; }
-
   // ---- ra::Partition ----
   bool serves(const Sysname& segment) const override { return ra::isSegmentName(segment); }
   Result<ra::PageHandle> resolvePage(sim::Process& self, const ra::PageKey& key,
@@ -54,7 +57,8 @@ class DsmClientPartition : public ra::Partition {
   // Write back every dirty frame on this node (shutdown / sync path).
   Result<void> flushAll(sim::Process& self);
   void dropSegment(const Sysname& segment) override;
-  std::uint64_t faultCount() const override { return *m_read_faults_ + *m_write_faults_; }
+  // Read and write faults this partition has served.
+  std::uint64_t faultCount() const { return *m_read_faults_ + *m_write_faults_; }
 
   // ---- Segment management (routed to the named data server) ----
   Result<Sysname> createSegment(sim::Process& self, net::NodeId home, std::uint64_t length,
@@ -80,10 +84,24 @@ class DsmClientPartition : public ra::Partition {
   void pinSegment(const Sysname& segment);
   void unpinSegment(const Sysname& segment);
 
-  // One request to `server`'s kPortDsm service; returns the raw reply.
-  // `options` govern the RaTP transaction and are unused by a local call.
-  Result<Message> exchange(sim::Process& self, net::NodeId server, Message request,
-                           net::RatpOptions options = {});
+  // ---- Locks and semaphores (served by the data servers) ----
+  // A segment lock lives on the segment's home data server; a semaphore id
+  // names its home server in the upper 32 bits.
+  // Blocking lock on a segment; Errc::deadlock after the bounded wait.
+  Result<void> lock(sim::Process& self, const Sysname& segment, LockMode mode,
+                    std::uint64_t owner);
+  // Release everything `owner` holds on the given data server.
+  Result<void> unlockAll(sim::Process& self, net::NodeId server, std::uint64_t owner);
+  Result<std::uint64_t> semCreate(sim::Process& self, net::NodeId server, std::int64_t initial);
+  Result<void> semP(sim::Process& self, std::uint64_t sem);
+  Result<void> semV(sim::Process& self, std::uint64_t sem);
+
+  // ---- Two-phase commit, coordinator side ----
+  // Stage `updates` in the participant's durable log under `txid`.
+  Result<void> prepare(sim::Process& self, net::NodeId server, std::uint64_t txid,
+                       std::vector<store::PageUpdate> updates);
+  // Deliver the decision for a prepared `txid`.
+  Result<void> decide(sim::Process& self, net::NodeId server, std::uint64_t txid, bool commit);
 
   // ---- Server -> client coherence callbacks ----
   // The kPortDsmCallback handler: decodes one invalidate/degrade request
@@ -136,16 +154,16 @@ class DsmClientPartition : public ra::Partition {
   // Ship dirty pages of one segment in a single exchange (the server
   // applies them as one batched store write).
   Result<void> sendWriteBackBatch(sim::Process& self, const Sysname& segment,
-                                  const std::vector<store::PageUpdate>& updates, bool drop);
+                                  std::vector<store::PageUpdate> updates, bool drop);
+  // One request to `server`'s kPortDsm service; returns the raw reply.
+  Result<Message> exchange(sim::Process& self, net::NodeId server, const Request& request);
+  // exchange() for an op whose reply is the status byte alone.
+  Result<void> call(sim::Process& self, net::NodeId server, const Request& request);
   // True when `home` is this node's own data server.
   bool homedHere(net::NodeId home) const {
     return home == node_.id() && local_server_ != nullptr;
   }
   void maybeEvict(sim::Process& self);
-  SharedBytes onInvalidate(const ra::PageKey& key, std::uint64_t version, bool* was_dirty,
-                           bool* busy);
-  SharedBytes onDegrade(const ra::PageKey& key, std::uint64_t version, bool* was_dirty,
-                        bool* busy);
 
   ra::Node& node_;
   DsmServer* local_server_;

@@ -42,10 +42,11 @@ class DsmServer {
   void setLocalClient(DsmClientPartition* client) noexcept { local_client_ = client; }
 
   // The kPortDsm dispatcher, the one entry for every request to this data
-  // server (pages, segments, locks, semaphores, 2PC): decodes one request,
-  // runs its handler and encodes the reply; a malformed or unknown request
-  // answers bad_argument. `client` is the requesting node's id. Bound as the
-  // RaTP service, and called directly by a co-located client partition.
+  // server (pages, segments, locks, semaphores, 2PC): decodes one request
+  // (dsm::decodeRequest), runs its handler and encodes the reply; a request
+  // cut short, an unknown op or a callback op answers bad_argument.
+  // `client` is the requesting node's id. Bound as the RaTP service, and
+  // called directly by a co-located client partition.
   Message serveDsm(sim::Process& self, net::NodeId client, const Message& request);
 
   // Crash support: volatile directory/lock/semaphore state is lost; the
@@ -99,9 +100,11 @@ class DsmServer {
   };
 
   // ---- Request handlers, one per op (`client` is the requesting node) ----
-  // Page coherence.
-  Result<PageGrant> handleRead(sim::Process& self, net::NodeId client, const ra::PageKey& key);
-  Result<PageGrant> handleWrite(sim::Process& self, net::NodeId client, const ra::PageKey& key);
+  // Page coherence: read_page and write_page. Recalls the page from an
+  // exclusive owner other than the client (degrade for a read, invalidate
+  // for a write), then grants it through grantPage — the one grant path.
+  Result<PageGrant> handlePage(sim::Process& self, net::NodeId client, const ra::PageKey& key,
+                               ra::Access access);
   // Write-back: pages of one segment decided under their directory locks
   // (taken in key order) and applied through the store as a single batched
   // write — one log record / one group-commit force under the wal engine
@@ -133,8 +136,12 @@ class DsmServer {
   // its copy.
   Result<SharedBytes> callback(sim::Process& self, net::NodeId holder, Op op,
                                const ra::PageKey& key, std::uint64_t version);
-  // The store's image of the page, by reference; none for a zero-fill grant.
-  Result<PageGrant> loadGrant(sim::Process& self, const ra::PageKey& key, std::uint64_t version);
+  // With the entry's mutex held and no exclusive owner but the client left:
+  // a write invalidates the other shared copies and takes the page
+  // exclusive, a read joins the copyset. The grant carries the store's
+  // image by reference, none for a zero-fill grant.
+  Result<PageGrant> grantPage(sim::Process& self, DirEntry& e, net::NodeId client,
+                              const ra::PageKey& key, std::uint64_t version, bool write);
 
   ra::Node& node_;
   store::DiskStore& store_;

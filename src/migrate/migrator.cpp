@@ -17,7 +17,6 @@ Migrator::Migrator(obj::Runtime& runtime, sched::LoadTable& table,
       dsm_(runtime.dsm()),
       table_(table),
       data_homes_(std::move(data_homes)),
-      sync_(dsm_),
       names_(node_, name_server),
       options_(options) {
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
@@ -38,8 +37,11 @@ Migrator::Migrator(obj::Runtime& runtime, sched::LoadTable& table,
     fsm_.forceIdle();
     event("crash");
   });
+  // The first tick comes at an offset derived from the node id, staggered
+  // like the gossip ticks but on a different stride, so daemons do not
+  // tick in step and the two families of timers interleave.
   node_.spawnDaemon("migrate.daemon", options_.enabled,
-                    options_.phase > sim::kZero ? options_.phase : options_.interval,
+                    sim::usec(9000 + 700 * static_cast<std::int64_t>(node_.id() % 89)),
                     [this](sim::Process& self) {
                       return tick(self) ? options_.cooldown : options_.interval;
                     });
@@ -157,12 +159,12 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
   // local ownership. Safe at any point before the commit decision: the
   // source header page is only replaced by a committed 2PC flip.
   auto fail = [&](Error err) -> Result<Sysname> {
-    if (prepared) (void)sync_.decide(self, source, tx, /*commit=*/false);
+    if (prepared) (void)dsm_.decide(self, source, tx, /*commit=*/false);
     for (const Sysname& s : created) {
       dsm_.dropSegment(s);
       (void)dsm_.destroySegment(self, s);
     }
-    if (locked) (void)sync_.unlockAll(self, source, tx);
+    if (locked) (void)dsm_.unlockAll(self, source, tx);
     if (draining) runtime_.endDrain(header);
     ++*m_aborted_;
     event("abort: " + err.toString());
@@ -224,7 +226,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     const obj::ObjectDescriptor desc = std::move(desc_r).value();
 
     for (const Sysname& seg : {desc.data_seg, desc.pheap_seg}) {
-      auto r = sync_.lock(self, seg, dsm::LockMode::exclusive, tx);
+      auto r = dsm_.lock(self, seg, dsm::LockMode::exclusive, tx);
       if (!r.ok()) return fail(r.error());
       locked = true;
     }
@@ -313,8 +315,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     auto page_image = rec.encodePage();
     if (!page_image.ok()) return fail(page_image.error());
     {
-      auto r = sync_.prepare(self, source, tx,
-                             {store::PageUpdate{{header, 0}, page_image.value()}});
+      auto r = dsm_.prepare(self, source, tx, {store::PageUpdate{{header, 0}, page_image.value()}});
       if (!r.ok()) {
         // The source may have logged the prepare though its reply was lost;
         // fail() sends the abort decision to resolve the in-doubt entry.
@@ -324,7 +325,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
       prepared = true;
     }
     {
-      auto r = sync_.decide(self, source, tx, /*commit=*/true);
+      auto r = dsm_.decide(self, source, tx, /*commit=*/true);
       if (!r.ok()) {
         // Decision undeliverable. Probe the header page: the source either
         // committed (tombstone visible) or still holds the original.
@@ -340,7 +341,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
           // the durable header page decides who owns the object.
           ++*m_in_doubt_;
           event("in doubt: " + r.error().toString());
-          if (locked) (void)sync_.unlockAll(self, source, tx);
+          if (locked) (void)dsm_.unlockAll(self, source, tx);
           runtime_.endDrain(header);
           fsm_.abort();
           fsm_.reset();
@@ -381,7 +382,7 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     // source that kept them would keep advertising cache locality for an
     // object it just gave away — herding the scheduler right back here.
     for (const Sysname& s : {nd, np, nh}) dsm_.dropSegment(s);
-    (void)sync_.unlockAll(self, source, tx);
+    (void)dsm_.unlockAll(self, source, tx);
     runtime_.endDrain(header);
     runtime_.forgetHeat(header);
     if (committed_hook_) committed_hook_(header, nh);

@@ -24,7 +24,6 @@
 
 #include "clouds/runtime.hpp"
 #include "dsm/client.hpp"
-#include "dsm/sync_client.hpp"
 #include "migrate/protocol.hpp"
 #include "migrate/state.hpp"
 #include "ra/node.hpp"
@@ -40,7 +39,6 @@ class Migrator {
     // directly (tests, an explicit rebalance tool).
     bool enabled = false;
     sim::Duration interval = sim::msec(100);
-    sim::Duration phase = sim::kZero;  // first-tick offset (de-synchronizes daemons)
     sim::Duration cooldown = sim::msec(300);  // after an attempt, successful or not
     std::uint64_t high_watermark = 6;  // local effectiveLoad >= high ...
     std::uint64_t low_watermark = 2;   // ... while a fresh peer is <= low
@@ -103,7 +101,6 @@ class Migrator {
   dsm::DsmClientPartition& dsm_;
   sched::LoadTable& table_;
   std::set<net::NodeId> data_homes_;
-  dsm::SyncClient sync_;
   sysobj::NameClient names_;
   Options options_;
   MigrationFsm fsm_;

@@ -20,7 +20,6 @@ Result<PageHandle> AnonPartition::resolvePage(sim::Process& self, const PageKey&
   }
   auto it = frames_.find(key);
   if (it == frames_.end()) {
-    ++faults_;
     cpu_.compute(self, cost_.fault_trap + cost_.fault_zero_fill);
     it = frames_.emplace(key, Bytes(kPageSize, std::byte{0})).first;
   }

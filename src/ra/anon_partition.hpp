@@ -43,7 +43,6 @@ class AnonPartition : public Partition {
   Result<SegmentInfo> stat(sim::Process& self, const Sysname& segment) override;
   Result<void> flushSegment(sim::Process&, const Sysname&) override { return okResult(); }
   void dropSegment(const Sysname& segment) override;
-  std::uint64_t faultCount() const override { return faults_; }
 
  private:
   std::uint32_t node_id_;
@@ -52,7 +51,6 @@ class AnonPartition : public Partition {
   std::uint64_t next_seq_ = 1;
   std::map<Sysname, std::uint64_t> sizes_;
   std::map<PageKey, Bytes> frames_;
-  std::uint64_t faults_ = 0;
 };
 
 }  // namespace clouds::ra

@@ -6,10 +6,11 @@
 //  to the partitions. The partitions themselves are implemented as system
 //  objects."
 //
-// Two system objects implement it: store::LocalPartition (segments on this
-// node's own disk) and dsm::DsmClientPartition (segments homed on remote
-// data servers, accessed through the DSM coherence protocol). The MMU is
-// the only caller.
+// Two system objects implement it: dsm::DsmClientPartition (persistent
+// segments homed on data servers, accessed through the DSM coherence
+// protocol — on a combined machine its own data server among them) and
+// ra::AnonPartition (volatile zero-fill segments local to this node). The
+// MMU is the only caller.
 #pragma once
 
 #include <cassert>
@@ -74,9 +75,6 @@ class Partition {
   // Drop every resident page of this segment (without writing back). Used
   // by consistency aborts.
   virtual void dropSegment(const Sysname& segment) = 0;
-
-  // Page faults this partition has served (fetches, upgrades, zero-fills).
-  virtual std::uint64_t faultCount() const { return 0; }
 };
 
 }  // namespace clouds::ra

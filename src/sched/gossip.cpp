@@ -17,7 +17,7 @@ GossipAgent::GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor,
   });
   // Listeners never tick.
   node_.spawnDaemon("sched.gossip", options.enabled && monitor_ != nullptr,
-                    options.phase > sim::kZero ? options.phase : options.interval,
+                    sim::usec(5000 + 500 * static_cast<std::int64_t>(node_.id() % 97)),
                     [this, interval = options.interval](sim::Process& self) {
                       broadcast(self);
                       table_.evictSilent(node_.simulation().now());

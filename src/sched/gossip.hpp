@@ -27,12 +27,12 @@ class GossipAgent {
   struct Options {
     bool enabled = true;
     sim::Duration interval = sim::msec(50);
-    sim::Duration phase = sim::kZero;  // first-tick offset (de-synchronizes senders)
   };
 
   // `monitor` == nullptr makes this a pure listener (receives reports but
   // never broadcasts): workstations and data servers observe, compute
-  // servers participate.
+  // servers participate. A sender's first tick comes at an offset derived
+  // from its node id, so the fleet's broadcasts do not collide on one tick.
   GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor, Options options);
 
  private:

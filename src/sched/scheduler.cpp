@@ -2,8 +2,17 @@
 
 namespace clouds::sched {
 
-Scheduler::Scheduler(ra::Node& node, LoadTable& table, LoadMonitor* monitor, Config config)
-    : node_(node), table_(table), monitor_(monitor), config_(config) {
+namespace {
+constexpr std::size_t kLocalitySegments = 24;  // digest cap per report
+}  // namespace
+
+Scheduler::Scheduler(ra::Node& node, LoadTable& table, LoadMonitor* monitor, PolicyKind policy,
+                     sim::Duration gossip_interval)
+    : node_(node),
+      table_(table),
+      monitor_(monitor),
+      policy_(policy),
+      gossip_interval_(gossip_interval) {
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
   m_placements_ = &metrics.counter(node_.name() + "/sched/placements");
   m_fallbacks_ = &metrics.counter(node_.name() + "/sched/fallbacks");
@@ -21,7 +30,7 @@ Result<net::NodeId> Scheduler::place(const std::optional<Sysname>& locality_hint
   // placements inside one period keep their inflight corrections.)
   if (monitor_ != nullptr && node_.alive()) {
     const LoadTable::Entry* self = table_.find(node_.id());
-    if (self == nullptr || now - self->received > config_.self_refresh_after) {
+    if (self == nullptr || now - self->received > gossip_interval_) {
       table_.record(monitor_->sample(0), now, /*self=*/true);
     }
   }
@@ -41,12 +50,12 @@ Result<net::NodeId> Scheduler::place(const std::optional<Sysname>& locality_hint
   if (candidates.empty()) {
     return makeError(Errc::unreachable, "load table knows no live compute server");
   }
-  const std::size_t pick = choosePlacement(config_.policy, candidates, sim.rng());
+  const std::size_t pick = choosePlacement(policy_, candidates, sim.rng());
   const net::NodeId chosen = candidates[pick].node;
   table_.notePlacement(chosen);
   ++*m_placements_;
   sim.trace(node_.name(), "sched",
-            std::string("place policy ") + policyName(config_.policy) + " -> node " +
+            std::string("place policy ") + policyName(policy_) + " -> node " +
                 std::to_string(chosen) + " (load " + std::to_string(candidates[pick].load) +
                 (candidates[pick].stale ? ", stale view)" : ")"));
   return chosen;
@@ -65,10 +74,10 @@ void Scheduler::countFallback() { ++*m_fallbacks_; }
 Agent::Agent(ra::Node& node, Options options, LoadMonitor::Providers providers)
     : monitor_(providers.live_threads
                    ? std::make_unique<LoadMonitor>(node.id(), std::move(providers),
-                                                   options.locality_segments)
+                                                   kLocalitySegments)
                    : nullptr),
       table_(aging(options)),
       gossip_(node, table_, monitor_.get(), gossipOptions(options)),
-      scheduler_(node, table_, monitor_.get(), schedulerConfig(options)) {}
+      scheduler_(node, table_, monitor_.get(), options.policy, options.gossip_interval) {}
 
 }  // namespace clouds::sched

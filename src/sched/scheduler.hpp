@@ -23,14 +23,10 @@ namespace clouds::sched {
 
 class Scheduler {
  public:
-  struct Config {
-    PolicyKind policy = PolicyKind::least_loaded;
-    // How long a local self-sample stays authoritative before place()
-    // re-samples (matches the gossip interval by default).
-    sim::Duration self_refresh_after = sim::msec(50);
-  };
-
-  Scheduler(ra::Node& node, LoadTable& table, LoadMonitor* monitor, Config config);
+  // A local self-sample stays authoritative for one `gossip_interval`
+  // before place() re-samples.
+  Scheduler(ra::Node& node, LoadTable& table, LoadMonitor* monitor, PolicyKind policy,
+            sim::Duration gossip_interval);
 
   // Choose a compute server for a new thread from the table's current view.
   // `locality_hint` names a segment of the target object (policy::locality
@@ -46,13 +42,14 @@ class Scheduler {
   void countFallback();
 
   LoadTable& table() noexcept { return table_; }
-  PolicyKind policy() const noexcept { return config_.policy; }
+  PolicyKind policy() const noexcept { return policy_; }
 
  private:
   ra::Node& node_;
   LoadTable& table_;
   LoadMonitor* monitor_;
-  Config config_;
+  PolicyKind policy_;
+  sim::Duration gossip_interval_;
   std::uint64_t* m_placements_;
   std::uint64_t* m_fallbacks_;
 };
@@ -63,10 +60,8 @@ class Agent {
     PolicyKind policy = PolicyKind::least_loaded;
     bool gossip = true;
     sim::Duration gossip_interval = sim::msec(50);
-    sim::Duration gossip_phase = sim::kZero;
     sim::Duration stale_after = sim::msec(250);
     sim::Duration evict_after = sim::msec(1000);
-    std::size_t locality_segments = 24;  // digest cap per report
   };
 
   // With providers (compute server): samples local load and gossips it.
@@ -82,10 +77,7 @@ class Agent {
  private:
   static LoadTable::Aging aging(const Options& o) { return {o.stale_after, o.evict_after}; }
   static GossipAgent::Options gossipOptions(const Options& o) {
-    return {o.gossip, o.gossip_interval, o.gossip_phase};
-  }
-  static Scheduler::Config schedulerConfig(const Options& o) {
-    return {o.policy, o.gossip_interval};
+    return {o.gossip, o.gossip_interval};
   }
 
   std::unique_ptr<LoadMonitor> monitor_;

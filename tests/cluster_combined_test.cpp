@@ -114,5 +114,37 @@ TEST(CombinedNodes, StatsCountEachEndpointOnce) {
   EXPECT_EQ(c.stats().retransmissions, endpoints);
 }
 
+// A combined machine dies whole, whichever view names it in the crash. Its
+// rebooted data server forgets whom it granted copies, so it can never
+// invalidate them: the survivors must drop the copies homed there, as they
+// do when the data view names the crash.
+TEST(CombinedNodes, CrashThroughEitherViewDropsTheCopiesItGranted) {
+  for (const bool via_compute_view : {true, false}) {
+    SCOPED_TRACE(via_compute_view ? "crashCompute" : "crashData");
+    ClusterConfig cfg;
+    cfg.compute_servers = 0;
+    cfg.data_servers = 0;
+    cfg.combined_servers = 2;  // compute index i == data index i
+    cfg.workstations = 0;
+    Cluster c(cfg);
+    obj::samples::registerAll(c.classes());
+    const auto counter = c.create("counter", "C", /*data_idx=*/0, /*compute_idx=*/0);
+    ASSERT_TRUE(counter.ok());
+    ASSERT_TRUE(c.callObject(counter.value(), "add", {5}, 0).ok());
+    ASSERT_TRUE(c.sync().ok());
+    EXPECT_EQ(c.callObject(counter.value(), "value", {}, 1).value(), Value{5});
+
+    if (via_compute_view) {
+      c.crashCompute(0);
+    } else {
+      c.crashData(0);
+    }
+    c.restartCompute(0);
+    ASSERT_TRUE(c.callObject(counter.value(), "add", {100}, 0).ok());
+    ASSERT_TRUE(c.sync().ok());
+    EXPECT_EQ(c.callObject(counter.value(), "value", {}, 1).value(), Value{105});
+  }
+}
+
 }  // namespace
 }  // namespace clouds

@@ -226,8 +226,6 @@ struct CombinedPair {
   dsm::DsmClientPartition combo_dsm{combo, &server};
   ra::Node cpu{sim, cost, ether, 2, "cpu", static_cast<int>(ra::NodeRole::compute)};
   dsm::DsmClientPartition cpu_dsm{cpu, nullptr};
-  dsm::SyncClient combo_sync{combo_dsm};
-  dsm::SyncClient cpu_sync{cpu_dsm};
 
   std::uint64_t counter(const std::string& name) const {
     return sim.metrics().counterValue(name);
@@ -269,12 +267,12 @@ TEST(DsmCombined, LocalRequestsCostTheCalibratedFaultsAndStayOffTheWire) {
     // exclusive lock, a one-page prepare, the commit and the unlock start
     // no transaction, and the committed byte is in the store.
     const std::uint64_t tx = (std::uint64_t{1} << 32) | 1;
-    ASSERT_TRUE(m.combo_sync.lock(self, seg, LockMode::exclusive, tx).ok());
+    ASSERT_TRUE(m.combo_dsm.lock(self, seg, LockMode::exclusive, tx).ok());
     Bytes committed(kPageSize, std::byte{0});
     committed[0] = std::byte{9};
-    ASSERT_TRUE(m.combo_sync.prepare(self, m.combo.id(), tx, {{{seg, 1}, committed}}).ok());
-    ASSERT_TRUE(m.combo_sync.decide(self, m.combo.id(), tx, /*commit=*/true).ok());
-    ASSERT_TRUE(m.combo_sync.unlockAll(self, m.combo.id(), tx).ok());
+    ASSERT_TRUE(m.combo_dsm.prepare(self, m.combo.id(), tx, {{{seg, 1}, committed}}).ok());
+    ASSERT_TRUE(m.combo_dsm.decide(self, m.combo.id(), tx, /*commit=*/true).ok());
+    ASSERT_TRUE(m.combo_dsm.unlockAll(self, m.combo.id(), tx).ok());
     Bytes stored(kPageSize);
     ASSERT_TRUE(readPageInto(m.store, self, {seg, 1}, stored).ok());
     EXPECT_EQ(stored[0], std::byte{9});
@@ -292,7 +290,7 @@ TEST(DsmCombined, LocalRequestsCostTheCalibratedFaultsAndStayOffTheWire) {
     // The diskless node's lock on the same segment is one RaTP transaction.
     const std::uint64_t before = m.counter("cpu/ratp/transactions");
     const std::uint64_t cpu_tx = (std::uint64_t{2} << 32) | 1;
-    ASSERT_TRUE(m.cpu_sync.lock(self, seg, LockMode::exclusive, cpu_tx).ok());
+    ASSERT_TRUE(m.cpu_dsm.lock(self, seg, LockMode::exclusive, cpu_tx).ok());
     EXPECT_EQ(m.counter("cpu/ratp/transactions"), before + 1);
   });
   m.sim.run();

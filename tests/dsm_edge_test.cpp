@@ -326,8 +326,8 @@ TEST(DsmEdge, DestroyDuringBlockedWriteBackKeepsDirectoryEntriesAlive) {
   dsm::DsmServer& server = *f.data[0].server;
   const net::NodeId owner = f.compute[0].node->id();
   const net::NodeId reader = f.compute[1].node->id();
-  auto serve = [&](sim::Process& self, net::NodeId client, Encoder e) {
-    const Bytes reply = server.serveDsm(self, client, std::move(e).message()).flatten();
+  auto serve = [&](sim::Process& self, net::NodeId client, const dsm::Request& request) {
+    const Bytes reply = server.serveDsm(self, client, dsm::encodeRequest(request)).flatten();
     return static_cast<Errc>(reply.at(0));
   };
   int finished = 0;
@@ -335,28 +335,19 @@ TEST(DsmEdge, DestroyDuringBlockedWriteBackKeepsDirectoryEntriesAlive) {
     f.write64(self, 0, 0, 7);  // both pages exclusive at the owner
     f.write64(self, 0, 1, 8);
     f.sim.spawn("read", [&](sim::Process& p) {
-      Encoder e;
-      e.u8(static_cast<std::uint8_t>(dsm::Op::read_page));
-      dsm::encodePageKey(e, {f.seg, 1});
-      (void)serve(p, reader, std::move(e));
+      (void)serve(p, reader, {.op = dsm::Op::read_page, .key = {f.seg, 1}});
       ++finished;
     });
     f.sim.spawn("write-back", [&](sim::Process& p) {
       p.delay(sim::msec(1));  // inside the read's callback
-      Encoder e;
-      e.u8(static_cast<std::uint8_t>(dsm::Op::write_back_batch));
-      e.boolean(false);
-      store::encodePageUpdates(
-          e, {{{f.seg, 0}, Bytes(kPageSize)}, {{f.seg, 1}, Bytes(kPageSize)}});
-      (void)serve(p, owner, std::move(e));
+      (void)serve(p, owner,
+                  {.op = dsm::Op::write_back_batch,
+                   .updates = {{{f.seg, 0}, Bytes(kPageSize)}, {{f.seg, 1}, Bytes(kPageSize)}}});
       ++finished;
     });
     f.sim.spawn("destroy", [&](sim::Process& p) {
       p.delay(sim::msec(2));  // while the batch waits for page 1
-      Encoder e;
-      e.u8(static_cast<std::uint8_t>(dsm::Op::destroy_segment));
-      e.sysname(f.seg);
-      EXPECT_EQ(serve(p, owner, std::move(e)), Errc::ok);
+      EXPECT_EQ(serve(p, owner, {.op = dsm::Op::destroy_segment, .segment = f.seg}), Errc::ok);
       ++finished;
     });
   });

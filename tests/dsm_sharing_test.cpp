@@ -109,10 +109,10 @@ TEST(DsmSharing, AWriteCopiesTheImageAndEveryOtherHolderKeepsTheOldBytes) {
     x = image.data();
     // Q becomes X through a committed transaction, R through a prepared one:
     // the images cross the wire from node A and arrive as the same buffer.
-    dsm::SyncClient& a_sync = *f.compute[0].sync;
-    ASSERT_TRUE(a_sync.prepare(self, home, kCommitted, {{Q, image}}).ok());
-    ASSERT_TRUE(a_sync.decide(self, home, kCommitted, /*commit=*/true).ok());
-    ASSERT_TRUE(a_sync.prepare(self, home, kPrepared, {{R, image}}).ok());
+    dsm::DsmClientPartition& a_dsm = *f.compute[0].dsm;
+    ASSERT_TRUE(a_dsm.prepare(self, home, kCommitted, {{Q, image}}).ok());
+    ASSERT_TRUE(a_dsm.decide(self, home, kCommitted, /*commit=*/true).ok());
+    ASSERT_TRUE(a_dsm.prepare(self, home, kPrepared, {{R, image}}).ok());
     EXPECT_EQ(store.readPage(self, Q).value().data(), x);
 
     // Node C asks for the image; its first reply fragment is lost, so its
@@ -158,7 +158,7 @@ TEST(DsmSharing, AWriteCopiesTheImageAndEveryOtherHolderKeepsTheOldBytes) {
       EXPECT_EQ(stored.data(), x) << key.toString();
       EXPECT_TRUE(allBytesAre(stored.data(), std::byte{0x11})) << key.toString();
     }
-    ASSERT_TRUE(a_sync.decide(self, home, kPrepared, /*commit=*/true).ok());
+    ASSERT_TRUE(a_dsm.decide(self, home, kPrepared, /*commit=*/true).ok());
     const SharedBytes committed = store.readPage(self, R).value();
     EXPECT_EQ(committed.data(), x);
     EXPECT_TRUE(allBytesAre(committed.data(), std::byte{0x11}));

@@ -11,7 +11,6 @@
 
 #include "dsm/client.hpp"
 #include "dsm/server.hpp"
-#include "dsm/sync_client.hpp"
 #include "net/ethernet.hpp"
 #include "ra/mmu.hpp"
 #include "ra/node.hpp"
@@ -37,7 +36,6 @@ struct Testbed {
     std::unique_ptr<ra::Node> node;
     dsm::DsmClientPartition* dsm = nullptr;  // owned by the node
     std::unique_ptr<ra::Mmu> mmu;
-    std::unique_ptr<dsm::SyncClient> sync;
   };
 
   std::vector<DataServer> data;
@@ -64,7 +62,6 @@ struct Testbed {
       cs.dsm = part.get();
       cs.node->addPartition(std::move(part));
       cs.mmu = std::make_unique<ra::Mmu>(*cs.node);
-      cs.sync = std::make_unique<dsm::SyncClient>(*cs.dsm);
       compute.push_back(std::move(cs));
     }
   }

@@ -35,8 +35,24 @@ struct ObjectDescriptor {
   std::uint64_t pheap_size = 0;
   std::uint64_t vheap_size = 0;
 
-  Bytes encode() const;
-  static Result<ObjectDescriptor> decode(ByteSpan page);
+  // The header page's layout (common/codec.hpp), then zeroes.
+  template <typename D, typename F>
+  static void fields(D& d, F& f) {
+    f(codec::Constant{0xC10D0B1Eu, "not an object header (bad magic)"});
+    f(d.class_name);
+    f(d.code_seg);
+    f(d.data_seg);
+    f(d.pheap_seg);
+    f(d.code_size);
+    f(d.data_size);
+    f(d.pheap_size);
+    f(d.vheap_size);
+  }
+
+  Bytes encode() const { return codec::encode(*this).take(); }
+  static Result<ObjectDescriptor> decode(ByteSpan page) {
+    return codec::decode<ObjectDescriptor>(page);
+  }
 };
 
 // A node-resident activation of an object: its assembled virtual space plus

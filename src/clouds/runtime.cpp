@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "migrate/protocol.hpp"
-
 namespace clouds::obj {
 
 namespace {
@@ -26,6 +24,18 @@ std::byte codeByte(const std::string& class_name, std::uint64_t offset) {
 }
 
 }  // namespace
+
+Result<HeaderPage> readHeader(sim::Process& self, dsm::DsmClientPartition& dsm,
+                              const Sysname& header) {
+  CLOUDS_TRY_ASSIGN(h, dsm.resolvePage(self, {header, 0}, ra::Access::read));
+  const ByteSpan image(h.data(), ra::kPageSize);
+  HeaderPage page{std::nullopt, ObjectDescriptor::decode(image)};
+  if (migrate::isForwardPage(image)) {
+    CLOUDS_TRY_ASSIGN(rec, migrate::ForwardRecord::decode(image));
+    page.forward = std::move(rec);
+  }
+  return page;
+}
 
 Runtime::Runtime(ra::Node& node, dsm::DsmClientPartition& dsm, ra::AnonPartition& anon,
                  ClassRegistry& classes, net::NodeId name_server)
@@ -145,9 +155,9 @@ Result<void> Runtime::destroyObject(sim::Process& self, const Sysname& object) {
     desc = it->second.desc;
     CLOUDS_TRY(deactivateObject(self, object, /*flush=*/false));
   } else {
-    CLOUDS_TRY_ASSIGN(h, dsm_.resolvePage(self, {object, 0}, ra::Access::read));
-    CLOUDS_TRY_ASSIGN(d, ObjectDescriptor::decode(ByteSpan(h.data(), ra::kPageSize)));
-    desc = d;
+    CLOUDS_TRY_ASSIGN(page, readHeader(self, dsm_, object));
+    CLOUDS_TRY_ASSIGN(d, std::move(page.desc));
+    desc = std::move(d);
   }
   // The shared code segment stays (other instances use it).
   CLOUDS_TRY(dsm_.destroySegment(self, desc.data_seg));
@@ -262,20 +272,18 @@ Result<ActiveObject*> Runtime::activate(sim::Process& self, const Sysname& objec
   // object's current home (bounded — a longer chain means a cycle).
   Sysname cur = object;
   for (int hop = 0; hop <= migrate::kMaxForwardHops; ++hop) {
-    CLOUDS_TRY_ASSIGN(h, dsm_.resolvePage(self, {cur, 0}, ra::Access::read));
-    const ByteSpan image(h.data(), ra::kPageSize);
-    if (migrate::isForwardPage(image)) {
-      CLOUDS_TRY_ASSIGN(rec, migrate::ForwardRecord::decode(image));
+    CLOUDS_TRY_ASSIGN(page, readHeader(self, dsm_, cur));
+    if (page.forward) {
       ++*m_forward_chases_;
       node_.simulation().trace(node_.name(), "objmgr",
                                "chasing migrated object " + cur.toString() + " -> " +
-                                   rec.new_header.toString());
-      cur = rec.new_header;
+                                   page.forward->new_header.toString());
+      cur = page.forward->new_header;
       auto hit = active_.find(cur);
       if (hit != active_.end()) return &hit->second;
       continue;
     }
-    CLOUDS_TRY_ASSIGN(desc, ObjectDescriptor::decode(image));
+    CLOUDS_TRY_ASSIGN(desc, std::move(page.desc));
     node_.cpu().compute(self, node_.cost().object_activation);
 
     ActiveObject ao;
@@ -301,12 +309,11 @@ Result<Sysname> Runtime::chaseForward(sim::Process& self, const Sysname& object)
   // stub FIRST — only then tear down the stale activation. (Tearing down on
   // a transient error would discard a live object's volatile heap.)
   dsm_.dropSegment(object);
-  CLOUDS_TRY_ASSIGN(h, dsm_.resolvePage(self, {object, 0}, ra::Access::read));
-  const ByteSpan image(h.data(), ra::kPageSize);
-  if (!migrate::isForwardPage(image)) {
+  CLOUDS_TRY_ASSIGN(page, readHeader(self, dsm_, object));
+  if (!page.forward) {
     return makeError(Errc::not_found, "no forward stub behind " + object.toString());
   }
-  CLOUDS_TRY_ASSIGN(rec, migrate::ForwardRecord::decode(image));
+  const Sysname to = page.forward->new_header;
   auto it = active_.find(object);
   if (it != active_.end() && it->second.executing_threads == 0) {
     // Stale activation of the pre-migration incarnation; its segments are
@@ -317,8 +324,8 @@ Result<Sysname> Runtime::chaseForward(sim::Process& self, const Sysname& object)
   ++*m_forward_chases_;
   node_.simulation().trace(node_.name(), "objmgr",
                            "chasing migrated object " + object.toString() + " -> " +
-                               rec.new_header.toString());
-  return rec.new_header;
+                               to.toString());
+  return to;
 }
 
 // ---------------------------------------------------------------- invoke
@@ -516,64 +523,47 @@ Result<Value> Runtime::invokeRemote(CloudsThread& t, net::NodeId compute_node,
     return makeError(Errc::bad_argument,
                      "a consistency scope cannot span a remote invocation");
   }
-  sim::Process& self = *t.process;
-  Encoder e;
-  e.u64(t.id());
-  e.u32(t.workstation());
-  e.u32(t.window());
-  e.sysname(object);
-  e.str(entry);
-  e.bytes(Value::encodeList(args));
-  net::RatpOptions opts;
-  opts.timeout = kRemoteInvokeTimeout;
-  opts.max_retries = kRemoteInvokeRetries;
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, compute_node, net::kPortThread,
-                                                 std::move(e).take(), opts));
-  Decoder d(reply);
-  CLOUDS_TRY_ASSIGN(status, d.u8());
-  if (static_cast<Errc>(status) != Errc::ok) {
-    CLOUDS_TRY_ASSIGN(message, d.str());
-    return makeError(static_cast<Errc>(status), "remote invocation: " + message);
-  }
-  CLOUDS_TRY_ASSIGN(values, d.bytes());
-  CLOUDS_TRY_ASSIGN(list, Value::decodeList(values));
+  const InvokeRequest request{.thread = t.id(),
+                              .workstation = t.workstation(),
+                              .window = t.window(),
+                              .object = object,
+                              .entry = entry,
+                              .args = Value::encodeList(args)};
+  CLOUDS_TRY_ASSIGN(message, node_.ratp().transact(
+                                 *t.process, compute_node, net::kPortThread,
+                                 codec::encode(request).message(),
+                                 {kRemoteInvokeTimeout, kRemoteInvokeRetries}));
+  CLOUDS_TRY_ASSIGN(reply, codec::decodeReply(message, InvokeReply{}, [](const InvokeReply& r) {
+                      return "remote invocation: " + r.error;
+                    }));
+  CLOUDS_TRY_ASSIGN(list, Value::decodeList(reply.result));
   return list.empty() ? Value{} : list.front();
 }
 
 void Runtime::bindThreadService() {
   node_.ratp().bindService(
-      net::kPortThread, [this](sim::Process& self, net::NodeId, const Message& request) {
-        Encoder reply;
-        Decoder d(request);
-        auto tid = d.u64();
-        auto ws = d.u32();
-        auto window = d.u32();
-        auto object = d.sysname();
-        auto entry = d.str();
-        auto argbytes = d.bytes();
-        auto args = argbytes.ok() ? Value::decodeList(argbytes.value())
-                                  : Result<ValueList>(makeError(Errc::bad_argument, "x"));
-        if (!tid.ok() || !ws.ok() || !window.ok() || !object.ok() || !entry.ok() || !args.ok()) {
-          reply.u8(static_cast<std::uint8_t>(Errc::bad_argument));
-          reply.str("malformed remote invocation request");
-          return std::move(reply).take();
-        }
-        ++*m_remote_invocations_;
-        // A slave Clouds process carries the visiting thread's identity on
-        // this node (paper: a thread "is implemented as a collection of
-        // Clouds processes").
-        CloudsThread& slave = adoptThread(tid.value(), ws.value(), window.value(), self);
-        auto r = invoke(slave, object.value(), entry.value(), args.value());
-        reapThread(slave);
-        if (!r.ok()) {
-          reply.u8(static_cast<std::uint8_t>(r.error().code));
-          reply.str(r.error().message);
-        } else {
-          reply.u8(static_cast<std::uint8_t>(Errc::ok));
-          reply.bytes(Value::encodeList({r.value()}));
-        }
-        return std::move(reply).take();
+      net::kPortThread, [this](sim::Process& self, net::NodeId, const Message& message) {
+        return codec::encode(serveInvoke(self, message)).message();
       });
+}
+
+InvokeReply Runtime::serveInvoke(sim::Process& self, const Message& message) {
+  auto request = codec::decode<InvokeRequest>(message);
+  auto args = request.ok() ? Value::decodeList(request.value().args)
+                           : Result<ValueList>(request.error());
+  if (!args.ok()) {
+    return {.status = Errc::bad_argument, .error = "malformed remote invocation request"};
+  }
+  const InvokeRequest& r = request.value();
+  ++*m_remote_invocations_;
+  // A slave Clouds process carries the visiting thread's identity on this
+  // node (paper: a thread "is implemented as a collection of Clouds
+  // processes").
+  CloudsThread& slave = adoptThread(r.thread, r.workstation, r.window, self);
+  auto out = invoke(slave, r.object, r.entry, args.value());
+  reapThread(slave);
+  if (!out.ok()) return {.status = out.error().code, .error = out.error().message};
+  return {.result = Value::encodeList({out.value()})};
 }
 
 CloudsThread& Runtime::adoptThread(std::uint64_t id, net::NodeId workstation,

@@ -23,6 +23,7 @@
 #include "clouds/thread.hpp"
 #include "consistency/txn.hpp"
 #include "dsm/client.hpp"
+#include "migrate/protocol.hpp"
 #include "ra/anon_partition.hpp"
 #include "ra/mmu.hpp"
 #include "ra/node.hpp"
@@ -31,6 +32,57 @@
 #include "sysobj/user_io.hpp"
 
 namespace clouds::obj {
+
+// The thread port's (kPortThread) one request, as invokeRemote sends it and
+// the port's handler reads it: run `entry` of `object` for the visiting
+// thread.
+struct InvokeRequest {
+  std::uint64_t thread = 0;
+  net::NodeId workstation = net::kNoNode;
+  sysobj::WindowId window = 0;
+  Sysname object{};
+  std::string entry{};
+  Bytes args{};  // Value::encodeList
+
+  template <typename R, typename F>
+  static void fields(R& r, F& f) {
+    f(r.thread);
+    f(r.workstation);
+    f(r.window);
+    f(r.object);
+    f(r.entry);
+    f(r.args);
+  }
+};
+
+// The status, then the result when ok, else the error text.
+struct InvokeReply {
+  Errc status = Errc::ok;
+  std::string error{};
+  Bytes result{};  // Value::encodeList of the one result
+
+  template <typename R, typename F>
+  static void fields(R& r, F& f) {
+    f(r.status);
+    if (r.status == Errc::ok) {
+      f(r.result);
+    } else {
+      f(r.error);
+    }
+  }
+};
+
+// Header page 0 of an object: the forward record a migration left there,
+// or else the object's descriptor (or why the page holds none).
+struct HeaderPage {
+  std::optional<migrate::ForwardRecord> forward;
+  Result<ObjectDescriptor> desc;
+};
+
+// The object layer's one header read, through `dsm`. Fails when the page
+// cannot be read, or holds a forward record that does not decode.
+Result<HeaderPage> readHeader(sim::Process& self, dsm::DsmClientPartition& dsm,
+                              const Sysname& header);
 
 class Runtime {
  public:
@@ -143,6 +195,7 @@ class Runtime {
   Result<Sysname> ensureClassLoaded(sim::Process& self, const ClassDef& def,
                                     net::NodeId data_server);
   void bindThreadService();
+  InvokeReply serveInvoke(sim::Process& self, const Message& message);
   CloudsThread& adoptThread(std::uint64_t id, net::NodeId workstation, sysobj::WindowId window,
                             sim::Process& proc);
   void reapThread(CloudsThread& t);

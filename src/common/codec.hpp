@@ -8,10 +8,16 @@
 // byte string but carried by reference: the encoder splices it into the
 // message it builds, and a decoder of that message hands the same buffer
 // back.
+//
+// Every format one node writes and another reads (the RaTP services'
+// requests and replies, load reports, object headers, forward records) is
+// stated once, as a field list that its encoder and decoder both walk.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -129,6 +135,196 @@ class Decoder {
   std::size_t pos_ = 0;  // position in cur_
   std::size_t remaining_ = 0;
 };
+
+// ---------------------------------------------------------------- field lists
+//
+// A struct states its layout once, as `static void fields(Self& s, F& f)`
+// calling f(field) on each field in wire order (Self is const to encode).
+// Writer walks it to encode, Reader to decode. A field is an integer, bool,
+// enum (one byte), Sysname, string, Bytes, SharedBytes (an image, by
+// reference), vector (a u32 count, then each element), struct with its own
+// list, or a marker below. A list may branch on a field already walked: a
+// request on its op byte, a reply on its status byte (Errc, 0 = ok).
+// f.require(holds, text) refuses the value just read when `holds` is false;
+// a list whose op names none ends in f.require(false, ...). A writer writes
+// what it is given; a reader refuses with bad_argument.
+namespace codec {
+
+// A field that always holds `value` (a magic number, a version), refused on
+// read when it differs. `refusal` is a text or a function of the value read.
+template <typename T, typename Refusal>
+struct Constant {
+  T value;
+  Refusal refusal;
+};
+
+// A vector of at most `max` elements: the writer writes the first `max`; a
+// reader refuses a larger count, with `refusal` (of the count), before it
+// reads an element.
+template <typename V, typename Refusal>
+struct Capped {
+  V& list;
+  std::size_t max;
+  Refusal refusal;
+};
+
+class Writer {
+ public:
+  explicit Writer(Encoder& e) : e_(e) {}
+  void operator()(std::uint8_t v) { e_.u8(v); }
+  void operator()(std::uint32_t v) { e_.u32(v); }
+  void operator()(std::uint64_t v) { e_.u64(v); }
+  void operator()(std::int64_t v) { e_.i64(v); }
+  void operator()(bool v) { e_.boolean(v); }
+  void operator()(const Sysname& s) { e_.sysname(s); }
+  void operator()(const std::string& s) { e_.str(s); }
+  void operator()(const Bytes& b) { e_.bytes(b); }
+  void operator()(const SharedBytes& b) { e_.image(b); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void operator()(const E& v) {
+    e_.u8(static_cast<std::uint8_t>(v));
+  }
+  template <typename T>
+  void operator()(const std::vector<T>& list) {
+    (*this)(Capped{list, list.size(), ""});
+  }
+  template <typename V, typename R>
+  void operator()(const Capped<V, R>& c) {
+    const std::size_t n = std::min(c.list.size(), c.max);
+    e_.u32(static_cast<std::uint32_t>(n));
+    for (std::size_t i = 0; i < n; ++i) (*this)(c.list[i]);
+  }
+  template <typename T, typename R>
+  void operator()(const Constant<T, R>& c) {
+    (*this)(c.value);
+  }
+  template <typename T>
+  void operator()(const T& s) {
+    T::fields(s, *this);
+  }
+  template <typename Refusal>
+  void require(bool, const Refusal&) {}
+
+ private:
+  Encoder& e_;
+};
+
+// Reads nothing after the first field that does not decode or is refused;
+// status() is that error.
+class Reader {
+ public:
+  explicit Reader(Decoder& d) : d_(d) {}
+  Result<void> status() const { return error_ ? Result<void>(*error_) : okResult(); }
+  void operator()(std::uint8_t& v) { read(v, &Decoder::u8); }
+  void operator()(std::uint32_t& v) { read(v, &Decoder::u32); }
+  void operator()(std::uint64_t& v) { read(v, &Decoder::u64); }
+  void operator()(std::int64_t& v) { read(v, &Decoder::i64); }
+  void operator()(bool& v) { read(v, &Decoder::boolean); }
+  void operator()(Sysname& s) { read(s, &Decoder::sysname); }
+  void operator()(std::string& s) { read(s, &Decoder::str); }
+  void operator()(Bytes& b) { read(b, &Decoder::bytes); }
+  void operator()(SharedBytes& b) { read(b, &Decoder::image); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void operator()(E& v) {
+    std::uint8_t raw = 0;
+    (*this)(raw);
+    v = static_cast<E>(raw);
+  }
+  template <typename T>
+  void operator()(std::vector<T>& list) {
+    std::uint32_t n = 0;
+    (*this)(n);
+    readList(list, n);
+  }
+  template <typename V, typename R>
+  void operator()(const Capped<V, R>& c) {
+    std::uint32_t n = 0;
+    (*this)(n);
+    if (!error_ && n > c.max) refuse(c.refusal, n);
+    if (!error_) c.list.reserve(n);  // within the format's cap
+    readList(c.list, n);
+  }
+  template <typename T, typename R>
+  void operator()(const Constant<T, R>& c) {
+    T got{};
+    (*this)(got);
+    if (!error_ && got != c.value) refuse(c.refusal, got);
+  }
+  template <typename T>
+  void operator()(T& s) {
+    T::fields(s, *this);
+  }
+  template <typename Refusal>
+  void require(bool holds, const Refusal& refusal) {
+    if (!error_ && !holds) refuse(refusal);
+  }
+
+ private:
+  // Element by element: a count off the wire is never reserved unchecked.
+  template <typename V>
+  void readList(V& list, std::uint32_t n) {
+    list.clear();
+    for (std::uint32_t i = 0; i < n && !error_; ++i) (*this)(list.emplace_back());
+  }
+  template <typename T, typename Decoded>
+  void read(T& out, Result<Decoded> (Decoder::*decode)()) {
+    if (error_) return;
+    auto r = (d_.*decode)();
+    if (!r.ok()) error_ = r.error();
+    if (!error_) out = std::move(r).value();
+  }
+  template <typename Refusal, typename... Got>
+  void refuse(const Refusal& refusal, const Got&... got) {
+    if constexpr (std::is_invocable_v<const Refusal&, const Got&...>) {
+      error_ = makeError(Errc::bad_argument, refusal(got...));
+    } else {
+      error_ = makeError(Errc::bad_argument, refusal);
+    }
+  }
+
+  Decoder& d_;
+  std::optional<Error> error_;
+};
+
+// `v` encoded: take .message() (images by reference) or .take().
+template <typename T>
+Encoder encode(const T& v) {
+  Encoder e;
+  Writer{e}(v);
+  return e;
+}
+
+// A `T` read from `d` into `v`, which may carry what is not on the wire (a
+// reply's op). Bytes after the last field are left unread.
+template <typename T>
+Result<T> read(Decoder& d, T v = {}) {
+  Reader r(d);
+  r(v);
+  CLOUDS_TRY(r.status());
+  return v;
+}
+
+// read() from the start of a Message, Bytes or ByteSpan.
+template <typename T, typename Source>
+Result<T> decode(const Source& source, T v = {}) {
+  Decoder d(source);
+  return read(d, std::move(v));
+}
+
+// A service reply whose status is ok; a reply with any other status is the
+// error: its status, with the text `failure(reply)`.
+template <typename Reply, typename Failure>
+Result<Reply> decodeReply(const Message& message, Reply init, Failure failure) {
+  auto reply = decode(message, std::move(init));
+  if (reply.ok() && reply.value().status != Errc::ok) {
+    return makeError(reply.value().status, failure(reply.value()));
+  }
+  return reply;
+}
+
+}  // namespace codec
 
 // Whole-file host I/O for snapshots: write `data` as the file at `path`, or
 // read a file back. Failures are Errc::io naming the path.

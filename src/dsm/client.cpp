@@ -139,8 +139,12 @@ Result<bool> DsmClientPartition::fault(sim::Process& self, const ra::PageKey& ke
   const sim::TimePoint fault_start = node_.simulation().now();
   node_.cpu().compute(self, node_.cost().fault_trap);
   maybeEvict(self);
-  CLOUDS_TRY_ASSIGN(grant, requestPage(self, key, access));
-  Frame& f = frames_[key];  // re-lookup: requestPage blocked
+  const net::NodeId home = ra::sysnameHome(key.segment);
+  if (!homedHere(home)) ++*m_remote_fetches_;
+  const Op op = access == ra::Access::read ? Op::read_page : Op::write_page;
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, {.op = op, .key = key}));
+  PageGrant& grant = reply.grant;
+  Frame& f = frames_[key];  // re-lookup: the exchange blocked
   if (grant.version < f.max_seen) {
     node_.simulation().trace(node_.name(), "dsm",
                              "stale grant v" + std::to_string(grant.version) + " for " +
@@ -163,33 +167,22 @@ Result<bool> DsmClientPartition::fault(sim::Process& self, const ra::PageKey& ke
   return true;
 }
 
-Result<Message> DsmClientPartition::exchange(sim::Process& self, net::NodeId server,
-                                             const Request& request) {
+Result<Reply> DsmClientPartition::exchange(sim::Process& self, net::NodeId server,
+                                           const Request& request) {
   Message message = encodeRequest(request);
   if (homedHere(server)) {
     node_.cpu().compute(self, node_.cost().syscall);
-    return local_server_->serveDsm(self, node_.id(), message);
+    return decodeReply(request.op, local_server_->serveDsm(self, node_.id(), message));
   }
-  return node_.ratp().transact(self, server, net::kPortDsm, std::move(message),
-                               patience(request.op, node_.cost()));
+  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server, net::kPortDsm, std::move(message),
+                                                 patience(request.op, node_.cost())));
+  return decodeReply(request.op, reply);
 }
 
 Result<void> DsmClientPartition::call(sim::Process& self, net::NodeId server,
                                       const Request& request) {
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, server, request));
-  Decoder d(reply);
-  return decodeStatus(d, request.op);
-}
-
-Result<PageGrant> DsmClientPartition::requestPage(sim::Process& self, const ra::PageKey& key,
-                                                  ra::Access access) {
-  const net::NodeId home = ra::sysnameHome(key.segment);
-  if (!homedHere(home)) ++*m_remote_fetches_;
-  const Op op = access == ra::Access::read ? Op::read_page : Op::write_page;
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, {.op = op, .key = key}));
-  Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, op));
-  return decodeGrant(d);
+  CLOUDS_TRY(exchange(self, server, request));
+  return okResult();
 }
 
 Result<void> DsmClientPartition::sendWriteBackBatch(sim::Process& self, const Sysname& segment,
@@ -239,31 +232,29 @@ void DsmClientPartition::unpinSegment(const Sysname& segment) {
 }
 
 Message DsmClientPartition::serveCallback(const Message& message) {
-  Encoder reply;
   auto request = decodeRequest(message);
   if (!request.ok() || (request.value().op != Op::invalidate &&
                         request.value().op != Op::degrade)) {
-    encodeStatus(reply, Errc::bad_argument);
-    return std::move(reply).message();
+    return codec::encode(Reply{.status = Errc::bad_argument}).message();
   }
   const Request& r = request.value();
+  Reply reply{.op = r.op};
   Frame& f = frames_[r.key];
   const bool dirty = f.state == FState::exclusive && f.dirty;
   if (dirty && pinned_.count(r.key.segment) != 0) {
     // Uncommitted bytes of an open transaction: refuse to surrender them.
     // The frame (and the grant version we would have recorded) is untouched
     // so the server's retry after commit/abort sees a clean resolution.
-    encodeStatus(reply, Errc::busy);
-    return std::move(reply).message();
+    reply.status = Errc::busy;
+    return codec::encode(reply).message();
   }
   // Surrender: the dirty image goes to the server, which folds it into the
   // store. An invalidated frame drops its image; a degraded one keeps it,
   // now shared and clean.
   ++*(r.op == Op::invalidate ? m_invalidated_ : m_degraded_);
   f.max_seen = std::max(f.max_seen, r.version);
-  encodeStatus(reply, Errc::ok);
-  reply.boolean(dirty);
-  if (dirty) reply.image(f.image);
+  reply.dirty = dirty;
+  if (dirty) reply.image = f.image;
   if (r.op == Op::invalidate) {
     f.image = SharedBytes();
     f.state = FState::invalid;
@@ -271,29 +262,22 @@ Message DsmClientPartition::serveCallback(const Message& message) {
     f.state = FState::shared;
   }
   f.dirty = false;
-  return std::move(reply).message();
+  return codec::encode(reply).message();
 }
 
 // ---------------------------------------------------------------- segment ops
 
 Result<ra::SegmentInfo> DsmClientPartition::stat(sim::Process& self, const Sysname& segment) {
-  const Request request{.op = Op::stat_segment, .segment = segment};
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(segment), request));
-  Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, request.op));
-  CLOUDS_TRY_ASSIGN(name, d.sysname());
-  CLOUDS_TRY_ASSIGN(length, d.u64());
-  CLOUDS_TRY_ASSIGN(zf, d.boolean());
-  return ra::SegmentInfo{name, length, zf};
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, ra::sysnameHome(segment),
+                                     {.op = Op::stat_segment, .segment = segment}));
+  return reply.info;
 }
 
 Result<Sysname> DsmClientPartition::createSegment(sim::Process& self, net::NodeId home,
                                                   std::uint64_t length, bool zero_fill) {
-  const Request request{.op = Op::create_segment, .length = length, .zero_fill = zero_fill};
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, request));
-  Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, request.op));
-  return d.sysname();
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, home, {.op = Op::create_segment, .length = length,
+                                                  .zero_fill = zero_fill}));
+  return reply.segment;
 }
 
 Result<void> DsmClientPartition::destroySegment(sim::Process& self, const Sysname& name) {
@@ -331,11 +315,8 @@ Result<void> DsmClientPartition::unlockAll(sim::Process& self, net::NodeId serve
 
 Result<std::uint64_t> DsmClientPartition::semCreate(sim::Process& self, net::NodeId server,
                                                     std::int64_t initial) {
-  const Request request{.op = Op::sem_create, .initial = initial};
-  CLOUDS_TRY_ASSIGN(reply, exchange(self, server, request));
-  Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, request.op));
-  return d.u64();
+  CLOUDS_TRY_ASSIGN(reply, exchange(self, server, {.op = Op::sem_create, .initial = initial}));
+  return reply.sem;
 }
 
 Result<void> DsmClientPartition::semP(sim::Process& self, std::uint64_t sem) {

@@ -150,13 +150,13 @@ class DsmClientPartition : public ra::Partition {
   // One fault: request, staleness check, install. Returns false for a stale
   // grant (caller retries).
   Result<bool> fault(sim::Process& self, const ra::PageKey& key, ra::Access access);
-  Result<PageGrant> requestPage(sim::Process& self, const ra::PageKey& key, ra::Access access);
   // Ship dirty pages of one segment in a single exchange (the server
   // applies them as one batched store write).
   Result<void> sendWriteBackBatch(sim::Process& self, const Sysname& segment,
                                   std::vector<store::PageUpdate> updates, bool drop);
-  // One request to `server`'s kPortDsm service; returns the raw reply.
-  Result<Message> exchange(sim::Process& self, net::NodeId server, const Request& request);
+  // One request to `server`'s kPortDsm service and its decoded reply; a
+  // failed status is the error.
+  Result<Reply> exchange(sim::Process& self, net::NodeId server, const Request& request);
   // exchange() for an op whose reply is the status byte alone.
   Result<void> call(sim::Process& self, net::NodeId server, const Request& request);
   // True when `home` is this node's own data server.

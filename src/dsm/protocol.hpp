@@ -8,13 +8,14 @@
 // two-phase-commit participant. One service per compute server,
 // kPortDsmCallback, carries the data servers' invalidate/degrade callbacks.
 //
-// This header is the request codec of both services. A Request is an op
-// plus every field some op carries; requestFields() lists each op's fields
-// in wire order, once, and encodeRequest()/decodeRequest() both walk that
-// list, so a sender and a receiver cannot disagree on a layout. Next to it
-// is the patience table: each op's RaTP budget and the name its remote
-// failure reports. A reply is a status byte, then the op's result (a
-// grant, a sysname, segment info, a semaphore id or a surrendered page).
+// This header states both services' layouts, on the shared field codec
+// (common/codec.hpp). A Request is an op plus every field some op carries,
+// and Request::fields lists each op's fields in wire order once; a Reply is
+// a status byte, then the op's result (a grant, a sysname, segment info, a
+// semaphore id or a surrendered page), listed once by Reply::fields. The
+// encoder and the decoder of each walk its list, so a sender and a
+// receiver cannot disagree on a layout. Next to them is the patience
+// table: each op's RaTP budget and the name its remote failure reports.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +57,8 @@ enum class LockMode : std::uint8_t { shared = 0, exclusive = 1 };
 
 // ---------------------------------------------------------------- requests
 
-// One request of either service. An op uses only the fields
-// requestFields() lists for it; the others keep their defaults.
+// One request of either service. An op uses only the fields fields()
+// lists for it; the others keep their defaults.
 struct Request {
   Op op{};
   ra::PageKey key{};                 // read_page, write_page, invalidate, degrade
@@ -72,147 +73,75 @@ struct Request {
   std::uint64_t sem = 0;             // sem_p, sem_v
   std::uint64_t txid = 0;            // tx_prepare, tx_commit, tx_abort
   std::vector<store::PageUpdate> updates{};  // write_back_batch, tx_prepare
-};
 
-// Each op's fields after its op byte, in wire order: the one statement of
-// every request layout (docs/PROTOCOLS.md tables them). Calls `field` on
-// each field of `r` in turn; false when `r.op` names no op.
-template <typename R, typename Field>
-bool requestFields(R& r, Field&& field) {
-  switch (r.op) {
-    case Op::read_page:
-    case Op::write_page:
-      field(r.key);
-      return true;
-    case Op::create_segment:
-      field(r.length);
-      field(r.zero_fill);
-      return true;
-    case Op::stat_segment:
-    case Op::destroy_segment:
-      field(r.segment);
-      return true;
-    case Op::write_back_batch:
-      field(r.drop);
-      field(r.updates);
-      return true;
-    case Op::invalidate:
-    case Op::degrade:
-      field(r.key);
-      field(r.version);
-      return true;
-    case Op::lock:
-      field(r.segment);
-      field(r.mode);
-      field(r.owner);
-      return true;
-    case Op::unlock_all:
-      field(r.owner);
-      return true;
-    case Op::sem_create:
-      field(r.initial);
-      return true;
-    case Op::sem_p:
-    case Op::sem_v:
-      field(r.sem);
-      return true;
-    case Op::tx_prepare:
-      field(r.txid);
-      field(r.updates);
-      return true;
-    case Op::tx_commit:
-    case Op::tx_abort:
-      field(r.txid);
-      return true;
-  }
-  return false;
-}
-
-namespace detail {
-
-// One field onto the wire, by its type.
-struct FieldWriter {
-  Encoder& e;
-  void operator()(const ra::PageKey& k) const {
-    (*this)(k.segment);
-    (*this)(k.page);
-  }
-  void operator()(const Sysname& s) const { e.sysname(s); }
-  void operator()(std::uint32_t v) const { e.u32(v); }
-  void operator()(std::uint64_t v) const { e.u64(v); }
-  void operator()(std::int64_t v) const { e.i64(v); }
-  void operator()(bool v) const { e.boolean(v); }
-  void operator()(LockMode m) const { e.u8(static_cast<std::uint8_t>(m)); }
-  void operator()(const std::vector<store::PageUpdate>& u) const {
-    store::encodePageUpdates(e, u);
+  // The op byte, then its fields in wire order: the one statement of every
+  // request layout (docs/PROTOCOLS.md tables them).
+  template <typename R, typename F>
+  static void fields(R& r, F& f) {
+    f(r.op);
+    switch (r.op) {
+      case Op::read_page:
+      case Op::write_page:
+        f(r.key);
+        return;
+      case Op::create_segment:
+        f(r.length);
+        f(r.zero_fill);
+        return;
+      case Op::stat_segment:
+      case Op::destroy_segment:
+        f(r.segment);
+        return;
+      case Op::write_back_batch:
+        f(r.drop);
+        f(r.updates);
+        return;
+      case Op::invalidate:
+      case Op::degrade:
+        f(r.key);
+        f(r.version);
+        return;
+      case Op::lock:
+        f(r.segment);
+        f(r.mode);
+        f(r.owner);
+        return;
+      case Op::unlock_all:
+        f(r.owner);
+        return;
+      case Op::sem_create:
+        f(r.initial);
+        return;
+      case Op::sem_p:
+      case Op::sem_v:
+        f(r.sem);
+        return;
+      case Op::tx_prepare:
+        f(r.txid);
+        f(r.updates);
+        return;
+      case Op::tx_commit:
+      case Op::tx_abort:
+        f(r.txid);
+        return;
+    }
+    f.require(false, "unknown dsm op");
   }
 };
 
-// One field off the wire, by its type; after the first field that does not
-// decode, it reads nothing more.
-struct FieldReader {
-  Decoder& d;
-  bool ok = true;
-  void operator()(ra::PageKey& k) {
-    (*this)(k.segment);
-    (*this)(k.page);
-  }
-  void operator()(Sysname& s) { read(s, [this] { return d.sysname(); }); }
-  void operator()(std::uint32_t& v) { read(v, [this] { return d.u32(); }); }
-  void operator()(std::uint64_t& v) { read(v, [this] { return d.u64(); }); }
-  void operator()(std::int64_t& v) { read(v, [this] { return d.i64(); }); }
-  void operator()(bool& v) { read(v, [this] { return d.boolean(); }); }
-  void operator()(LockMode& m) {
-    read(m, [this]() -> Result<LockMode> {
-      CLOUDS_TRY_ASSIGN(raw, d.u8());
-      return static_cast<LockMode>(raw);
-    });
-  }
-  void operator()(std::vector<store::PageUpdate>& u) {
-    read(u, [this] { return store::decodePageUpdates(d); });
-  }
-
-  template <typename T, typename Decode>
-  void read(T& out, Decode decode) {
-    if (!ok) return;
-    auto r = decode();
-    ok = r.ok();
-    if (ok) out = std::move(r).value();
-  }
-};
-
-}  // namespace detail
-
-// The request as its service receives it: the op byte, then its fields.
-// Page images travel by reference (Encoder::image).
-inline Message encodeRequest(const Request& r) {
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(r.op));
-  requestFields(r, detail::FieldWriter{e});
-  return std::move(e).message();
-}
+// The request as its service receives it. Page images travel by reference
+// (Encoder::image).
+inline Message encodeRequest(const Request& r) { return codec::encode(r).message(); }
 
 // bad_argument for a request cut short or a byte that names no op. Which
 // service serves the op is the receiver's check.
 inline Result<Request> decodeRequest(const Message& message) {
-  Decoder d(message);
-  auto op = d.u8();
-  if (!op.ok()) return makeError(Errc::bad_argument, "empty dsm request");
-  Request r;
-  r.op = static_cast<Op>(op.value());
-  detail::FieldReader reader{d};
-  if (!requestFields(r, reader)) {
-    return makeError(Errc::bad_argument, "unknown dsm op " + std::to_string(op.value()));
-  }
-  if (!reader.ok) {
-    return makeError(Errc::bad_argument, "dsm op " + std::to_string(op.value()) + " cut short");
-  }
-  return r;
+  return codec::decode<Request>(message);
 }
 
 // ---------------------------------------------------------------- patience
 
-// The name a failed reply of this op reports (decodeStatus). It reaches the
+// The name a failed reply of this op reports (decodeReply). It reaches the
 // trace through the consistency layer and the Migrator's transcript.
 inline const char* opName(Op op) {
   switch (op) {
@@ -270,41 +199,69 @@ inline net::RatpOptions patience(Op op, const sim::CostModel& cost) {
 
 // ---------------------------------------------------------------- replies
 
-// Every reply starts with a status byte (Errc); 0 means ok.
-inline void encodeStatus(Encoder& e, Errc c) { e.u8(static_cast<std::uint8_t>(c)); }
-
-inline Result<void> decodeStatus(Decoder& d, Op op) {
-  CLOUDS_TRY_ASSIGN(s, d.u8());
-  const auto code = static_cast<Errc>(s);
-  if (code != Errc::ok) return makeError(code, std::string(opName(op)) + " failed remotely");
-  return okResult();
-}
-
 // A page grant flowing data server -> client. The image is the store's,
 // by reference; a zero-fill grant carries none.
 struct PageGrant {
   std::uint64_t version = 0;
   bool zero_fill = false;  // true: no bytes follow; client zero-fills
-  SharedBytes data;
+  SharedBytes data{};
+
+  template <typename G, typename F>
+  static void fields(G& g, F& f) {
+    f(g.version);
+    f(g.zero_fill);
+    if (!g.zero_fill) f(g.data);
+  }
 };
 
-inline void encodeGrant(Encoder& e, const PageGrant& g) {
-  e.u64(g.version);
-  e.boolean(g.zero_fill);
-  if (!g.zero_fill) e.image(g.data);
-}
+// The reply to one request: its status, then, when ok, the op's result.
+struct Reply {
+  Op op{};  // the request's; not on the wire
+  Errc status = Errc::ok;
+  PageGrant grant{};         // read_page, write_page
+  Sysname segment{};         // create_segment: the new segment
+  ra::SegmentInfo info{};    // stat_segment
+  std::uint64_t sem = 0;     // sem_create: the new semaphore's id
+  bool dirty = false;        // invalidate, degrade: the holder's copy was dirty
+  SharedBytes image{};       // invalidate, degrade when dirty: that copy
 
-inline Result<PageGrant> decodeGrant(Decoder& d) {
-  PageGrant g;
-  CLOUDS_TRY_ASSIGN(version, d.u64());
-  g.version = version;
-  CLOUDS_TRY_ASSIGN(zf, d.boolean());
-  g.zero_fill = zf;
-  if (!g.zero_fill) {
-    CLOUDS_TRY_ASSIGN(data, d.image());
-    g.data = std::move(data);
+  template <typename R, typename F>
+  static void fields(R& r, F& f) {
+    f(r.status);
+    if (r.status != Errc::ok) return;
+    switch (r.op) {
+      case Op::read_page:
+      case Op::write_page:
+        f(r.grant);
+        return;
+      case Op::create_segment:
+        f(r.segment);
+        return;
+      case Op::stat_segment:
+        f(r.info.name);
+        f(r.info.length);
+        f(r.info.zero_fill);
+        return;
+      case Op::sem_create:
+        f(r.sem);
+        return;
+      case Op::invalidate:
+      case Op::degrade:
+        f(r.dirty);
+        if (r.dirty) f(r.image);
+        return;
+      default:
+        return;  // the status is the whole reply
+    }
   }
-  return g;
+};
+
+// The reply to a request of `op`; a failed status is the error, reported as
+// opName(op) "failed remotely".
+inline Result<Reply> decodeReply(Op op, const Message& message) {
+  return codec::decodeReply(message, Reply{.op = op}, [op](const Reply&) {
+    return std::string(opName(op)) + " failed remotely";
+  });
 }
 
 }  // namespace clouds::dsm

@@ -147,11 +147,8 @@ Result<SharedBytes> DsmServer::callback(sim::Process& self, net::NodeId holder, 
     }
     reply = std::move(r).value();
   }
-  Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, op));
-  CLOUDS_TRY_ASSIGN(dirty, d.boolean());
-  if (!dirty) return SharedBytes();
-  return d.image();
+  CLOUDS_TRY_ASSIGN(surrender, decodeReply(op, reply));
+  return std::move(surrender.image);
 }
 
 Result<PageGrant> DsmServer::handlePage(sim::Process& self, net::NodeId client,
@@ -180,10 +177,10 @@ Result<PageGrant> DsmServer::handlePage(sim::Process& self, net::NodeId client,
           node_.simulation().trace(node_.name(), "dsm",
                                    "holder of " + key.toString() +
                                        " busy past patience: copy lost");
-          dirty = SharedBytes();
+        } else {
+          CLOUDS_TRY_ASSIGN(data, std::move(dirty));
+          if (!data.empty()) CLOUDS_TRY(store_.writePage(self, key, std::move(data)));
         }
-        CLOUDS_TRY_ASSIGN(data, std::move(dirty));
-        if (!data.empty()) CLOUDS_TRY(store_.writePage(self, key, std::move(data)));
         return grantPage(self, e, client, key, v, write);
       }
     }
@@ -196,12 +193,7 @@ Result<PageGrant> DsmServer::grantPage(sim::Process& self, DirEntry& e, net::Nod
                                        bool write) {
   if (write) {
     if (e.state == PState::shared) {
-      for (net::NodeId holder : e.copyset) {
-        if (holder == client) continue;
-        // Shared copies are never dirty, so these can't come back busy.
-        CLOUDS_TRY_ASSIGN(dirty, callback(self, holder, Op::invalidate, key, version));
-        if (!dirty.empty()) CLOUDS_TRY(store_.writePage(self, key, std::move(dirty)));
-      }
+      CLOUDS_TRY(invalidateSharers(self, e, client, key, version, /*write_back=*/true));
     }
     e.copyset.clear();
     e.state = PState::exclusive;
@@ -224,6 +216,24 @@ Result<PageGrant> DsmServer::grantPage(sim::Process& self, DirEntry& e, net::Nod
   g.zero_fill = image.empty();
   g.data = std::move(image);
   return g;
+}
+
+Result<void> DsmServer::invalidateSharers(sim::Process& self, DirEntry& e, net::NodeId keep,
+                                          const ra::PageKey& key, std::uint64_t version,
+                                          bool write_back) {
+  // Each callback blocks, and meanwhile a crash notice (onClientCrash) may
+  // erase a holder, or a destroy (handleDestroy) clear the set, without the
+  // entry's mutex: walk a copy, and skip who has left the live set.
+  const std::set<net::NodeId> holders = e.copyset;
+  for (net::NodeId holder : holders) {
+    if (holder == keep || e.copyset.count(holder) == 0) continue;
+    auto dirty = callback(self, holder, Op::invalidate, key, version);
+    if (!write_back) continue;
+    // Shared copies are never dirty, so these can't come back busy.
+    CLOUDS_TRY(dirty);
+    if (!dirty.value().empty()) CLOUDS_TRY(store_.writePage(self, key, std::move(dirty).value()));
+  }
+  return okResult();
 }
 
 Result<void> DsmServer::handleWriteBackBatch(sim::Process& self, net::NodeId client,
@@ -460,10 +470,7 @@ Result<void> DsmServer::handleCommit(sim::Process& self, net::NodeId committer,
       e.state = PState::uncached;
       e.owner = net::kNoNode;
     } else if (e.state == PState::shared) {
-      for (net::NodeId holder : e.copyset) {
-        if (holder == committer) continue;
-        (void)callback(self, holder, Op::invalidate, key, v);
-      }
+      (void)invalidateSharers(self, e, committer, key, v, /*write_back=*/false);
       const bool committer_had_copy = e.copyset.count(committer) != 0;
       e.copyset.clear();
       if (committer_had_copy) {
@@ -485,77 +492,64 @@ Result<void> DsmServer::handleAbort(sim::Process& self, std::uint64_t txid) {
 // ---------------------------------------------------------------- services
 
 Message DsmServer::serveDsm(sim::Process& self, net::NodeId client, const Message& message) {
-  Encoder reply;
   auto request = decodeRequest(message);
-  if (!request.ok()) {
-    encodeStatus(reply, Errc::bad_argument);
-    return std::move(reply).message();
-  }
+  if (!request.ok()) return codec::encode(Reply{.status = Errc::bad_argument}).message();
   Request& r = request.value();
+  Reply reply{.op = r.op};
+  // The status, and the op's result when there is one.
+  auto settle = [&reply]<typename T>(Result<T> result, T& into) {
+    reply.status = result.code();
+    if (result.ok()) into = std::move(result).value();
+  };
   switch (r.op) {
     case Op::read_page:
-    case Op::write_page: {
-      auto grant = handlePage(self, client, r.key,
-                              r.op == Op::read_page ? ra::Access::read : ra::Access::write);
-      encodeStatus(reply, grant.code());
-      if (grant.ok()) encodeGrant(reply, grant.value());
+    case Op::write_page:
+      settle(handlePage(self, client, r.key,
+                        r.op == Op::read_page ? ra::Access::read : ra::Access::write),
+             reply.grant);
       break;
-    }
     case Op::write_back_batch:
-      encodeStatus(reply, handleWriteBackBatch(self, client, r.updates, r.drop).code());
+      reply.status = handleWriteBackBatch(self, client, r.updates, r.drop).code();
       break;
-    case Op::create_segment: {
-      auto name = handleCreate(self, r.length, r.zero_fill);
-      encodeStatus(reply, name.code());
-      if (name.ok()) reply.sysname(name.value());
+    case Op::create_segment:
+      settle(handleCreate(self, r.length, r.zero_fill), reply.segment);
       break;
-    }
-    case Op::stat_segment: {
-      auto info = handleStat(self, r.segment);
-      encodeStatus(reply, info.code());
-      if (info.ok()) {
-        reply.sysname(info.value().name);
-        reply.u64(info.value().length);
-        reply.boolean(info.value().zero_fill);
-      }
+    case Op::stat_segment:
+      settle(handleStat(self, r.segment), reply.info);
       break;
-    }
     case Op::destroy_segment:
-      encodeStatus(reply, handleDestroy(self, r.segment).code());
+      reply.status = handleDestroy(self, r.segment).code();
       break;
     case Op::lock:
-      encodeStatus(reply, handleLock(self, r.segment, r.mode, r.owner).code());
+      reply.status = handleLock(self, r.segment, r.mode, r.owner).code();
       break;
     case Op::unlock_all:
-      encodeStatus(reply, handleUnlockAll(self, r.owner).code());
+      reply.status = handleUnlockAll(self, r.owner).code();
       break;
-    case Op::sem_create: {
-      auto sem = handleSemCreate(self, r.initial);
-      encodeStatus(reply, sem.code());
-      if (sem.ok()) reply.u64(sem.value());
+    case Op::sem_create:
+      settle(handleSemCreate(self, r.initial), reply.sem);
       break;
-    }
     case Op::sem_p:
-      encodeStatus(reply, handleSemP(self, r.sem).code());
+      reply.status = handleSemP(self, r.sem).code();
       break;
     case Op::sem_v:
-      encodeStatus(reply, handleSemV(self, r.sem).code());
+      reply.status = handleSemV(self, r.sem).code();
       break;
     case Op::tx_prepare:
-      encodeStatus(reply, handlePrepare(self, r.txid, std::move(r.updates)).code());
+      reply.status = handlePrepare(self, r.txid, std::move(r.updates)).code();
       break;
     case Op::tx_commit:
-      encodeStatus(reply, handleCommit(self, client, r.txid).code());
+      reply.status = handleCommit(self, client, r.txid).code();
       break;
     case Op::tx_abort:
-      encodeStatus(reply, handleAbort(self, r.txid).code());
+      reply.status = handleAbort(self, r.txid).code();
       break;
     case Op::invalidate:
     case Op::degrade:  // the compute servers' service, not this one
-      encodeStatus(reply, Errc::bad_argument);
+      reply.status = Errc::bad_argument;
       break;
   }
-  return std::move(reply).message();
+  return codec::encode(reply).message();
 }
 
 }  // namespace clouds::dsm

@@ -34,9 +34,6 @@ class DsmServer {
   // the data role; store is its durable half.
   DsmServer(ra::Node& node, store::DiskStore& store);
 
-  ra::Node& node() noexcept { return node_; }
-  store::DiskStore& store() noexcept { return store_; }
-
   // The co-located client partition, when this node is also a compute
   // server: callbacks to it short-circuit the network.
   void setLocalClient(DsmClientPartition* client) noexcept { local_client_ = client; }
@@ -136,6 +133,13 @@ class DsmServer {
   // its copy.
   Result<SharedBytes> callback(sim::Process& self, net::NodeId holder, Op op,
                                const ra::PageKey& key, std::uint64_t version);
+  // Invalidates every shared copy of `key` but `keep`'s, over the copyset
+  // as it stood before the first callback, skipping a holder that left it
+  // meanwhile. A grant (`write_back`) stops at the first callback that
+  // fails and folds a returned dirty image into the store; a commit's
+  // images supersede every copy, so it ignores both.
+  Result<void> invalidateSharers(sim::Process& self, DirEntry& e, net::NodeId keep,
+                                 const ra::PageKey& key, std::uint64_t version, bool write_back);
   // With the entry's mutex held and no exclusive owner but the client left:
   // a write invalidates the other shared copies and takes the page
   // exclusive, a read joins the copyset. The grant carries the store's

@@ -173,22 +173,28 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     return err;
   };
 
+  // A fresh read of the authoritative header page (any cached frame may
+  // predate a concurrent migration). A tombstone or a vanished header means
+  // the candidate already migrated away, and its heat was earned under a
+  // dead name: forget it so the next tick picks a live object instead of
+  // re-probing this one forever. A tombstone answers already_exists with
+  // the text `moved`.
+  auto probe = [&](const char* moved) -> Result<obj::HeaderPage> {
+    dsm_.dropSegment(header);
+    auto page = obj::readHeader(self, dsm_, header);
+    if (!page.ok() && page.error().code == Errc::not_found) runtime_.forgetHeat(header);
+    if (!page.ok() || !page.value().forward) return page;
+    runtime_.forgetHeat(header);
+    return makeError(Errc::already_exists, moved);
+  };
+
   // ---- pre-flight: is the candidate still ours? A peer that served this
   // object before it migrated away still holds heat under the dead name;
   // probing the header page first turns that case into a cheap no-op.
   // Draining first instead would block real invocations (still entering
   // through the forwarding chain) for the whole kDrainTimeout.
-  {
-    dsm_.dropSegment(header);
-    auto page_r = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
-    if (!page_r.ok()) {
-      if (page_r.error().code == Errc::not_found) runtime_.forgetHeat(header);
-      return fail(page_r.error());
-    }
-    if (isForwardPage(ByteSpan(page_r.value().data(), ra::kPageSize))) {
-      runtime_.forgetHeat(header);
-      return fail(makeError(Errc::already_exists, "object was already migrated away"));
-    }
+  if (auto page = probe("object was already migrated away"); !page.ok()) {
+    return fail(page.error());
   }
 
   // ---- draining: stop new local invocations, wait out in-flight ones ----
@@ -204,26 +210,10 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
   // segments for the whole transfer window (lease expiry reclaims them if
   // this node dies mid-flight).
   {
-    auto desc_r = [&]() -> Result<obj::ObjectDescriptor> {
-      // Fresh read of the authoritative header page (drop any cached frame
-      // first; it may predate a concurrent migration).
-      dsm_.dropSegment(header);
-      CLOUDS_TRY_ASSIGN(page, dsm_.resolvePage(self, {header, 0}, ra::Access::read));
-      ByteSpan image(page.data(), ra::kPageSize);
-      if (isForwardPage(image)) {
-        return makeError(Errc::already_exists, "object was already migrated away");
-      }
-      return obj::ObjectDescriptor::decode(image);
-    }();
-    if (!desc_r.ok()) {
-      // A tombstone or vanished header means the candidate already migrated
-      // away; its heat was earned under a dead name. Forget it so the next
-      // tick picks a live object instead of re-probing this one forever.
-      const Errc code = desc_r.error().code;
-      if (code == Errc::already_exists || code == Errc::not_found) runtime_.forgetHeat(header);
-      return fail(desc_r.error());
-    }
-    const obj::ObjectDescriptor desc = std::move(desc_r).value();
+    auto page = probe("object was already migrated away");
+    if (!page.ok()) return fail(page.error());
+    if (!page.value().desc.ok()) return fail(page.value().desc.error());
+    const obj::ObjectDescriptor desc = page.value().desc.value();
 
     for (const Sysname& seg : {desc.data_seg, desc.pheap_seg}) {
       auto r = dsm_.lock(self, seg, dsm::LockMode::exclusive, tx);
@@ -238,19 +228,9 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
     // splitting ownership. Re-probe the header under the locks and abort
     // unless it still shows the exact pre-flip descriptor we locked.
     {
-      dsm_.dropSegment(header);
-      auto page = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
-      if (!page.ok()) {
-        if (page.error().code == Errc::not_found) runtime_.forgetHeat(header);
-        return fail(page.error());
-      }
-      ByteSpan image(page.value().data(), ra::kPageSize);
-      if (isForwardPage(image)) {
-        runtime_.forgetHeat(header);
-        return fail(makeError(Errc::already_exists,
-                              "object migrated away while awaiting segment locks"));
-      }
-      auto relook = obj::ObjectDescriptor::decode(image);
+      auto again = probe("object migrated away while awaiting segment locks");
+      if (!again.ok()) return fail(again.error());
+      const auto& relook = again.value().desc;
       if (!relook.ok()) return fail(relook.error());
       if (relook.value().data_seg != desc.data_seg ||
           relook.value().pheap_seg != desc.pheap_seg) {
@@ -330,8 +310,8 @@ Result<Sysname> Migrator::migrateObject(sim::Process& self, const Sysname& heade
         // Decision undeliverable. Probe the header page: the source either
         // committed (tombstone visible) or still holds the original.
         dsm_.dropSegment(header);
-        auto probe = dsm_.resolvePage(self, {header, 0}, ra::Access::read);
-        if (probe.ok() && isForwardPage(ByteSpan(probe.value().data(), ra::kPageSize))) {
+        auto probe = obj::readHeader(self, dsm_, header);
+        if (probe.ok() && probe.value().forward) {
           // Fall through: the flip is durable, finish the handoff.
         } else if (probe.ok()) {
           return fail(makeError(Errc::aborted, "commit decision lost; source kept the object"));

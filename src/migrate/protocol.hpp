@@ -36,6 +36,16 @@ struct SegmentMove {
   std::uint64_t length = 0;
 
   friend bool operator==(const SegmentMove&, const SegmentMove&) = default;
+
+  template <typename M, typename F>
+  static void fields(M& m, F& f) {
+    f(m.from);
+    f(m.to);
+    f(m.length);
+    f.require(ra::isSegmentName(m.from) && ra::isSegmentName(m.to),
+              "segment move names a non-segment sysname");
+    f.require(m.length <= kMaxSegmentLength, "segment move length implausible");
+  }
 };
 
 struct ForwardRecord {
@@ -46,13 +56,34 @@ struct ForwardRecord {
 
   friend bool operator==(const ForwardRecord&, const ForwardRecord&) = default;
 
-  Bytes encode() const;
+  // The record's layout (common/codec.hpp), with the decode-side bounds a
+  // hostile or corrupt page meets.
+  template <typename R, typename F>
+  static void fields(R& r, F& f) {
+    f(codec::Constant{kForwardMagic, "not a forward record (bad magic)"});
+    f(codec::Constant{kForwardVersion, [](std::uint8_t v) {
+                        return "unknown forward record version " + std::to_string(v);
+                      }});
+    f(r.generation);
+    f(r.new_header);
+    f.require(ra::isSegmentName(r.new_header), "forward target is not a segment sysname");
+    f(r.class_name);
+    f.require(r.class_name.size() <= kMaxClassName, "forward record class name too long");
+    f(codec::Capped{r.moves, kMaxMoves, [](std::uint32_t n) {
+                      return "forward record claims " + std::to_string(n) + " segment moves";
+                    }});
+  }
+
+  // At most kMaxMoves moves; encodePage() refuses a record with more.
+  Bytes encode() const { return codec::encode(*this).take(); }
   // encode() zero-padded to exactly ra::kPageSize (the header-page image the
   // 2PC flip installs). Fails rather than truncate if the record (overlong
   // class name, too many moves) would not fit in one page — a truncated
   // tombstone would become the object's permanent, corrupt forwarding state.
   Result<Bytes> encodePage() const;
-  static Result<ForwardRecord> decode(ByteSpan bytes);
+  static Result<ForwardRecord> decode(ByteSpan bytes) {
+    return codec::decode<ForwardRecord>(bytes);
+  }
 };
 
 // Cheap discriminator: does this header page hold a forward record?

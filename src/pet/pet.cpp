@@ -5,8 +5,6 @@
 namespace clouds::pet {
 
 namespace {
-constexpr std::uint64_t kMetaMagic = 0xC10DFE70ULL;
-
 // How long the coordinator keeps waiting for laggard PETs once at least one
 // has completed. Crashed threads never complete; this bounds the wait.
 constexpr sim::Duration kStragglerGrace = sim::msec(500);
@@ -45,7 +43,7 @@ Result<ReplicatedObject> PetManager::createReplicated(const std::string& class_n
     ro.meta = meta.value();
     VersionVector vv;
     vv.versions.assign(static_cast<std::size_t>(replicas), 0);
-    auto wrote = writeVersions(*t.process, rt, ro, vv);
+    auto wrote = writeVersions(*t.process, ro, vv);
     if (!wrote.ok()) {
       out = wrote.error();
       return;
@@ -61,44 +59,31 @@ Result<ReplicatedObject> PetManager::createReplicated(const std::string& class_n
   return out;
 }
 
-Result<PetManager::VersionVector> PetManager::readVersions(sim::Process& self, obj::Runtime&,
+Result<PetManager::VersionVector> PetManager::readVersions(sim::Process& self,
                                                            const ReplicatedObject& object) {
-  auto h = cluster_.dsmClient(0).resolvePage(self, {object.meta, 0}, ra::Access::read);
-  if (!h.ok()) return h.error();
-  Decoder d(ByteSpan(h.value().data(), ra::kPageSize));
-  CLOUDS_TRY_ASSIGN(magic, d.u64());
-  if (magic != kMetaMagic) return makeError(Errc::bad_argument, "bad PET meta segment");
-  CLOUDS_TRY_ASSIGN(n, d.u32());
-  VersionVector vv;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    CLOUDS_TRY_ASSIGN(v, d.u64());
-    vv.versions.push_back(v);
-  }
-  return vv;
+  CLOUDS_TRY_ASSIGN(h,
+                    cluster_.dsmClient(0).resolvePage(self, {object.meta, 0}, ra::Access::read));
+  return codec::decode<VersionVector>(ByteSpan(h.data(), ra::kPageSize));
 }
 
-Result<void> PetManager::writeVersions(sim::Process& self, obj::Runtime&,
-                                       const ReplicatedObject& object,
+Result<void> PetManager::writeVersions(sim::Process& self, const ReplicatedObject& object,
                                        const VersionVector& vv) {
-  Encoder e;
-  e.u64(kMetaMagic);
-  e.u32(static_cast<std::uint32_t>(vv.versions.size()));
-  for (std::uint64_t v : vv.versions) e.u64(v);
-  auto h = cluster_.dsmClient(0).resolvePage(self, {object.meta, 0}, ra::Access::write);
-  if (!h.ok()) return h.error();
-  std::copy(e.buffer().begin(), e.buffer().end(), h.value().mutableData());
-  return cluster_.dsmClient(0).flushSegment(self, object.meta);
+  const Bytes image = codec::encode(vv).take();
+  dsm::DsmClientPartition& dsm = cluster_.dsmClient(0);
+  CLOUDS_TRY_ASSIGN(h, dsm.resolvePage(self, {object.meta, 0}, ra::Access::write));
+  std::copy(image.begin(), image.end(), h.mutableData());
+  return dsm.flushSegment(self, object.meta);
 }
 
-int PetManager::propagate(sim::Process& self, obj::Runtime&, const ReplicatedObject& object,
-                          int winner_idx, VersionVector& vv) {
+int PetManager::propagate(sim::Process& self, const ReplicatedObject& object, int winner_idx,
+                          VersionVector& vv) {
   // Copy the winner replica's persistent segments to the other replicas,
   // page by page, through ordinary DSM (real coherence traffic, real
   // costs). Requires the replicas' descriptors.
   dsm::DsmClientPartition& dsmp = cluster_.dsmClient(0);
   auto readDesc = [&](const Sysname& obj_name) -> Result<obj::ObjectDescriptor> {
-    CLOUDS_TRY_ASSIGN(h, dsmp.resolvePage(self, {obj_name, 0}, ra::Access::read));
-    return obj::ObjectDescriptor::decode(ByteSpan(h.data(), ra::kPageSize));
+    CLOUDS_TRY_ASSIGN(page, obj::readHeader(self, dsmp, obj_name));
+    return std::move(page.desc);
   };
   auto winner_desc = readDesc(object.replicas[static_cast<std::size_t>(winner_idx)]);
   if (!winner_desc.ok()) return 0;
@@ -149,7 +134,7 @@ Result<ResilientResult> PetManager::runResilient(const ReplicatedObject& object,
       return;
     }
 
-    auto vv = readVersions(self, coordinator_rt, object);
+    auto vv = readVersions(self, object);
     if (!vv.ok()) {
       out = vv.error();
       return;
@@ -232,9 +217,9 @@ Result<ResilientResult> PetManager::runResilient(const ReplicatedObject& object,
       }
       commit_attempted = true;
       VersionVector working = vv.value();
-      const int written = propagate(self, coordinator_rt, object, p.replica, working);
+      const int written = propagate(self, object, p.replica, working);
       if (written >= quorum) {
-        if (!writeVersions(self, coordinator_rt, object, working).ok()) continue;
+        if (!writeVersions(self, object, working).ok()) continue;
         rr.value = p.handle->result.value();
         rr.replicas_written = written;
         rr.terminating_thread = static_cast<int>(i);
@@ -257,7 +242,7 @@ Result<std::vector<std::uint64_t>> PetManager::replicaVersions(const ReplicatedO
   Result<std::vector<std::uint64_t>> out = makeError(Errc::internal, "version read never ran");
   obj::Runtime& rt = cluster_.runtime(0);
   rt.spawnThread("pet-versions", [&, this](obj::CloudsThread& t) {
-    auto vv = readVersions(*t.process, rt, object);
+    auto vv = readVersions(*t.process, object);
     if (!vv.ok()) {
       out = vv.error();
       return;
@@ -273,7 +258,7 @@ Result<obj::Value> PetManager::readFreshest(const ReplicatedObject& object,
   Result<obj::Value> out = makeError(Errc::internal, "read never ran");
   obj::Runtime& rt = cluster_.runtime(0);
   rt.spawnThread("pet-read", [&, this](obj::CloudsThread& t) {
-    auto vv = readVersions(*t.process, rt, object);
+    auto vv = readVersions(*t.process, object);
     if (!vv.ok()) {
       out = vv.error();
       return;

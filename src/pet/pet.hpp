@@ -80,17 +80,24 @@ class PetManager {
   Result<std::vector<std::uint64_t>> replicaVersions(const ReplicatedObject& object);
 
  private:
+  // Page 0 of the meta segment: a magic, then the list of replica versions.
   struct VersionVector {
+    static constexpr std::uint64_t kMagic = 0xC10DFE70ULL;
     std::vector<std::uint64_t> versions;
+
+    template <typename V, typename F>
+    static void fields(V& v, F& f) {
+      f(codec::Constant{kMagic, "bad PET meta segment"});
+      f(v.versions);
+    }
   };
-  Result<VersionVector> readVersions(sim::Process& self, obj::Runtime& rt,
-                                     const ReplicatedObject& object);
-  Result<void> writeVersions(sim::Process& self, obj::Runtime& rt,
-                             const ReplicatedObject& object, const VersionVector& vv);
+  Result<VersionVector> readVersions(sim::Process& self, const ReplicatedObject& object);
+  Result<void> writeVersions(sim::Process& self, const ReplicatedObject& object,
+                             const VersionVector& vv);
   // Copy the winner replica's persistent segments onto target replicas;
   // returns how many targets (incl. the winner) now hold the new state.
-  int propagate(sim::Process& self, obj::Runtime& rt, const ReplicatedObject& object,
-                int winner_idx, VersionVector& vv);
+  int propagate(sim::Process& self, const ReplicatedObject& object, int winner_idx,
+                VersionVector& vv);
 
   Cluster& cluster_;
   // Registry handles ("pet/..."), resolved at construction.

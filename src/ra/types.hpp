@@ -46,6 +46,12 @@ struct PageKey {
   std::string toString() const {
     return segment.toString() + ":" + std::to_string(page);
   }
+
+  template <typename K, typename F>
+  static void fields(K& k, F& f) {
+    f(k.segment);
+    f(k.page);
+  }
 };
 
 // The entries of one segment in a PageKey-ordered map, from page

@@ -9,27 +9,17 @@
 // node's load is observable.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "common/bytes.hpp"
-#include "common/error.hpp"
+#include "common/codec.hpp"
 #include "common/sysname.hpp"
 #include "net/ethernet.hpp"
 
 namespace clouds::sched {
 
-// Wire format (little-endian, via clouds::Encoder — see docs/SCHEDULING.md):
-//   u8  version (=1)
-//   u32 node            sender's node id
-//   u64 seq             per-sender sequence number (monotone while up)
-//   u32 threads         live Clouds threads hosted (run-queue length proxy)
-//   u32 frame_permille  DSM frame-cache occupancy, 0..1000
-//   u64 ewma_latency_usec  EWMA of recent invocation completion latency
-//   u32 homed_hot       hot objects homed on this node's own data server
-//                       (v2; feeds the Migrator's low-watermark rebalance)
-//   u32 segment_count, then that many 16-byte sysnames: the locality digest
-//       (segments with resident DSM frames, sorted, capped)
 struct LoadReport {
   static constexpr std::uint8_t kVersion = 2;
   // Cap keeps the report inside one Ethernet frame: 39 bytes of header +
@@ -44,10 +34,35 @@ struct LoadReport {
   std::uint32_t homed_hot = 0;
   std::vector<Sysname> cached;
 
-  bool caches(const Sysname& segment) const;
+  bool caches(const Sysname& segment) const {
+    return std::find(cached.begin(), cached.end(), segment) != cached.end();
+  }
 
-  Bytes encode() const;
-  static Result<LoadReport> decode(const Message& wire);
+  // The layout (docs/SCHEDULING.md tables it): the version, the load
+  // figures, then the locality digest (segments with resident DSM frames,
+  // sorted).
+  template <typename R, typename F>
+  static void fields(R& r, F& f) {
+    f(codec::Constant{kVersion, [](std::uint8_t v) {
+                        return "LoadReport: unknown version " + std::to_string(v);
+                      }});
+    f(r.node);
+    f(r.seq);
+    f(r.threads);
+    f(r.frame_permille);
+    f(r.ewma_latency_usec);
+    f(r.homed_hot);
+    f(codec::Capped{r.cached, kMaxSegments, "LoadReport: oversized locality digest"});
+  }
+
+  Bytes encode() const { return codec::encode(*this).take(); }
+  // A report fills its frame body.
+  static Result<LoadReport> decode(const Message& wire) {
+    Decoder d(wire);
+    auto r = codec::read<LoadReport>(d);
+    if (r.ok() && !d.atEnd()) return makeError(Errc::bad_argument, "LoadReport: trailing bytes");
+    return r;
+  }
 };
 
 }  // namespace clouds::sched

@@ -583,7 +583,7 @@ void encodePrepared(Encoder& e, const PreparedTxns& txns) {
   e.u32(static_cast<std::uint32_t>(txns.size()));
   for (const auto& [txid, updates] : txns) {
     e.u64(txid);
-    encodePageUpdates(e, updates);
+    codec::Writer{e}(updates);
   }
 }
 
@@ -592,7 +592,7 @@ Result<PreparedTxns> decodePrepared(Decoder& d) {
   PreparedTxns txns;
   for (std::uint32_t i = 0; i < ntx; ++i) {
     CLOUDS_TRY_ASSIGN(txid, d.u64());
-    CLOUDS_TRY_ASSIGN(updates, decodePageUpdates(d));
+    CLOUDS_TRY_ASSIGN(updates, codec::read<std::vector<PageUpdate>>(d));
     txns.emplace_back(txid, std::move(updates));
   }
   return txns;

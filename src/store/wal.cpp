@@ -5,27 +5,6 @@
 
 namespace clouds::store {
 
-void encodePageUpdates(Encoder& e, const std::vector<PageUpdate>& updates) {
-  e.u32(static_cast<std::uint32_t>(updates.size()));
-  for (const PageUpdate& u : updates) {
-    e.sysname(u.key.segment);
-    e.u32(u.key.page);
-    e.image(u.data);
-  }
-}
-
-Result<std::vector<PageUpdate>> decodePageUpdates(Decoder& d) {
-  CLOUDS_TRY_ASSIGN(count, d.u32());
-  std::vector<PageUpdate> updates;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    CLOUDS_TRY_ASSIGN(segment, d.sysname());
-    CLOUDS_TRY_ASSIGN(page, d.u32());
-    CLOUDS_TRY_ASSIGN(data, d.image());
-    updates.push_back(PageUpdate{ra::PageKey{segment, page}, std::move(data)});
-  }
-  return updates;
-}
-
 namespace wal {
 
 std::uint64_t Log::append(Record r) {
@@ -113,7 +92,7 @@ void Log::encode(Encoder& e) const {
     e.u64(r.lsn);
     e.u64(r.txid);
     e.u64(r.applied_lsn);
-    encodePageUpdates(e, r.updates);
+    codec::Writer{e}(r.updates);
   }
 }
 
@@ -137,7 +116,7 @@ Result<void> Log::decode(Decoder& d) {
     r.txid = txid;
     CLOUDS_TRY_ASSIGN(rec_applied, d.u64());
     r.applied_lsn = rec_applied;
-    CLOUDS_TRY_ASSIGN(updates, decodePageUpdates(d));
+    CLOUDS_TRY_ASSIGN(updates, codec::read<std::vector<PageUpdate>>(d));
     r.updates = std::move(updates);
     records.push_back(std::move(r));
   }

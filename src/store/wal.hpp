@@ -29,13 +29,13 @@ namespace clouds::store {
 struct PageUpdate {
   ra::PageKey key;
   SharedBytes data;  // exactly kPageSize bytes, shared by reference
-};
 
-// A page-update list as the DSM wire and the store snapshot carry it:
-// n:u32, then n x (segment, page:u32, bytes). The images travel by
-// reference (Encoder::image, Decoder::image).
-void encodePageUpdates(Encoder& e, const std::vector<PageUpdate>& updates);
-Result<std::vector<PageUpdate>> decodePageUpdates(Decoder& d);
+  template <typename U, typename F>
+  static void fields(U& u, F& f) {
+    f(u.key);
+    f(u.data);
+  }
+};
 
 namespace wal {
 

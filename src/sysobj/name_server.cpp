@@ -3,8 +3,6 @@
 namespace clouds::sysobj {
 
 namespace {
-enum class NameOp : std::uint8_t { bind = 50, lookup = 51, unbind = 52, list = 53, forward = 54 };
-
 // A forward chain grows one link per re-migration of the same object; more
 // hops than this means a cycle.
 constexpr int kMaxForwardChain = 8;
@@ -12,15 +10,6 @@ constexpr int kMaxForwardChain = 8;
 // Name-snapshot magic: bindings, then forwards. A file under any other
 // magic is refused.
 constexpr std::uint32_t kSnapshotMagic = 0xC10D7A3Fu;
-
-void encodeStatus(Encoder& e, Errc c) { e.u8(static_cast<std::uint8_t>(c)); }
-
-Result<void> decodeStatus(Decoder& d, const char* what) {
-  CLOUDS_TRY_ASSIGN(s, d.u8());
-  const auto code = static_cast<Errc>(s);
-  if (code != Errc::ok) return makeError(code, std::string(what) + " failed at name server");
-  return okResult();
-}
 }  // namespace
 
 NameServer::NameServer(ra::Node& node) : node_(node) {
@@ -149,155 +138,71 @@ Result<void> NameServer::loadFrom(const std::string& path) {
   return okResult();
 }
 
-Bytes NameServer::serve(sim::Process& self, const Message& request) {
+Message NameServer::serve(sim::Process& self, const Message& message) {
   node_.cpu().compute(self, node_.cost().dsm_server_lookup);
-  Decoder d(request);
-  Encoder reply;
-  auto op = d.u8();
-  if (!op.ok()) {
-    encodeStatus(reply, Errc::bad_argument);
-    return std::move(reply).take();
-  }
-  switch (static_cast<NameOp>(op.value())) {
-    case NameOp::bind: {
-      auto name = d.str();
-      auto replace = d.boolean();
-      auto count = d.u32();
-      if (!name.ok() || !replace.ok() || !count.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      Binding b;
-      bool bad = false;
-      for (std::uint32_t i = 0; i < count.value(); ++i) {
-        auto s = d.sysname();
-        if (!s.ok()) {
-          bad = true;
-          break;
-        }
-        b.sysnames.push_back(s.value());
-      }
-      if (bad) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      encodeStatus(reply, bind(name.value(), std::move(b), replace.value()).code());
+  auto request = codec::decode<NameRequest>(message);
+  if (!request.ok()) return codec::encode(NameReply{.status = Errc::bad_argument}).message();
+  NameRequest& r = request.value();
+  NameReply reply{.op = r.op};
+  switch (r.op) {
+    case NameOp::bind:
+      reply.status = bind(r.name, {std::move(r.sysnames)}, r.replace).code();
       break;
-    }
     case NameOp::lookup: {
-      auto name = d.str();
-      if (!name.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      auto r = lookup(name.value());
-      encodeStatus(reply, r.code());
-      if (r.ok()) {
-        reply.u32(static_cast<std::uint32_t>(r.value().sysnames.size()));
-        for (const Sysname& s : r.value().sysnames) reply.sysname(s);
-      }
+      auto found = lookup(r.name);
+      reply.status = found.code();
+      if (found.ok()) reply.sysnames = std::move(found.value().sysnames);
       break;
     }
-    case NameOp::unbind: {
-      auto name = d.str();
-      if (!name.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      encodeStatus(reply, unbind(name.value()).code());
+    case NameOp::unbind:
+      reply.status = unbind(r.name).code();
       break;
-    }
-    case NameOp::list: {
-      encodeStatus(reply, Errc::ok);
-      const auto names = list();
-      reply.u32(static_cast<std::uint32_t>(names.size()));
-      for (const auto& n : names) reply.str(n);
+    case NameOp::list:
+      reply.names = list();
       break;
-    }
-    case NameOp::forward: {
-      auto from = d.sysname();
-      auto to = d.sysname();
-      if (!from.ok() || !to.ok()) {
-        encodeStatus(reply, Errc::bad_argument);
-        break;
-      }
-      encodeStatus(reply, addForward(from.value(), to.value()).code());
+    case NameOp::forward:
+      reply.status = addForward(r.from, r.to).code();
       break;
-    }
-    default:
-      encodeStatus(reply, Errc::bad_argument);
   }
-  return std::move(reply).take();
+  return codec::encode(reply).message();
 }
 
 // ---------------------------------------------------------------- client
 
+Result<NameReply> NameClient::call(sim::Process& self, const NameRequest& request,
+                                   const char* what) {
+  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
+                                                 codec::encode(request).message()));
+  return codec::decodeReply(reply, NameReply{.op = request.op}, [what](const NameReply&) {
+    return std::string(what) + " failed at name server";
+  });
+}
+
 Result<void> NameClient::bind(sim::Process& self, const std::string& name,
                               const std::vector<Sysname>& sysnames, bool replace) {
-  Encoder e;
-  e.u8(50);
-  e.str(name);
-  e.boolean(replace);
-  e.u32(static_cast<std::uint32_t>(sysnames.size()));
-  for (const Sysname& s : sysnames) e.sysname(s);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
-                                                 std::move(e).take()));
-  Decoder d(reply);
-  return decodeStatus(d, "bind");
+  CLOUDS_TRY(call(
+      self, {.op = NameOp::bind, .name = name, .replace = replace, .sysnames = sysnames}, "bind"));
+  return okResult();
 }
 
 Result<Binding> NameClient::lookup(sim::Process& self, const std::string& name) {
-  Encoder e;
-  e.u8(51);
-  e.str(name);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
-                                                 std::move(e).take()));
-  Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "lookup"));
-  CLOUDS_TRY_ASSIGN(count, d.u32());
-  Binding b;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    CLOUDS_TRY_ASSIGN(s, d.sysname());
-    b.sysnames.push_back(s);
-  }
-  return b;
+  CLOUDS_TRY_ASSIGN(reply, call(self, {.op = NameOp::lookup, .name = name}, "lookup"));
+  return Binding{std::move(reply.sysnames)};
 }
 
 Result<void> NameClient::unbind(sim::Process& self, const std::string& name) {
-  Encoder e;
-  e.u8(52);
-  e.str(name);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
-                                                 std::move(e).take()));
-  Decoder d(reply);
-  return decodeStatus(d, "unbind");
+  CLOUDS_TRY(call(self, {.op = NameOp::unbind, .name = name}, "unbind"));
+  return okResult();
 }
 
 Result<void> NameClient::forward(sim::Process& self, const Sysname& from, const Sysname& to) {
-  Encoder e;
-  e.u8(54);
-  e.sysname(from);
-  e.sysname(to);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
-                                                 std::move(e).take()));
-  Decoder d(reply);
-  return decodeStatus(d, "forward");
+  CLOUDS_TRY(call(self, {.op = NameOp::forward, .from = from, .to = to}, "forward"));
+  return okResult();
 }
 
 Result<std::vector<std::string>> NameClient::list(sim::Process& self) {
-  Encoder e;
-  e.u8(53);
-  CLOUDS_TRY_ASSIGN(reply, node_.ratp().transact(self, server_, net::kPortNaming,
-                                                 std::move(e).take()));
-  Decoder d(reply);
-  CLOUDS_TRY(decodeStatus(d, "list"));
-  CLOUDS_TRY_ASSIGN(count, d.u32());
-  std::vector<std::string> names;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    CLOUDS_TRY_ASSIGN(n, d.str());
-    names.push_back(std::move(n));
-  }
-  return names;
+  CLOUDS_TRY_ASSIGN(reply, call(self, {.op = NameOp::list}, "list"));
+  return std::move(reply.names);
 }
 
 }  // namespace clouds::sysobj

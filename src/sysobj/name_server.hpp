@@ -5,6 +5,10 @@
 //  sysname (a plain object) or several (a PET replica set, §5.2.2). The
 //  server runs on a data server node; class code segments are also
 //  registered here (under "class:<name>") so any node can instantiate.
+//
+// NameClient reaches it over RaTP (kPortNaming). NameRequest and NameReply
+// state the wire layouts once, as field lists (common/codec.hpp) that the
+// client and NameServer::serve both walk.
 #pragma once
 
 #include <map>
@@ -19,6 +23,57 @@ namespace clouds::sysobj {
 struct Binding {
   std::vector<Sysname> sysnames;  // size 1 = plain object; >1 = replica set
   bool isReplicated() const noexcept { return sysnames.size() > 1; }
+};
+
+enum class NameOp : std::uint8_t { bind = 50, lookup = 51, unbind = 52, list = 53, forward = 54 };
+
+// The op, then the fields it calls for.
+struct NameRequest {
+  NameOp op{};
+  std::string name{};               // bind, lookup, unbind
+  bool replace = false;             // bind
+  std::vector<Sysname> sysnames{};  // bind
+  Sysname from{};                   // forward
+  Sysname to{};                     // forward
+
+  template <typename R, typename F>
+  static void fields(R& r, F& f) {
+    f(r.op);
+    switch (r.op) {
+      case NameOp::bind:
+        f(r.name);
+        f(r.replace);
+        f(r.sysnames);
+        return;
+      case NameOp::lookup:
+      case NameOp::unbind:
+        f(r.name);
+        return;
+      case NameOp::list:
+        return;
+      case NameOp::forward:
+        f(r.from);
+        f(r.to);
+        return;
+    }
+    f.require(false, "unknown name op");
+  }
+};
+
+// The status, then, when ok, a lookup's binding or the list.
+struct NameReply {
+  NameOp op{};  // the request's; not on the wire
+  Errc status = Errc::ok;
+  std::vector<Sysname> sysnames{};  // lookup
+  std::vector<std::string> names{};  // list
+
+  template <typename R, typename F>
+  static void fields(R& r, F& f) {
+    f(r.status);
+    if (r.status != Errc::ok) return;
+    if (r.op == NameOp::lookup) f(r.sysnames);
+    if (r.op == NameOp::list) f(r.names);
+  }
 };
 
 class NameServer {
@@ -46,10 +101,8 @@ class NameServer {
   Result<void> saveTo(const std::string& path) const;
   Result<void> loadFrom(const std::string& path);
 
-  net::NodeId nodeId() const noexcept { return node_.id(); }
-
  private:
-  Bytes serve(sim::Process& self, const Message& request);
+  Message serve(sim::Process& self, const Message& message);
   // Follow the forward chain from `s` without mutating the table, appending
   // every link walked to `consumed`. The caller erases the consumed links
   // only once the whole lookup succeeds, so a failed resolve leaves the
@@ -76,9 +129,11 @@ class NameClient {
   // Install a migration forwarding entry (old sysname -> new sysname).
   Result<void> forward(sim::Process& self, const Sysname& from, const Sysname& to);
 
-  net::NodeId serverNode() const noexcept { return server_; }
-
  private:
+  // One request and its reply; a failed status is the error, reported as
+  // "<what> failed at name server".
+  Result<NameReply> call(sim::Process& self, const NameRequest& request, const char* what);
+
   ra::Node& node_;
   net::NodeId server_;
 };

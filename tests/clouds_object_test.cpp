@@ -4,6 +4,7 @@
 
 #include "clouds/cluster.hpp"
 #include "clouds/standard_classes.hpp"
+#include "wire.hpp"
 
 namespace clouds {
 namespace {
@@ -139,6 +140,44 @@ TEST(CloudsObject, RemoteInvocationRunsOnOtherComputeServer) {
       "P", "where_remote", {static_cast<std::int64_t>(c->computeNode(1).id())}, 0);
   ASSERT_TRUE(remote.ok());
   EXPECT_EQ(remote.value(), Value{static_cast<std::int64_t>(c->computeNode(1).id())});
+}
+
+// The thread port's handler is the entry for wire input to remote
+// invocation. Every strict prefix of its request, and a request whose
+// arguments are no value list, answers bad_argument with the malformed
+// request text, adopts no thread and runs nothing; the whole request runs.
+TEST(ThreadPortDispatch, MalformedRequestsAnswerBadArgumentAndChangeNothing) {
+  auto c = makeCluster(2);
+  ASSERT_TRUE(c->create("counter", "C").ok());
+  const Sysname object = c->nameServer().lookup("C").value().sysnames.front();
+  auto request = [&](const Bytes& args) {
+    return test::Wire().u64(1).u32(net::kNoNode).u32(0).sysname(object).str("add").image(args)
+        .bytes;
+  };
+  const Bytes wire = request(Value::encodeList({Value{std::int64_t{1}}}));
+  const Bytes malformed = test::Wire()
+                              .u8(static_cast<std::uint8_t>(Errc::bad_argument))
+                              .str("malformed remote invocation request")
+                              .bytes;
+  const std::string served = c->computeNode(1).name() + "/obj/remote_invocations";
+  c->sim().spawn("t", [&](sim::Process& self) {
+    auto serve = [&](const Bytes& req) {
+      auto reply = c->computeNode(0).ratp().transact(self, c->computeNode(1).id(),
+                                                     net::kPortThread, req);
+      EXPECT_TRUE(reply.ok());
+      return reply.ok() ? reply.value().flatten() : Bytes{};
+    };
+    for (std::size_t n = 0; n < wire.size(); ++n) {
+      EXPECT_EQ(serve(Bytes(wire.begin(), wire.begin() + n)), malformed) << "cut to " << n;
+    }
+    EXPECT_EQ(serve(request(Bytes{std::byte{0xff}})), malformed) << "no value list";
+    EXPECT_EQ(c->runtime(1).liveThreadCount(), 0u);
+    EXPECT_EQ(c->sim().metrics().counterValue(served), 0u);
+    EXPECT_NE(serve(wire), malformed);
+  });
+  c->run();
+  EXPECT_EQ(c->sim().metrics().counterValue(served), 1u);
+  EXPECT_EQ(c->call("C", "value").value(), Value{1});  // the one whole request ran once
 }
 
 TEST(CloudsObject, PersistentHeapSurvivesAndIsShared) {

@@ -163,6 +163,125 @@ TEST(Codec, ADecodedImageNeverPinsALargerBuffer) {
   EXPECT_TRUE(dp.atEnd());
 }
 
+// ---------------------------------------------------------------- field lists
+
+enum class Kind : std::uint8_t { plain = 1, counted = 2 };
+
+struct Item {
+  std::uint32_t id = 0;
+  std::string tag{};
+
+  template <typename I, typename F>
+  static void fields(I& i, F& f) {
+    f(i.id);
+    f(i.tag);
+    f.require(i.tag.size() <= 4, "tag too long");
+  }
+};
+
+// One field of each kind the walkers carry, and each marker.
+struct Sample {
+  Kind kind = Kind::plain;
+  std::uint64_t count = 0;  // counted only: a branch on a field already walked
+  std::int64_t delta = 0;
+  bool flag = false;
+  Sysname name{};
+  Bytes blob{};
+  SharedBytes image{};
+  std::vector<Item> items{};
+  std::vector<std::uint32_t> few{};
+
+  template <typename S, typename F>
+  static void fields(S& s, F& f) {
+    f(codec::Constant{std::uint32_t{0xFEED}, "bad magic"});
+    f(codec::Constant{std::uint8_t{1}, [](std::uint8_t v) {
+                        return "version " + std::to_string(v);
+                      }});
+    f(s.kind);
+    if (s.kind == Kind::counted) f(s.count);
+    f(s.delta);
+    f(s.flag);
+    f(s.name);
+    f(s.blob);
+    f(s.image);
+    f(s.items);
+    f(codec::Capped{s.few, 2, [](std::uint32_t n) { return std::to_string(n) + " too many"; }});
+  }
+};
+
+Sample sample() {
+  Sample s;
+  s.kind = Kind::counted;
+  s.count = 7;
+  s.delta = -3;
+  s.flag = true;
+  s.name = Sysname(5, 6);
+  s.blob = toBytes("blob");
+  s.image = SharedBytes(toBytes("image"));
+  s.items = {{1, "a"}, {2, "bb"}};
+  s.few = {9, 10};
+  return s;
+}
+
+TEST(Codec, FieldListRoundTripsAndRefusesEveryPrefix) {
+  const Message wire = codec::encode(sample()).message();
+  auto back = codec::decode<Sample>(wire);
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(back.value().count, 7u);
+  EXPECT_EQ(back.value().delta, -3);
+  EXPECT_EQ(back.value().name, Sysname(5, 6));
+  EXPECT_EQ(back.value().image, SharedBytes(toBytes("image")));
+  ASSERT_EQ(back.value().items.size(), 2u);
+  EXPECT_EQ(back.value().items[1].tag, "bb");
+  EXPECT_EQ(back.value().few, (std::vector<std::uint32_t>{9, 10}));
+  EXPECT_EQ(codec::encode(back.value()).take(), wire.flatten());
+  // The branch: a plain sample carries no count.
+  Sample plain = sample();
+  plain.kind = Kind::plain;
+  EXPECT_EQ(codec::encode(plain).size(), codec::encode(sample()).size() - 8);
+
+  const Bytes flat = wire.flatten();
+  for (std::size_t n = 0; n < flat.size(); ++n) {
+    auto cut = codec::decode<Sample>(Bytes(flat.begin(), flat.begin() + n));
+    ASSERT_FALSE(cut.ok()) << "cut to " << n;
+    EXPECT_EQ(cut.error().code, Errc::bad_argument);
+  }
+}
+
+TEST(Codec, FieldListRefusalsNameWhatIsWrong) {
+  const Bytes flat = codec::encode(sample()).take();
+  auto refusal = [](Bytes bytes) { return codec::decode<Sample>(bytes).error().message; };
+  Bytes magic = flat;
+  magic[0] = std::byte{0};
+  EXPECT_EQ(refusal(magic), "bad magic");
+  Bytes version = flat;
+  version[4] = std::byte{3};
+  EXPECT_EQ(refusal(version), "version 3");
+
+  Sample wordy = sample();
+  wordy.items[0].tag = "longer";
+  EXPECT_EQ(refusal(codec::encode(wordy).take()), "tag too long");
+
+  // A capped list: the writer sends the first `max`, a reader refuses more.
+  Sample crowded = sample();
+  crowded.few = {1, 2, 3};
+  auto capped = codec::decode<Sample>(codec::encode(crowded).take());
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(capped.value().few, (std::vector<std::uint32_t>{1, 2}));
+  Bytes count = flat;
+  count[flat.size() - 12] = std::byte{3};  // the capped list's count
+  EXPECT_EQ(refusal(count), "3 too many");
+
+  // A list's count is read element by element, never reserved: a count of
+  // 2^32 - 1 over a short buffer is an underflow, not an allocation.
+  Encoder e;
+  e.u32(0xFFFFFFFFu);
+  e.u32(1);
+  auto items = codec::decode<std::vector<Item>>(std::move(e).take());
+  ASSERT_FALSE(items.ok());
+  EXPECT_EQ(items.error().code, Errc::bad_argument);
+}
+
 TEST(Result, VoidResult) {
   Result<void> ok = okResult();
   EXPECT_TRUE(ok.ok());

@@ -189,6 +189,46 @@ TEST(Dsm, CrashedHolderLosesDirtyData) {
   f.sim.run();
 }
 
+// cpu0 and cpu1 share a page; cpu0 dies unannounced; cpu2's write makes
+// the data server call both back, and cpu0's callback runs out its retry
+// budget. A crash notice for cpu0 that lands inside that callback erases
+// cpu0 from the copyset the grant is walking: cpu1 is still invalidated
+// exactly once, and the write is granted when it is without the notice.
+TEST(Dsm, CrashNoticeDuringASharerCallbackInvalidatesEachOtherSharerOnce) {
+  struct Outcome {
+    std::uint64_t invalidations = 0;
+    std::uint64_t cpu1_invalidated = 0;
+    sim::TimePoint granted{};
+  };
+  auto run = [](bool notice) {
+    DsmFixture f(3, 1);
+    Outcome out;
+    f.sim.spawn("driver", [&](sim::Process& self) {
+      EXPECT_EQ(f.readAt(self, 0, 0, 0), 0u);
+      EXPECT_EQ(f.readAt(self, 1, 0, 0), 0u);
+      f.compute[0].node->crash();
+      if (notice) {
+        f.sim.spawn("notice", [&](sim::Process& p) {
+          p.delay(sim::msec(200));
+          f.notifyClientCrash(f.compute[0].node->id());
+        });
+      }
+      f.writeAt(self, 2, 0, 0, 7);
+      out.granted = f.sim.now();
+    });
+    f.sim.run();
+    out.invalidations = f.sim.metrics().counterValue("data0/dsm/invalidations");
+    out.cpu1_invalidated = f.sim.metrics().counterValue("cpu1/dsm/frames_invalidated");
+    return out;
+  };
+  const Outcome quiet = run(false);
+  const Outcome noticed = run(true);
+  EXPECT_EQ(noticed.invalidations, 2u);
+  EXPECT_EQ(noticed.cpu1_invalidated, 1u);
+  EXPECT_EQ(noticed.granted, quiet.granted);
+  EXPECT_GT(noticed.granted, sim::msec(200));  // the notice landed before the grant
+}
+
 TEST(Dsm, UnknownSegmentFaultFails) {
   DsmFixture f;
   f.sim.spawn("driver", [&](sim::Process& self) {

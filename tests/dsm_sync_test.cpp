@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "testbed.hpp"
+#include "wire.hpp"
 
 namespace clouds::test {
 namespace {
@@ -186,26 +187,6 @@ TEST(DsmSemaphores, UnknownSemaphoreFails) {
   });
   f.sim.run();
 }
-
-// A request's bytes as docs/PROTOCOLS.md lays them out, written without
-// the codec: the op byte, then each field, little-endian.
-struct Wire {
-  Bytes bytes;
-  Wire& le(std::uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) bytes.push_back(static_cast<std::byte>(v >> (8 * i)));
-    return *this;
-  }
-  Wire& u8(std::uint8_t v) { return le(v, 1); }
-  Wire& u32(std::uint32_t v) { return le(v, 4); }
-  Wire& u64(std::uint64_t v) { return le(v, 8); }
-  Wire& sysname(const Sysname& s) { return u64(s.hi()).u64(s.lo()); }
-  Wire& pageKey(const ra::PageKey& k) { return sysname(k.segment).u32(k.page); }
-  Wire& image(const Bytes& b) {
-    u32(static_cast<std::uint32_t>(b.size()));
-    bytes.insert(bytes.end(), b.begin(), b.end());
-    return *this;
-  }
-};
 
 struct DocumentedRequest {
   dsm::Request request;

@@ -9,6 +9,7 @@
 #include "sysobj/name_server.hpp"
 #include "sysobj/user_io.hpp"
 #include "testbed.hpp"
+#include "wire.hpp"
 
 namespace clouds::test {
 namespace {
@@ -161,6 +162,93 @@ TEST(UserIo, DeadWorkstationTimesOut) {
   });
   f.sim.run();
   EXPECT_EQ(code, Errc::timeout);
+}
+
+// NameServer::serve and Workstation::serve are the entries for wire input
+// to the naming and user-I/O services. Every strict prefix of each request,
+// and an op byte that names no op, answers bad_argument and changes no
+// binding, forward or terminal.
+
+// `request` to `port` of node `server` from cpu0; the reply's bytes.
+Bytes transact(SysobjBed& f, sim::Process& self, net::NodeId server, net::PortId port,
+               const Bytes& request) {
+  auto reply = f.compute[0].node->ratp().transact(self, server, port, request);
+  EXPECT_TRUE(reply.ok());
+  return reply.ok() ? reply.value().flatten() : Bytes{};
+}
+
+const Bytes kBadArgument{static_cast<std::byte>(Errc::bad_argument)};
+
+TEST(NameServerDispatch, MalformedRequestsAnswerBadArgumentAndChangeNothing) {
+  SysobjBed f;
+  const Sysname a = ra::makeHomedSysname(100, 1);
+  const Sysname b = ra::makeHomedSysname(100, 2);
+  ASSERT_TRUE(f.names.bind("alpha", {{a}}).ok());
+  ASSERT_TRUE(f.names.addForward(b, a).ok());
+  const std::vector<Bytes> requests = {
+      Wire().u8(50).str("beta").u8(1).u32(1).sysname(b).bytes,  // bind
+      Wire().u8(51).str("alpha").bytes,                         // lookup
+      Wire().u8(52).str("alpha").bytes,                         // unbind
+      Wire().u8(53).bytes,                                      // list
+      Wire().u8(54).sysname(a).sysname(b).bytes,                // forward
+  };
+  sysobj::NameClient client(*f.compute[0].node, f.data[0].node->id());
+  f.sim.spawn("t", [&](sim::Process& self) {
+    auto serve = [&](const Bytes& request) {
+      return transact(f, self, f.data[0].node->id(), net::kPortNaming, request);
+    };
+    for (const Bytes& wire : requests) {
+      for (std::size_t n = 0; n < wire.size(); ++n) {
+        EXPECT_EQ(serve(Bytes(wire.begin(), wire.begin() + n)), kBadArgument)
+            << "op " << static_cast<int>(wire[0]) << " cut to " << n << " bytes";
+      }
+    }
+    for (const int op : {0, 49, 55, 60}) {
+      EXPECT_EQ(serve(Wire().u8(static_cast<std::uint8_t>(op)).str("alpha").bytes), kBadArgument)
+          << "op " << op;
+    }
+    // A failed op reaches the caller under its name.
+    EXPECT_EQ(client.lookup(self, "ghost").error().message, "lookup failed at name server");
+  });
+  f.sim.run();
+  EXPECT_EQ(f.names.list(), (std::vector<std::string>{"alpha"}));
+  EXPECT_EQ(f.names.forwardCount(), 1u);
+  auto alpha = f.names.lookup("alpha");
+  ASSERT_TRUE(alpha.ok());
+  EXPECT_EQ(alpha.value().sysnames, (std::vector<Sysname>{a}));
+}
+
+TEST(WorkstationDispatch, MalformedRequestsAnswerBadArgumentAndChangeNothing) {
+  SysobjBed f;
+  f.ws->supplyInput(1, "typed");
+  const std::vector<Bytes> requests = {
+      Wire().u8(60).u32(1).str("hello").bytes,  // write
+      Wire().u8(61).u32(1).bytes,               // read_line
+  };
+  sysobj::IoClient io(*f.compute[0].node);
+  std::string line;
+  f.sim.spawn("t", [&](sim::Process& self) {
+    auto serve = [&](const Bytes& request) {
+      return transact(f, self, f.ws_node->id(), net::kPortUserIo, request);
+    };
+    for (const Bytes& wire : requests) {
+      for (std::size_t n = 0; n < wire.size(); ++n) {
+        EXPECT_EQ(serve(Bytes(wire.begin(), wire.begin() + n)), kBadArgument)
+            << "op " << static_cast<int>(wire[0]) << " cut to " << n << " bytes";
+      }
+    }
+    for (const int op : {0, 59, 62, 50}) {
+      EXPECT_EQ(serve(Wire().u8(static_cast<std::uint8_t>(op)).u32(1).str("hello").bytes),
+                kBadArgument)
+          << "op " << op;
+    }
+    EXPECT_EQ(io.readLine(self, f.ws_node->id(), 2).error().message,
+              "terminal read failed (no input pending?)");
+    line = io.readLine(self, f.ws_node->id(), 1).valueOr("");
+  });
+  f.sim.run();
+  EXPECT_TRUE(f.ws->output(1).empty());
+  EXPECT_EQ(line, "typed");  // the pending input was still there
 }
 
 TEST(AnonPartition, ZeroFilledCreateAccessDestroy) {

@@ -38,11 +38,11 @@ struct CommitRun {
   sim::Duration drained{};       // when the write-back tail finished too
   std::uint64_t forces = 0;
   std::uint64_t txns = 0;
-  std::string metrics_json;
 };
 
-CommitRun runCommitters(store::StoreEngine engine, std::uint32_t writers,
-                        std::uint32_t txns_each, sim::Duration window) {
+// Runs the committers and prints the universe's metrics under `label`.
+CommitRun runCommitters(const std::string& label, store::StoreEngine engine,
+                        std::uint32_t writers, std::uint32_t txns_each, sim::Duration window) {
   sim::Simulation sim{11};
   sim::CostModel cost;
   cost.wal_group_commit_window = window;
@@ -74,7 +74,7 @@ CommitRun runCommitters(store::StoreEngine engine, std::uint32_t writers,
   out.drained = sim.now() - sim::TimePoint{};
   out.forces = sim.metrics().counterValue("100/wal/forces");
   out.txns = static_cast<std::uint64_t>(writers) * txns_each;
-  out.metrics_json = sim.metrics().toJson();
+  clouds::bench::emitMetrics(label.c_str(), sim);
   return out;
 }
 
@@ -90,18 +90,10 @@ void reportCommitRun(benchmark::State& state, const CommitRun& run) {
 // 16 concurrent writers, 8 transactions each, default window.
 void BM_CommitThroughput(benchmark::State& state) {
   const auto engine = static_cast<store::StoreEngine>(state.range(0));
-  bool first = true;
   for (auto _ : state) {
-    const CommitRun run =
-        runCommitters(engine, 16, 8, sim::CostModel{}.wal_group_commit_window);
-    reportCommitRun(state, run);
-    if (first) {
-      first = false;
-      std::fprintf(stderr, "# metrics %s %s\n",
-                   engine == store::StoreEngine::wal ? "store_commit/wal"
-                                                     : "store_commit/flat",
-                   run.metrics_json.c_str());
-    }
+    reportCommitRun(state, runCommitters(engine == store::StoreEngine::wal ? "store_commit/wal"
+                                                                           : "store_commit/flat",
+                                         engine, 16, 8, sim::CostModel{}.wal_group_commit_window));
   }
 }
 BENCHMARK(BM_CommitThroughput)
@@ -116,8 +108,8 @@ BENCHMARK(BM_CommitThroughput)
 void BM_GroupCommitWindow(benchmark::State& state) {
   const auto window = sim::usec(state.range(0));
   for (auto _ : state) {
-    const CommitRun run = runCommitters(store::StoreEngine::wal, 16, 8, window);
-    reportCommitRun(state, run);
+    reportCommitRun(state, runCommitters("store_window/" + std::to_string(state.range(0)),
+                                         store::StoreEngine::wal, 16, 8, window));
   }
 }
 BENCHMARK(BM_GroupCommitWindow)
@@ -140,6 +132,7 @@ void BM_RecoveryReplay(benchmark::State& state) {
     sim::Simulation sim{11};
     sim::CostModel cost;
     store::DiskStore store{100, cost, /*cache=*/64, store::StoreEngine::wal};
+    store.attachMetrics(sim.metrics(), "100");
     auto name = store.createSegment(8 * ra::kPageSize).value();
     sim::Duration recover_time{};
     sim.spawn("driver", [&](sim::Process& self) {
@@ -153,6 +146,7 @@ void BM_RecoveryReplay(benchmark::State& state) {
       recover_time = sim.now() - before;
     });
     sim.run();
+    clouds::bench::emitMetrics(("store_recovery/" + std::to_string(records)).c_str(), sim);
     clouds::bench::report(state, clouds::bench::ms(recover_time), /*paper_ms=*/0);
     state.counters["records"] = static_cast<double>(records);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "clouds/context.hpp"
 
@@ -80,8 +81,24 @@ Result<Bytes> argBytes(const ValueList& args, std::size_t i) {
   return args[i].asBytes();
 }
 
+// The shard directory every shard keeps in its data segment: the shard
+// count, then each class's shard objects in shard order. It fits the
+// segment's first page, which bounds the count.
 struct Directory {
+  static constexpr std::size_t kMaxShards = (ra::kPageSize - kOffDirBlob) / (4 * 16);
+
   std::vector<Sysname> user, post, timeline, follow;
+
+  template <typename D, typename F>
+  static void fields(D& d, F& f) {
+    f(codec::Capped{d.user, kMaxShards, "shard directory holds too many shards"});
+    for (auto* column : {&d.post, &d.timeline, &d.follow}) {
+      // As long as the user column: a reader sizes it from the users it has
+      // read, never from the count alone.
+      if constexpr (!std::is_const_v<D>) column->resize(d.user.size());
+      for (auto& sn : *column) f(sn);
+    }
+  }
 };
 
 Result<Directory> loadDirectory(ObjectContext& ctx) {
@@ -89,17 +106,7 @@ Result<Directory> loadDirectory(ObjectContext& ctx) {
   if (len == 0) return makeError(Errc::internal, "shard not wired");
   Bytes buf(len);
   CLOUDS_TRY(ctx.readData(kOffDirBlob, MutableByteSpan(buf.data(), buf.size())));
-  Decoder d(ByteSpan(buf.data(), buf.size()));
-  CLOUDS_TRY_ASSIGN(shards, d.u32());
-  Directory dir;
-  for (auto* vec : {&dir.user, &dir.post, &dir.timeline, &dir.follow}) {
-    vec->reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      CLOUDS_TRY_ASSIGN(sn, d.sysname());
-      vec->push_back(sn);
-    }
-  }
-  return dir;
+  return codec::decode<Directory>(buf);
 }
 
 // wire(shard, shard_count, capacity, dir_blob) — every shard class shares
@@ -441,12 +448,9 @@ Result<SocialApp> SocialApp::build(Cluster& cluster, const Options& options) {
   CLOUDS_TRY(make("social_timeline", "social.tl.", app.timeline_names_, app.timeline_sys_));
   CLOUDS_TRY(make("social_follow", "social.fol.", app.follow_names_, app.follow_sys_));
 
-  Encoder e;
-  e.u32(static_cast<std::uint32_t>(S));
-  for (const auto* vec : {&app.user_sys_, &app.post_sys_, &app.timeline_sys_, &app.follow_sys_}) {
-    for (const auto& sn : *vec) e.sysname(sn);
-  }
-  const Bytes dir = std::move(e).take();
+  const Bytes dir =
+      codec::encode(Directory{app.user_sys_, app.post_sys_, app.timeline_sys_, app.follow_sys_})
+          .take();
 
   const std::uint64_t cap_local =
       (options.user_capacity + static_cast<std::uint64_t>(S) - 1) / static_cast<std::uint64_t>(S);

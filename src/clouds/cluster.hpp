@@ -53,7 +53,7 @@ struct ClusterConfig {
   // Distributed scheduling (src/sched): placement policy, gossip cadence,
   // staleness windows. policy = PolicyKind::oracle restores the old
   // omniscient baseline.
-  sched::Agent::Options sched;
+  sched::Options sched;
   // Object migration (src/migrate): daemon watermarks and cadence. Disabled
   // by default; migrateObjectSync works regardless.
   migrate::Migrator::Options migrate;

@@ -30,7 +30,9 @@ Result<HeaderPage> readHeader(sim::Process& self, dsm::DsmClientPartition& dsm,
   CLOUDS_TRY_ASSIGN(h, dsm.resolvePage(self, {header, 0}, ra::Access::read));
   const ByteSpan image(h.data(), ra::kPageSize);
   HeaderPage page{std::nullopt, ObjectDescriptor::decode(image)};
-  if (migrate::isForwardPage(image)) {
+  // The two magics differ: a page that holds a descriptor holds no forward
+  // record.
+  if (!page.desc.ok() && migrate::isForwardPage(image)) {
     CLOUDS_TRY_ASSIGN(rec, migrate::ForwardRecord::decode(image));
     page.forward = std::move(rec);
   }

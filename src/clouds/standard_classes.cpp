@@ -260,9 +260,7 @@ ClassDef mailboxClass() {
       CLOUDS_TRY(ctx.semV(mutex));
       return makeError(Errc::bad_argument, "mailbox full");
     }
-    Encoder e;
-    e.str(text);
-    CLOUDS_TRY(ctx.writePHeap(slotOff(tail), e.buffer()));
+    CLOUDS_TRY(ctx.writePHeap(slotOff(tail), codec::encode(text).take()));
     ctx.put<std::uint64_t>(kMboxTailOff, tail + 1);
     CLOUDS_TRY(ctx.semV(mutex));
     CLOUDS_TRY(ctx.semV(ctx.get<std::uint64_t>(kMboxSemOff)));
@@ -275,8 +273,7 @@ ClassDef mailboxClass() {
     const std::uint64_t head = ctx.get<std::uint64_t>(kMboxHeadOff);
     Bytes slot(kMboxSlotSize);
     CLOUDS_TRY(ctx.readPHeap(slotOff(head), slot));
-    Decoder d(slot);
-    CLOUDS_TRY_ASSIGN(text, d.str());
+    CLOUDS_TRY_ASSIGN(text, codec::decode<std::string>(slot));
     ctx.put<std::uint64_t>(kMboxHeadOff, head + 1);
     CLOUDS_TRY(ctx.semV(mutex));
     return Value{std::move(text)};

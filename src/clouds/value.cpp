@@ -61,95 +61,8 @@ std::string Value::toString() const {
   return std::visit(Visitor{}, v_);
 }
 
-void Value::encode(Encoder& e) const {
-  struct Visitor {
-    Encoder& e;
-    void operator()(std::monostate) const { e.u8(static_cast<std::uint8_t>(Tag::null)); }
-    void operator()(std::int64_t v) const {
-      e.u8(static_cast<std::uint8_t>(Tag::integer));
-      e.i64(v);
-    }
-    void operator()(double v) const {
-      e.u8(static_cast<std::uint8_t>(Tag::real));
-      e.f64(v);
-    }
-    void operator()(bool v) const {
-      e.u8(static_cast<std::uint8_t>(Tag::boolean));
-      e.boolean(v);
-    }
-    void operator()(const std::string& v) const {
-      e.u8(static_cast<std::uint8_t>(Tag::text));
-      e.str(v);
-    }
-    void operator()(const Bytes& v) const {
-      e.u8(static_cast<std::uint8_t>(Tag::blob));
-      e.bytes(v);
-    }
-    void operator()(const ValueList& v) const {
-      e.u8(static_cast<std::uint8_t>(Tag::list));
-      e.u32(static_cast<std::uint32_t>(v.size()));
-      for (const Value& item : v) item.encode(e);
-    }
-  };
-  std::visit(Visitor{e}, v_);
-}
+Bytes Value::encodeList(const ValueList& values) { return codec::encode(values).take(); }
 
-Result<Value> Value::decode(Decoder& d) {
-  CLOUDS_TRY_ASSIGN(tag, d.u8());
-  switch (static_cast<Tag>(tag)) {
-    case Tag::null:
-      return Value{};
-    case Tag::integer: {
-      CLOUDS_TRY_ASSIGN(v, d.i64());
-      return Value{v};
-    }
-    case Tag::real: {
-      CLOUDS_TRY_ASSIGN(v, d.f64());
-      return Value{v};
-    }
-    case Tag::boolean: {
-      CLOUDS_TRY_ASSIGN(v, d.boolean());
-      return Value{v};
-    }
-    case Tag::text: {
-      CLOUDS_TRY_ASSIGN(v, d.str());
-      return Value{std::move(v)};
-    }
-    case Tag::blob: {
-      CLOUDS_TRY_ASSIGN(v, d.bytes());
-      return Value{std::move(v)};
-    }
-    case Tag::list: {
-      CLOUDS_TRY_ASSIGN(n, d.u32());
-      ValueList items;
-      items.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        CLOUDS_TRY_ASSIGN(item, Value::decode(d));
-        items.push_back(std::move(item));
-      }
-      return Value{std::move(items)};
-    }
-  }
-  return makeError(Errc::bad_argument, "unknown value tag " + std::to_string(tag));
-}
-
-Bytes Value::encodeList(const ValueList& values) {
-  Encoder e;
-  e.u32(static_cast<std::uint32_t>(values.size()));
-  for (const Value& v : values) v.encode(e);
-  return std::move(e).take();
-}
-
-Result<ValueList> Value::decodeList(ByteSpan data) {
-  Decoder d(data);
-  CLOUDS_TRY_ASSIGN(n, d.u32());
-  ValueList out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    CLOUDS_TRY_ASSIGN(v, Value::decode(d));
-    out.push_back(std::move(v));
-  }
-  return out;
-}
+Result<ValueList> Value::decodeList(ByteSpan data) { return codec::decode<ValueList>(data); }
 
 }  // namespace clouds::obj

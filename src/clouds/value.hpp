@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -58,13 +59,46 @@ class Value {
 
   std::string toString() const;  // debugging / shell display
 
-  void encode(Encoder& e) const;
-  static Result<Value> decode(Decoder& d);
-
+  // A list is a u32 count, then each value (docs/PROTOCOLS.md, "Values").
   static Bytes encodeList(const ValueList& values);
   static Result<ValueList> decodeList(ByteSpan data);
 
+  // A value is its tag byte, then what the tag calls for: the one statement
+  // of the layout (common/codec.hpp). A reader refuses a tag it does not
+  // know.
+  template <typename V, typename F>
+  static void fields(V& v, F& f) {
+    auto tag = static_cast<Tag>(v.v_.index());
+    f(tag);
+    switch (tag) {
+      case Tag::null:
+        return;
+      case Tag::integer:
+        f(alternative<Tag::integer>(v));
+        return;
+      case Tag::real:
+        f(alternative<Tag::real>(v));
+        return;
+      case Tag::boolean:
+        f(alternative<Tag::boolean>(v));
+        return;
+      case Tag::text:
+        f(alternative<Tag::text>(v));
+        return;
+      case Tag::blob:
+        f(alternative<Tag::blob>(v));
+        return;
+      case Tag::list:
+        f(alternative<Tag::list>(v));
+        return;
+    }
+    f.require(false, [tag] {
+      return "unknown value tag " + std::to_string(static_cast<unsigned>(tag));
+    });
+  }
+
  private:
+  // A tag is its alternative's index in v_.
   enum class Tag : std::uint8_t {
     null = 0,
     integer = 1,
@@ -74,6 +108,19 @@ class Value {
     blob = 5,
     list = 6,
   };
+
+  // The alternative `tag` names: a writer's value holds it, and a reader's
+  // value becomes it.
+  template <Tag tag, typename V>
+  static auto& alternative(V& v) {
+    constexpr auto index = static_cast<std::size_t>(tag);
+    if constexpr (std::is_const_v<V>) {
+      return std::get<index>(v.v_);
+    } else {
+      return v.v_.template emplace<index>();
+    }
+  }
+
   std::variant<std::monostate, std::int64_t, double, bool, std::string, Bytes, ValueList> v_;
 };
 

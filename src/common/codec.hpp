@@ -9,14 +9,20 @@
 // message it builds, and a decoder of that message hands the same buffer
 // back.
 //
-// Every format one node writes and another reads (the RaTP services'
-// requests and replies, load reports, object headers, forward records) is
-// stated once, as a field list that its encoder and decoder both walk.
+// Every format one node writes and another reads, or one run writes and a
+// later one loads, is stated once, as a field list that its encoder and
+// decoder both walk: RaTP fragment headers, the RaTP services' requests and
+// replies, invocation values, load reports, object headers and forward
+// records, the comparators' frames, store and name-server snapshots, and
+// the records objects keep in their segments (the social app's shard
+// directory, a mailbox slot). Only this file's Writer and Reader call the
+// Encoder's and Decoder's field methods.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -141,9 +147,10 @@ class Decoder {
 // A struct states its layout once, as `static void fields(Self& s, F& f)`
 // calling f(field) on each field in wire order (Self is const to encode).
 // Writer walks it to encode, Reader to decode. A field is an integer, bool,
-// enum (one byte), Sysname, string, Bytes, SharedBytes (an image, by
-// reference), vector (a u32 count, then each element), struct with its own
-// list, or a marker below. A list may branch on a field already walked: a
+// double, enum (one byte), Sysname, string, Bytes, SharedBytes (an image,
+// by reference), vector (a u32 count, then each element), map (a u32
+// count, then each key and its value), struct with its own list, or a
+// marker below. A list may branch on a field already walked: a
 // request on its op byte, a reply on its status byte (Errc, 0 = ok).
 // f.require(holds, text) refuses the value just read when `holds` is false;
 // a list whose op names none ends in f.require(false, ...). A writer writes
@@ -172,9 +179,11 @@ class Writer {
  public:
   explicit Writer(Encoder& e) : e_(e) {}
   void operator()(std::uint8_t v) { e_.u8(v); }
+  void operator()(std::uint16_t v) { e_.u16(v); }
   void operator()(std::uint32_t v) { e_.u32(v); }
   void operator()(std::uint64_t v) { e_.u64(v); }
   void operator()(std::int64_t v) { e_.i64(v); }
+  void operator()(double v) { e_.f64(v); }
   void operator()(bool v) { e_.boolean(v); }
   void operator()(const Sysname& s) { e_.sysname(s); }
   void operator()(const std::string& s) { e_.str(s); }
@@ -195,6 +204,14 @@ class Writer {
     e_.u32(static_cast<std::uint32_t>(n));
     for (std::size_t i = 0; i < n; ++i) (*this)(c.list[i]);
   }
+  template <typename K, typename V>
+  void operator()(const std::map<K, V>& map) {
+    e_.u32(static_cast<std::uint32_t>(map.size()));
+    for (const auto& [key, value] : map) {
+      (*this)(key);
+      (*this)(value);
+    }
+  }
   template <typename T, typename R>
   void operator()(const Constant<T, R>& c) {
     (*this)(c.value);
@@ -214,12 +231,18 @@ class Writer {
 // status() is that error.
 class Reader {
  public:
+  // How deep structs may nest. A value list may hold value lists, so the
+  // depth comes off the wire: past this it is refused, not recursed into.
+  static constexpr int kMaxNesting = 64;
+
   explicit Reader(Decoder& d) : d_(d) {}
   Result<void> status() const { return error_ ? Result<void>(*error_) : okResult(); }
   void operator()(std::uint8_t& v) { read(v, &Decoder::u8); }
+  void operator()(std::uint16_t& v) { read(v, &Decoder::u16); }
   void operator()(std::uint32_t& v) { read(v, &Decoder::u32); }
   void operator()(std::uint64_t& v) { read(v, &Decoder::u64); }
   void operator()(std::int64_t& v) { read(v, &Decoder::i64); }
+  void operator()(double& v) { read(v, &Decoder::f64); }
   void operator()(bool& v) { read(v, &Decoder::boolean); }
   void operator()(Sysname& s) { read(s, &Decoder::sysname); }
   void operator()(std::string& s) { read(s, &Decoder::str); }
@@ -246,6 +269,20 @@ class Reader {
     if (!error_) c.list.reserve(n);  // within the format's cap
     readList(c.list, n);
   }
+  // Entry by entry; the first of a repeated key stays.
+  template <typename K, typename V>
+  void operator()(std::map<K, V>& map) {
+    std::uint32_t n = 0;
+    (*this)(n);
+    map.clear();
+    for (std::uint32_t i = 0; i < n && !error_; ++i) {
+      K key{};
+      V value{};
+      (*this)(key);
+      (*this)(value);
+      if (!error_) map.emplace(std::move(key), std::move(value));
+    }
+  }
   template <typename T, typename R>
   void operator()(const Constant<T, R>& c) {
     T got{};
@@ -254,7 +291,11 @@ class Reader {
   }
   template <typename T>
   void operator()(T& s) {
+    require(depth_ < kMaxNesting, "fields nested too deep");
+    if (error_) return;
+    ++depth_;
     T::fields(s, *this);
+    --depth_;
   }
   template <typename Refusal>
   void require(bool holds, const Refusal& refusal) {
@@ -286,6 +327,7 @@ class Reader {
 
   Decoder& d_;
   std::optional<Error> error_;
+  int depth_ = 0;
 };
 
 // `v` encoded: take .message() (images by reference) or .take().

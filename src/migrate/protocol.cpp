@@ -22,8 +22,9 @@ Result<Bytes> ForwardRecord::encodePage() const {
 
 bool isForwardPage(ByteSpan page) {
   Decoder d(page);
-  auto magic = d.u32();
-  return magic.ok() && magic.value() == kForwardMagic;
+  codec::Reader r(d);
+  r(kForwardTag);
+  return r.status().ok();
 }
 
 }  // namespace clouds::migrate

@@ -18,6 +18,8 @@
 namespace clouds::migrate {
 
 inline constexpr std::uint32_t kForwardMagic = 0xC10DF06DU;
+// A forward record's first field, all isForwardPage reads of a page.
+inline constexpr codec::Constant kForwardTag{kForwardMagic, "not a forward record (bad magic)"};
 inline constexpr std::uint8_t kForwardVersion = 1;
 // A Clouds object ships at most header+data+pheap; the cap bounds decode
 // work on hostile/corrupt pages.
@@ -60,7 +62,7 @@ struct ForwardRecord {
   // hostile or corrupt page meets.
   template <typename R, typename F>
   static void fields(R& r, F& f) {
-    f(codec::Constant{kForwardMagic, "not a forward record (bad magic)"});
+    f(kForwardTag);
     f(codec::Constant{kForwardVersion, [](std::uint8_t v) {
                         return "unknown forward record version " + std::to_string(v);
                       }});

@@ -6,10 +6,6 @@ namespace clouds::net {
 
 namespace {
 
-enum class NfsMsg : std::uint8_t { read_req = 1, read_data = 2 };
-enum class FtpMsg : std::uint8_t { syn = 1, synack = 2, get = 3, data = 4, ack = 5, fin = 6 };
-
-constexpr std::size_t kUdpHeader = 1 + 4 + 2 + 2 + 4;  // type xid idx cnt len
 constexpr sim::Duration kCompareTimeout = sim::sec(10);
 
 }  // namespace
@@ -29,14 +25,10 @@ Result<Bytes> NfsSim::read(sim::Process& self, NodeId server, std::uint64_t file
   pr.waiter = &self;
   pr.expected = length;
 
-  Encoder e;
-  e.u8(static_cast<std::uint8_t>(NfsMsg::read_req));
-  e.u32(xid);
-  e.u64(file_id);
-  e.u64(offset);
-  e.u32(length);
+  const NfsFrame request{
+      .type = NfsMsg::read_req, .xid = xid, .file = file_id, .offset = offset, .length = length};
   nic_.cpu().compute(self, cost.unix_udp_cpu_packet);
-  nic_.send(self, Frame{kNoNode, server, kProtoUnixUdp, std::move(e).take()});
+  nic_.send(self, Frame{kNoNode, server, kProtoUnixUdp, codec::encode(request).take()});
 
   const sim::TimePoint deadline = nic_.network().simulation().now() + kCompareTimeout;
   while (!pr.complete && nic_.network().simulation().now() < deadline) {
@@ -51,50 +43,39 @@ Result<Bytes> NfsSim::read(sim::Process& self, NodeId server, std::uint64_t file
 
 void NfsSim::onFrame(sim::Process& self, const Frame& frame) {
   const auto& cost = nic_.network().cost();
-  Decoder d(frame.payload);
-  auto type = d.u8();
-  if (!type.ok()) return;
-  switch (static_cast<NfsMsg>(type.value())) {
+  auto in = codec::decode<NfsFrame>(frame.payload);
+  if (!in.ok()) return;
+  const NfsFrame& m = in.value();
+  switch (m.type) {
     case NfsMsg::read_req: {
-      auto xid = d.u32();
-      auto file = d.u64();
-      auto offset = d.u64();
-      auto length = d.u32();
-      if (!xid.ok() || !file.ok() || !offset.ok() || !length.ok() || !reader_) return;
+      if (!reader_) return;
       // nfsd path: UDP receive + RPC/XDR decode + synchronous file access.
       nic_.cpu().compute(self, cost.unix_udp_cpu_packet + cost.nfs_rpc_overhead);
       self.delay(cost.nfs_file_access);
-      Bytes data = reader_(file.value(), offset.value(), length.value());
+      const Bytes data = reader_(m.file, m.offset, m.length);
       // Reply datagram, IP-fragmented onto the wire.
       const std::size_t capacity = cost.eth_mtu - kUdpHeader;
       const auto count = static_cast<std::uint16_t>(
           std::max<std::size_t>(1, (data.size() + capacity - 1) / capacity));
+      NfsFrame reply{.type = NfsMsg::read_data, .xid = m.xid, .count = count};
       for (std::uint16_t i = 0; i < count; ++i) {
         const std::size_t off = static_cast<std::size_t>(i) * capacity;
-        const std::size_t len = std::min(capacity, data.size() - off);
-        Encoder e;
-        e.u8(static_cast<std::uint8_t>(NfsMsg::read_data));
-        e.u32(xid.value());
-        e.u16(i);
-        e.u16(count);
-        e.bytes(ByteSpan(data.data() + off, len));
+        reply.index = i;
+        const auto from = data.begin() + static_cast<std::ptrdiff_t>(off);
+        reply.data.assign(from, from + static_cast<std::ptrdiff_t>(
+                                           std::min(capacity, data.size() - off)));
         nic_.cpu().compute(self, cost.unix_udp_cpu_packet);
-        nic_.send(self, Frame{kNoNode, frame.src, kProtoUnixUdp, std::move(e).take()});
+        nic_.send(self, Frame{kNoNode, frame.src, kProtoUnixUdp, codec::encode(reply).take()});
       }
       break;
     }
     case NfsMsg::read_data: {
-      auto xid = d.u32();
-      auto idx = d.u16();
-      auto cnt = d.u16();
-      auto data = d.bytes();
-      if (!xid.ok() || !idx.ok() || !cnt.ok() || !data.ok()) return;
       nic_.cpu().compute(self, cost.unix_udp_cpu_packet);
-      auto it = pending_.find(xid.value());
+      auto it = pending_.find(m.xid);
       if (it == pending_.end()) return;
       PendingRead& pr = it->second;
-      pr.data.insert(pr.data.end(), data.value().begin(), data.value().end());
-      if (idx.value() + 1 == cnt.value()) {
+      pr.data.insert(pr.data.end(), m.data.begin(), m.data.end());
+      if (m.index + 1 == m.count) {
         pr.complete = true;
         pr.waiter->wake();
       }
@@ -117,13 +98,10 @@ Result<Bytes> FtpSim::retrieve(sim::Process& self, NodeId server, std::uint64_t 
   Transfer& t = transfers_[conn];
   t.waiter = &self;
 
-  auto sendCtl = [&](FtpMsg msg, sim::Duration cpu, auto encodeExtra) {
-    Encoder e;
-    e.u8(static_cast<std::uint8_t>(msg));
-    e.u32(conn);
-    encodeExtra(e);
-    nic_.cpu().compute(self, cpu);
-    nic_.send(self, Frame{kNoNode, server, kProtoUnixTcp, std::move(e).take()});
+  auto sendCtl = [&](FtpFrame message) {
+    message.conn = conn;
+    nic_.cpu().compute(self, cost.unix_tcp_cpu_packet);
+    nic_.send(self, Frame{kNoNode, server, kProtoUnixTcp, codec::encode(message).take()});
   };
 
   const sim::TimePoint deadline = nic_.network().simulation().now() + kCompareTimeout;
@@ -135,17 +113,14 @@ Result<Bytes> FtpSim::retrieve(sim::Process& self, NodeId server, std::uint64_t 
   };
 
   // Connection establishment (handshake; server pays fork + setup on SYN).
-  sendCtl(FtpMsg::syn, cost.unix_tcp_cpu_packet, [](Encoder&) {});
+  sendCtl({.type = FtpMsg::syn});
   if (!waitFor(t.connected)) {
     transfers_.erase(conn);
     return makeError(Errc::timeout, name_ + ": FTP connect timed out");
   }
   // Request the file; data arrives stop-and-wait, acked per segment by the
   // client-side frame handler.
-  sendCtl(FtpMsg::get, cost.unix_tcp_cpu_packet, [&](Encoder& e) {
-    e.u64(file_id);
-    e.u32(length);
-  });
+  sendCtl({.type = FtpMsg::get, .file = file_id, .length = length});
   const bool ok = waitFor(t.complete);
   Bytes data = std::move(t.data);
   transfers_.erase(conn);
@@ -155,96 +130,85 @@ Result<Bytes> FtpSim::retrieve(sim::Process& self, NodeId server, std::uint64_t 
 
 void FtpSim::onFrame(sim::Process& self, const Frame& frame) {
   const auto& cost = nic_.network().cost();
-  Decoder d(frame.payload);
-  auto type = d.u8();
-  auto conn = d.u32();
-  if (!type.ok() || !conn.ok()) return;
-  switch (static_cast<FtpMsg>(type.value())) {
+  auto in = codec::decode<FtpFrame>(frame.payload);
+  if (!in.ok()) return;
+  const FtpFrame& m = in.value();
+  const std::uint32_t conn = m.conn;
+  auto reply = [&](FtpMsg type) {
+    return Frame{kNoNode, frame.src, kProtoUnixTcp,
+                 codec::encode(FtpFrame{.type = type, .conn = conn}).take()};
+  };
+  switch (m.type) {
     case FtpMsg::syn: {
       // Server: accept + fork the data-transfer daughter process.
       nic_.cpu().compute(self, cost.unix_tcp_cpu_packet);
       self.delay(cost.ftp_connection_setup);
-      Encoder e;
-      e.u8(static_cast<std::uint8_t>(FtpMsg::synack));
-      e.u32(conn.value());
       nic_.cpu().compute(self, cost.unix_tcp_cpu_packet);
-      nic_.send(self, Frame{kNoNode, frame.src, kProtoUnixTcp, std::move(e).take()});
+      nic_.send(self, reply(FtpMsg::synack));
       break;
     }
     case FtpMsg::synack: {
       nic_.cpu().compute(self, cost.unix_tcp_cpu_packet);
-      auto it = transfers_.find(conn.value());
+      auto it = transfers_.find(conn);
       if (it == transfers_.end()) return;
       it->second.connected = true;
       it->second.waiter->wake();
       break;
     }
     case FtpMsg::get: {
-      auto file = d.u64();
-      auto length = d.u32();
-      if (!file.ok() || !length.ok() || !reader_) return;
+      if (!reader_) return;
       nic_.cpu().compute(self, cost.unix_tcp_cpu_packet);
-      Bytes data = reader_(file.value(), 0, length.value());
+      Bytes data = reader_(m.file, 0, m.length);
       // The forked server process runs the stop-and-wait transfer so the
       // NIC receive path stays free to process the client's ACKs.
       const NodeId client = frame.src;
-      const std::uint32_t c = conn.value();
-      Transfer& st = transfers_[c];  // server-side bookkeeping for ACK waits
+      Transfer& st = transfers_[conn];  // server-side bookkeeping for ACK waits
       st.connected = true;
       nic_.network().simulation().spawn(
-          name_ + ".ftpd" + std::to_string(c),
-          [this, c, client, data = std::move(data)](sim::Process& sender) {
+          name_ + ".ftpd" + std::to_string(conn),
+          [this, c = conn, client, data = std::move(data)](sim::Process& sender) {
             const auto& cm = nic_.network().cost();
             const std::size_t capacity = cm.eth_mtu - 64;  // TCP/IP header allowance
             const std::size_t count =
                 std::max<std::size_t>(1, (data.size() + capacity - 1) / capacity);
+            FtpFrame segment{
+                .type = FtpMsg::data, .conn = c, .count = static_cast<std::uint16_t>(count)};
             for (std::size_t i = 0; i < count; ++i) {
               const std::size_t off = i * capacity;
-              const std::size_t len = std::min(capacity, data.size() - off);
-              Encoder e;
-              e.u8(static_cast<std::uint8_t>(FtpMsg::data));
-              e.u32(c);
-              e.u16(static_cast<std::uint16_t>(i));
-              e.u16(static_cast<std::uint16_t>(count));
-              e.bytes(ByteSpan(data.data() + off, len));
+              segment.index = static_cast<std::uint16_t>(i);
+              const auto from = data.begin() + static_cast<std::ptrdiff_t>(off);
+              segment.data.assign(from, from + static_cast<std::ptrdiff_t>(
+                                                   std::min(capacity, data.size() - off)));
               Transfer& t = transfers_[c];
               t.waiter = &sender;
               t.segment_acked = false;
               nic_.cpu().compute(sender, cm.unix_tcp_cpu_packet + cm.ftp_per_block_overhead);
-              nic_.send(sender, Frame{kNoNode, client, kProtoUnixTcp, std::move(e).take()});
+              nic_.send(sender,
+                        Frame{kNoNode, client, kProtoUnixTcp, codec::encode(segment).take()});
               // Stop-and-wait: block until the client's ACK.
               while (!transfers_[c].segment_acked) {
                 if (!sender.blockFor(kCompareTimeout)) break;
               }
             }
-            Encoder fin;
-            fin.u8(static_cast<std::uint8_t>(FtpMsg::fin));
-            fin.u32(c);
+            const FtpFrame fin{.type = FtpMsg::fin, .conn = c};
             nic_.cpu().compute(sender, cm.unix_tcp_cpu_packet);
-            nic_.send(sender, Frame{kNoNode, client, kProtoUnixTcp, std::move(fin).take()});
+            nic_.send(sender, Frame{kNoNode, client, kProtoUnixTcp, codec::encode(fin).take()});
             transfers_.erase(c);
           });
       break;
     }
     case FtpMsg::data: {
-      auto idx = d.u16();
-      auto cnt = d.u16();
-      auto data = d.bytes();
-      if (!idx.ok() || !cnt.ok() || !data.ok()) return;
       nic_.cpu().compute(self, cost.unix_tcp_cpu_packet);
-      auto it = transfers_.find(conn.value());
+      auto it = transfers_.find(conn);
       if (it == transfers_.end()) return;
-      it->second.data.insert(it->second.data.end(), data.value().begin(), data.value().end());
-      Encoder e;
-      e.u8(static_cast<std::uint8_t>(FtpMsg::ack));
-      e.u32(conn.value());
+      it->second.data.insert(it->second.data.end(), m.data.begin(), m.data.end());
       nic_.cpu().compute(self, cost.unix_ack_cpu);
-      nic_.send(self, Frame{kNoNode, frame.src, kProtoUnixTcp, std::move(e).take()});
+      nic_.send(self, reply(FtpMsg::ack));
       break;
     }
     case FtpMsg::ack: {
       nic_.cpu().compute(self, cost.unix_ack_cpu);
-      auto it = transfers_.find(conn.value());
+      auto it = transfers_.find(conn);
       if (it == transfers_.end()) return;
       it->second.segment_acked = true;
       if (it->second.waiter != nullptr) it->second.waiter->wake();
@@ -252,7 +216,7 @@ void FtpSim::onFrame(sim::Process& self, const Frame& frame) {
     }
     case FtpMsg::fin: {
       nic_.cpu().compute(self, cost.unix_tcp_cpu_packet);
-      auto it = transfers_.find(conn.value());
+      auto it = transfers_.find(conn);
       if (it == transfers_.end()) return;
       it->second.complete = true;
       it->second.waiter->wake();

@@ -30,6 +30,79 @@
 
 namespace clouds::net {
 
+// The comparators' frames (docs/PROTOCOLS.md, "Comparator frames"): a type
+// byte, then the fields the type calls for. A frame of another type is
+// refused, like one cut short.
+enum class NfsMsg : std::uint8_t { read_req = 1, read_data = 2 };
+
+struct NfsFrame {
+  NfsMsg type{};
+  std::uint32_t xid = 0;
+  std::uint64_t file = 0;    // read_req
+  std::uint64_t offset = 0;  // read_req
+  std::uint32_t length = 0;  // read_req
+  std::uint16_t index = 0;   // read_data
+  std::uint16_t count = 0;   // read_data
+  Bytes data{};              // read_data
+
+  template <typename N, typename F>
+  static void fields(N& n, F& f) {
+    f(n.type);
+    f(n.xid);
+    switch (n.type) {
+      case NfsMsg::read_req:
+        f(n.file);
+        f(n.offset);
+        f(n.length);
+        return;
+      case NfsMsg::read_data:
+        f(n.index);
+        f(n.count);
+        f(n.data);
+        return;
+    }
+    f.require(false, "unknown NfsSim message");
+  }
+};
+// A read_data frame's size less its data: a reply datagram is cut at the
+// MTU less this.
+inline constexpr std::size_t kUdpHeader = 13;
+
+enum class FtpMsg : std::uint8_t { syn = 1, synack = 2, get = 3, data = 4, ack = 5, fin = 6 };
+
+struct FtpFrame {
+  FtpMsg type{};
+  std::uint32_t conn = 0;
+  std::uint64_t file = 0;    // get
+  std::uint32_t length = 0;  // get
+  std::uint16_t index = 0;   // data
+  std::uint16_t count = 0;   // data
+  Bytes data{};              // data
+
+  template <typename T, typename F>
+  static void fields(T& t, F& f) {
+    f(t.type);
+    f(t.conn);
+    switch (t.type) {
+      case FtpMsg::syn:
+      case FtpMsg::synack:
+      case FtpMsg::ack:
+      case FtpMsg::fin:
+        return;
+      case FtpMsg::get:
+        f(t.file);
+        f(t.length);
+        return;
+      case FtpMsg::data:
+        f(t.index);
+        f(t.count);
+        f(t.data);
+        return;
+    }
+    f.require(false, "unknown FtpSim message");
+  }
+};
+
 // Serves byte ranges of named "files" (in the benches: segment images).
 using FileReader = std::function<Bytes(std::uint64_t file_id, std::uint64_t offset,
                                        std::uint32_t length)>;

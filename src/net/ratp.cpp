@@ -6,8 +6,6 @@
 namespace clouds::net {
 
 namespace {
-// Fragment header on the wire: type(1) txid(8) port(2) index(2) count(2) len(4).
-constexpr std::size_t kFragHeader = 1 + 8 + 2 + 2 + 2 + 4;
 // How long a server keeps a transaction's record: a partial request from its
 // first fragment, a finished one (and its reply, for duplicate requests)
 // from the moment its handler returned. Far above the client's full retry
@@ -94,7 +92,7 @@ Result<Message> RatpEndpoint::transact(sim::Process& self, NodeId dst, PortId po
       simulation().trace(name_, "ratp", "retransmit tx " + std::to_string(txid & 0xffffffff) +
                                             " attempt " + std::to_string(attempt));
     }
-    sendMessage(self, dst, PacketType::request, txid, port, request);
+    sendMessage(self, dst, FragmentHeader::Type::request, txid, port, request);
     const sim::TimePoint deadline = simulation().now() + timeout;
     while (!tx.complete && !tx.aborted && simulation().now() < deadline) {
       (void)self.blockFor(deadline - simulation().now());
@@ -120,7 +118,7 @@ Result<Message> RatpEndpoint::transact(sim::Process& self, NodeId dst, PortId po
                                       " port " + std::to_string(port) + " timed out");
 }
 
-void RatpEndpoint::sendMessage(sim::Process& self, NodeId dst, PacketType type,
+void RatpEndpoint::sendMessage(sim::Process& self, NodeId dst, FragmentHeader::Type type,
                                std::uint64_t txid, PortId port, const Message& message) {
   const std::size_t capacity = cost().eth_mtu - kFragHeader;
   const auto count =
@@ -130,12 +128,8 @@ void RatpEndpoint::sendMessage(sim::Process& self, NodeId dst, PacketType type,
     const std::size_t len = std::min(capacity, message.size() - off);
     Encoder e;
     e.reserve(kFragHeader);
-    e.u8(static_cast<std::uint8_t>(type));
-    e.u64(txid);
-    e.u16(port);
-    e.u16(index);
-    e.u16(count);
-    e.u32(static_cast<std::uint32_t>(len));
+    codec::Writer{e}(
+        FragmentHeader{type, txid, port, index, count, static_cast<std::uint32_t>(len)});
     // Transport-layer processing cost per packet, then the driver path.
     nic_.cpu().compute(self, cost().ratp_cpu_packet);
     Frame frame;
@@ -151,27 +145,21 @@ void RatpEndpoint::sendMessage(sim::Process& self, NodeId dst, PacketType type,
 void RatpEndpoint::onFrame(sim::Process& self, Frame& frame) {
   nic_.cpu().compute(self, cost().ratp_cpu_packet);
   Decoder d(frame.payload);
-  auto type = d.u8();
-  auto txid = d.u64();
-  auto port = d.u16();
-  auto index = d.u16();
-  auto count = d.u16();
-  auto len = d.u32();
+  const auto header = codec::read<FragmentHeader>(d);
   // The payload is the header alone; the fragment's bytes are the body, a
   // view of the sender's message, of exactly the length the header gives.
-  if (!type.ok() || !txid.ok() || !port.ok() || !index.ok() || !count.ok() || !len.ok() ||
-      !d.atEnd() || len.value() != frame.body.size() || count.value() == 0 ||
-      index.value() >= count.value()) {
+  if (!header.ok() || !d.atEnd() || header.value().len != frame.body.size() ||
+      header.value().count == 0 || header.value().index >= header.value().count) {
     simulation().trace(name_, "ratp", "malformed frame dropped");
     return;
   }
-  switch (static_cast<PacketType>(type.value())) {
-    case PacketType::request:
-      onRequestFrag(self, frame.src, txid.value(), port.value(), index.value(), count.value(),
-                    std::move(frame.body));
+  const FragmentHeader& h = header.value();
+  switch (h.type) {
+    case FragmentHeader::Type::request:
+      onRequestFrag(self, frame.src, h.txid, h.port, h.index, h.count, std::move(frame.body));
       break;
-    case PacketType::reply:
-      onReplyFrag(self, txid.value(), index.value(), count.value(), std::move(frame.body));
+    case FragmentHeader::Type::reply:
+      onReplyFrag(self, h.txid, h.index, h.count, std::move(frame.body));
       break;
   }
 }
@@ -203,7 +191,7 @@ void RatpEndpoint::onRequestFrag(sim::Process& self, NodeId src, std::uint64_t t
     if (index + 1 == count) {
       ++*m_cache_hits_;
       const Message reply = *st.reply;
-      sendMessage(self, src, PacketType::reply, txid, port, reply);
+      sendMessage(self, src, FragmentHeader::Type::reply, txid, port, reply);
     }
     return;
   }
@@ -261,7 +249,7 @@ void RatpEndpoint::workerLoop(sim::Process& self) {
     const Message reply = it->second(self, item.client, item.request);
     item.request = Message();
     finish(key, reply);
-    sendMessage(self, item.client, PacketType::reply, item.txid, item.port, reply);
+    sendMessage(self, item.client, FragmentHeader::Type::reply, item.txid, item.port, reply);
   }
 }
 

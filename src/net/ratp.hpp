@@ -50,6 +50,32 @@ inline constexpr PortId kPortNfs = 9;       // NfsSim comparator
 inline constexpr PortId kPortFtp = 10;      // FtpSim comparator
 inline constexpr PortId kPortDsmCallback = 11;  // DSM coherence callbacks (compute servers)
 
+// The header that leads every RaTP frame (docs/PROTOCOLS.md, "RaTP"): a
+// frame's payload is this header alone, and its body is the `len` bytes of
+// the message that make fragment `index` of `count`.
+struct FragmentHeader {
+  enum class Type : std::uint8_t { request = 1, reply = 2 };
+
+  Type type{};
+  std::uint64_t txid = 0;  // (client node id << 32) | client sequence
+  PortId port = 0;         // the service port; a reply echoes it
+  std::uint16_t index = 0;
+  std::uint16_t count = 0;
+  std::uint32_t len = 0;
+
+  template <typename H, typename F>
+  static void fields(H& h, F& f) {
+    f(h.type);
+    f(h.txid);
+    f(h.port);
+    f(h.index);
+    f(h.count);
+    f(h.len);
+  }
+};
+// The header's encoded size: a fragment carries the MTU less this.
+inline constexpr std::size_t kFragHeader = 19;
+
 struct RatpOptions {
   sim::Duration timeout = sim::kZero;  // 0 = use cost model default
   int max_retries = -1;                // <0 = use cost model default
@@ -102,8 +128,6 @@ class RatpEndpoint {
   Nic& nic() noexcept { return nic_; }
 
  private:
-  enum class PacketType : std::uint8_t { request = 1, reply = 2 };
-
   struct PendingTx {  // client side
     sim::Process* waiter = nullptr;
     std::vector<std::optional<Message>> frags;
@@ -136,8 +160,8 @@ class RatpEndpoint {
                      std::uint16_t index, std::uint16_t count, Message data);
   void onReplyFrag(sim::Process& self, std::uint64_t txid, std::uint16_t index,
                    std::uint16_t count, Message data);
-  void sendMessage(sim::Process& self, NodeId dst, PacketType type, std::uint64_t txid,
-                   PortId port, const Message& message);
+  void sendMessage(sim::Process& self, NodeId dst, FragmentHeader::Type type,
+                   std::uint64_t txid, PortId port, const Message& message);
   void dispatch(WorkItem item);
   void workerLoop(sim::Process& self);
   // The worker is done with a transaction: cache its reply (none for an

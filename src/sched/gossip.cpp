@@ -2,8 +2,7 @@
 
 namespace clouds::sched {
 
-GossipAgent::GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor,
-                         Options options)
+GossipAgent::GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor)
     : node_(node), table_(table), monitor_(monitor) {
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
   m_sent_ = &metrics.counter(node_.name() + "/sched/reports_sent");
@@ -16,9 +15,9 @@ GossipAgent::GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor,
     if (monitor_ != nullptr) monitor_->reset();
   });
   // Listeners never tick.
-  node_.spawnDaemon("sched.gossip", options.enabled && monitor_ != nullptr,
+  node_.spawnDaemon("sched.gossip", table_.options().gossip && monitor_ != nullptr,
                     sim::usec(5000 + 500 * static_cast<std::int64_t>(node_.id() % 97)),
-                    [this, interval = options.interval](sim::Process& self) {
+                    [this, interval = table_.options().gossip_interval](sim::Process& self) {
                       broadcast(self);
                       table_.evictSilent(node_.simulation().now());
                       return interval;

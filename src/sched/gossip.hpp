@@ -24,16 +24,12 @@ namespace clouds::sched {
 
 class GossipAgent {
  public:
-  struct Options {
-    bool enabled = true;
-    sim::Duration interval = sim::msec(50);
-  };
-
   // `monitor` == nullptr makes this a pure listener (receives reports but
   // never broadcasts): workstations and data servers observe, compute
-  // servers participate. A sender's first tick comes at an offset derived
+  // servers participate, every `gossip_interval` of the table's options
+  // while `gossip` is set. A sender's first tick comes at an offset derived
   // from its node id, so the fleet's broadcasts do not collide on one tick.
-  GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor, Options options);
+  GossipAgent(ra::Node& node, LoadTable& table, LoadMonitor* monitor);
 
  private:
   void broadcast(sim::Process& self);

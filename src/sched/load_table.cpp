@@ -27,7 +27,7 @@ void LoadTable::remove(net::NodeId node) { entries_.erase(node); }
 std::size_t LoadTable::evictSilent(sim::TimePoint now) {
   std::size_t evicted = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (!it->second.self && now - it->second.received > aging_.evict_after) {
+    if (!it->second.self && now - it->second.received > options_.evict_after) {
       it = entries_.erase(it);
       ++evicted;
     } else {

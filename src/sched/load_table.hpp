@@ -20,19 +20,25 @@
 #include <optional>
 #include <string>
 
+#include "sched/policy.hpp"
 #include "sched/report.hpp"
 #include "sim/metrics.hpp"
 #include "sim/time.hpp"
 
 namespace clouds::sched {
 
+// A node's scheduling settings (ClusterConfig::sched), stated once: the
+// LoadTable holds them, and its GossipAgent and Scheduler read them there.
+struct Options {
+  PolicyKind policy = PolicyKind::least_loaded;
+  bool gossip = true;  // compute servers broadcast their load
+  sim::Duration gossip_interval = sim::msec(50);
+  sim::Duration stale_after = sim::msec(250);
+  sim::Duration evict_after = sim::msec(1000);
+};
+
 class LoadTable {
  public:
-  struct Aging {
-    sim::Duration stale_after = sim::msec(250);
-    sim::Duration evict_after = sim::msec(1000);
-  };
-
   struct Entry {
     LoadReport report;
     sim::TimePoint received = sim::kZero;
@@ -42,7 +48,7 @@ class LoadTable {
     std::uint64_t effectiveLoad() const { return report.threads + inflight; }
   };
 
-  explicit LoadTable(Aging aging) : aging_(aging) {}
+  explicit LoadTable(Options options) : options_(options) {}
 
   // Count evictions into "<scope>/sched/stale_evictions" (a bare table does
   // not count them; evictSilent() still returns each sweep's count).
@@ -61,7 +67,7 @@ class LoadTable {
   std::size_t evictSilent(sim::TimePoint now);
 
   bool stale(const Entry& e, sim::TimePoint now) const {
-    return now - e.received > aging_.stale_after;
+    return now - e.received > options_.stale_after;
   }
 
   const Entry* find(net::NodeId node) const;
@@ -76,13 +82,13 @@ class LoadTable {
       std::uint64_t low_watermark, sim::TimePoint now,
       const std::function<bool(net::NodeId)>& eligible = {}) const;
   const std::map<net::NodeId, Entry>& entries() const noexcept { return entries_; }
-  const Aging& aging() const noexcept { return aging_; }
+  const Options& options() const noexcept { return options_; }
 
   // Node crash: the table is volatile kernel state.
   void clear() { entries_.clear(); }
 
  private:
-  Aging aging_;
+  Options options_;
   std::map<net::NodeId, Entry> entries_;
   std::uint64_t* m_evictions_ = nullptr;
 };

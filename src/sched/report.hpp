@@ -22,8 +22,8 @@ namespace clouds::sched {
 
 struct LoadReport {
   static constexpr std::uint8_t kVersion = 2;
-  // Cap keeps the report inside one Ethernet frame: 39 bytes of header +
-  // 24 * 16 bytes of digest = 423 bytes, well under the 1500-byte MTU.
+  // Cap keeps the report inside one Ethernet frame: 37 bytes of header +
+  // 24 * 16 bytes of digest = 421 bytes, well under the 1500-byte MTU.
   static constexpr std::size_t kMaxSegments = 64;
 
   net::NodeId node = net::kNoNode;

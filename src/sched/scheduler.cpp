@@ -6,13 +6,8 @@ namespace {
 constexpr std::size_t kLocalitySegments = 24;  // digest cap per report
 }  // namespace
 
-Scheduler::Scheduler(ra::Node& node, LoadTable& table, LoadMonitor* monitor, PolicyKind policy,
-                     sim::Duration gossip_interval)
-    : node_(node),
-      table_(table),
-      monitor_(monitor),
-      policy_(policy),
-      gossip_interval_(gossip_interval) {
+Scheduler::Scheduler(ra::Node& node, LoadTable& table, LoadMonitor* monitor)
+    : node_(node), table_(table), monitor_(monitor) {
   sim::MetricsRegistry& metrics = node_.simulation().metrics();
   m_placements_ = &metrics.counter(node_.name() + "/sched/placements");
   m_fallbacks_ = &metrics.counter(node_.name() + "/sched/fallbacks");
@@ -30,7 +25,7 @@ Result<net::NodeId> Scheduler::place(const std::optional<Sysname>& locality_hint
   // placements inside one period keep their inflight corrections.)
   if (monitor_ != nullptr && node_.alive()) {
     const LoadTable::Entry* self = table_.find(node_.id());
-    if (self == nullptr || now - self->received > gossip_interval_) {
+    if (self == nullptr || now - self->received > table_.options().gossip_interval) {
       table_.record(monitor_->sample(0), now, /*self=*/true);
     }
   }
@@ -50,12 +45,13 @@ Result<net::NodeId> Scheduler::place(const std::optional<Sysname>& locality_hint
   if (candidates.empty()) {
     return makeError(Errc::unreachable, "load table knows no live compute server");
   }
-  const std::size_t pick = choosePlacement(policy_, candidates, sim.rng());
+  const PolicyKind policy = table_.options().policy;
+  const std::size_t pick = choosePlacement(policy, candidates, sim.rng());
   const net::NodeId chosen = candidates[pick].node;
   table_.notePlacement(chosen);
   ++*m_placements_;
   sim.trace(node_.name(), "sched",
-            std::string("place policy ") + policyName(policy_) + " -> node " +
+            std::string("place policy ") + policyName(policy) + " -> node " +
                 std::to_string(chosen) + " (load " + std::to_string(candidates[pick].load) +
                 (candidates[pick].stale ? ", stale view)" : ")"));
   return chosen;
@@ -76,8 +72,8 @@ Agent::Agent(ra::Node& node, Options options, LoadMonitor::Providers providers)
                    ? std::make_unique<LoadMonitor>(node.id(), std::move(providers),
                                                    kLocalitySegments)
                    : nullptr),
-      table_(aging(options)),
-      gossip_(node, table_, monitor_.get(), gossipOptions(options)),
-      scheduler_(node, table_, monitor_.get(), options.policy, options.gossip_interval) {}
+      table_(options),
+      gossip_(node, table_, monitor_.get()),
+      scheduler_(node, table_, monitor_.get()) {}
 
 }  // namespace clouds::sched

@@ -23,10 +23,9 @@ namespace clouds::sched {
 
 class Scheduler {
  public:
-  // A local self-sample stays authoritative for one `gossip_interval`
-  // before place() re-samples.
-  Scheduler(ra::Node& node, LoadTable& table, LoadMonitor* monitor, PolicyKind policy,
-            sim::Duration gossip_interval);
+  // Places by the table's policy. A local self-sample stays authoritative
+  // for one of the table's `gossip_interval`s before place() re-samples.
+  Scheduler(ra::Node& node, LoadTable& table, LoadMonitor* monitor);
 
   // Choose a compute server for a new thread from the table's current view.
   // `locality_hint` names a segment of the target object (policy::locality
@@ -42,28 +41,17 @@ class Scheduler {
   void countFallback();
 
   LoadTable& table() noexcept { return table_; }
-  PolicyKind policy() const noexcept { return policy_; }
 
  private:
   ra::Node& node_;
   LoadTable& table_;
   LoadMonitor* monitor_;
-  PolicyKind policy_;
-  sim::Duration gossip_interval_;
   std::uint64_t* m_placements_;
   std::uint64_t* m_fallbacks_;
 };
 
 class Agent {
  public:
-  struct Options {
-    PolicyKind policy = PolicyKind::least_loaded;
-    bool gossip = true;
-    sim::Duration gossip_interval = sim::msec(50);
-    sim::Duration stale_after = sim::msec(250);
-    sim::Duration evict_after = sim::msec(1000);
-  };
-
   // With providers (compute server): samples local load and gossips it.
   // Without (data server / workstation): listens and can place, never sends.
   Agent(ra::Node& node, Options options, LoadMonitor::Providers providers);
@@ -75,11 +63,6 @@ class Agent {
   Scheduler& scheduler() noexcept { return scheduler_; }
 
  private:
-  static LoadTable::Aging aging(const Options& o) { return {o.stale_after, o.evict_after}; }
-  static GossipAgent::Options gossipOptions(const Options& o) {
-    return {o.gossip, o.gossip_interval};
-  }
-
   std::unique_ptr<LoadMonitor> monitor_;
   LoadTable table_;
   GossipAgent gossip_;

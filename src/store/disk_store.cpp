@@ -577,26 +577,17 @@ namespace {
 // misparsed.
 constexpr std::uint32_t kSnapshotMagic = 0xC10D5703u;
 
-using PreparedTxns = std::vector<std::pair<std::uint64_t, std::vector<PageUpdate>>>;
+// An in-doubt transaction of the engine-neutral prepared section.
+struct PreparedTxn {
+  std::uint64_t txid = 0;
+  std::vector<PageUpdate> updates;
 
-void encodePrepared(Encoder& e, const PreparedTxns& txns) {
-  e.u32(static_cast<std::uint32_t>(txns.size()));
-  for (const auto& [txid, updates] : txns) {
-    e.u64(txid);
-    codec::Writer{e}(updates);
+  template <typename P, typename F>
+  static void fields(P& p, F& f) {
+    f(p.txid);
+    f(p.updates);
   }
-}
-
-Result<PreparedTxns> decodePrepared(Decoder& d) {
-  CLOUDS_TRY_ASSIGN(ntx, d.u32());
-  PreparedTxns txns;
-  for (std::uint32_t i = 0; i < ntx; ++i) {
-    CLOUDS_TRY_ASSIGN(txid, d.u64());
-    CLOUDS_TRY_ASSIGN(updates, codec::read<std::vector<PageUpdate>>(d));
-    txns.emplace_back(txid, std::move(updates));
-  }
-  return txns;
-}
+};
 
 bool wholePages(const std::vector<PageUpdate>& updates) {
   return std::all_of(updates.begin(), updates.end(),
@@ -604,38 +595,46 @@ bool wholePages(const std::vector<PageUpdate>& updates) {
 }
 }  // namespace
 
-Result<void> DiskStore::saveTo(const std::string& path) const {
-  Encoder e;
-  e.u32(kSnapshotMagic);
-  e.u32(home_);
-  e.u64(next_seq_);
-  e.u32(static_cast<std::uint32_t>(segments_.size()));
-  for (const auto& [name, seg] : segments_) {
-    e.sysname(name);
-    e.u64(seg.info.length);
-    e.boolean(seg.info.zero_fill);
-    e.u32(static_cast<std::uint32_t>(seg.pages.size()));
-    for (const auto& [idx, data] : seg.pages) {
-      e.u32(idx);
-      e.bytes(data);
-    }
+// A snapshot file, format v3 (docs/STORAGE.md): the one statement of its
+// layout. Either engine writes and loads it.
+struct DiskStore::Snapshot {
+  std::uint32_t home = 0;
+  std::uint64_t next_seq = 0;
+  std::map<Sysname, StoredSegment> segments;
+  std::vector<PreparedTxn> prepared;
+  std::uint8_t has_log = 0;  // a wal store's: its log follows
+  wal::Log log;
+
+  template <typename S, typename F>
+  static void fields(S& s, F& f) {
+    f(codec::Constant{kSnapshotMagic, "bad snapshot magic"});
+    f(s.home);
+    f(s.next_seq);
+    f(s.segments);
+    f(s.prepared);
+    f(s.has_log);
+    if (s.has_log != 0) f(s.log);
   }
-  // Engine-neutral prepared section, so either engine can load the snapshot.
-  PreparedTxns txns;
+};
+
+Result<void> DiskStore::saveTo(const std::string& path) const {
+  Snapshot s;
+  s.home = home_;
+  s.next_seq = next_seq_;
+  s.segments = segments_;
   if (engine_ == StoreEngine::wal) {
     for (const auto& [txid, lsn] : prepared_lsn_) {
       const wal::Record* prep = log_.findPrepare(txid);
       if (prep != nullptr && prep->lsn <= log_.durableLsn()) {
-        txns.emplace_back(txid, prep->updates);
+        s.prepared.push_back({txid, prep->updates});
       }
     }
+    s.has_log = 1;
+    s.log = log_;
   } else {
-    for (const auto& [txid, updates] : prepared_) txns.emplace_back(txid, updates);
+    for (const auto& [txid, updates] : prepared_) s.prepared.push_back({txid, updates});
   }
-  encodePrepared(e, txns);
-  e.u8(engine_ == StoreEngine::wal ? 1 : 0);
-  if (engine_ == StoreEngine::wal) log_.encode(e);
-  return writeHostFile(path, std::move(e).take());
+  return writeHostFile(path, codec::encode(s).take());
 }
 
 void DiskStore::replayIntoImages(const wal::Log& log) {
@@ -676,61 +675,45 @@ void DiskStore::replayIntoImages(const wal::Log& log) {
 
 Result<void> DiskStore::loadFrom(const std::string& path) {
   CLOUDS_TRY_ASSIGN(buf, readHostFile(path));
-  Decoder d(buf);
-  CLOUDS_TRY_ASSIGN(magic, d.u32());
-  if (magic != kSnapshotMagic) return makeError(Errc::io, "bad snapshot magic in " + path);
-  CLOUDS_TRY_ASSIGN(home, d.u32());
-  CLOUDS_TRY_ASSIGN(seq, d.u64());
-  CLOUDS_TRY_ASSIGN(nsegs, d.u32());
-  std::map<Sysname, StoredSegment> segments;
-  for (std::uint32_t i = 0; i < nsegs; ++i) {
-    CLOUDS_TRY_ASSIGN(name, d.sysname());
-    CLOUDS_TRY_ASSIGN(length, d.u64());
-    CLOUDS_TRY_ASSIGN(zero_fill, d.boolean());
-    CLOUDS_TRY_ASSIGN(npages, d.u32());
-    StoredSegment seg;
-    seg.info = ra::SegmentInfo{name, length, zero_fill};
-    for (std::uint32_t p = 0; p < npages; ++p) {
-      CLOUDS_TRY_ASSIGN(idx, d.u32());
-      CLOUDS_TRY_ASSIGN(data, d.bytes());
+  // Every refusal, a file cut short among them, is an I/O error.
+  auto read = codec::decode<Snapshot>(buf);
+  if (!read.ok()) return makeError(Errc::io, read.error().message + " in " + path);
+  Snapshot& snap = read.value();
+  for (auto& [name, seg] : snap.segments) {
+    seg.info.name = name;
+    for (const auto& [idx, data] : seg.pages) {
       // readPage hands every stored page out as a kPageSize image.
       if (idx >= seg.info.pageCount() || data.size() != ra::kPageSize) {
         return makeError(Errc::io,
                          "bad page " + ra::PageKey{name, idx}.toString() + " in " + path);
       }
-      seg.pages.emplace(idx, std::move(data));
     }
-    segments.emplace(name, std::move(seg));
   }
-  CLOUDS_TRY_ASSIGN(txns, decodePrepared(d));
-  CLOUDS_TRY_ASSIGN(wal_flag, d.u8());
-  const bool has_wal = wal_flag != 0;
-  wal::Log loaded_log;
-  if (has_wal) CLOUDS_TRY(loaded_log.decode(d));
   // Prepared and logged images reach the segments, as the same kPageSize
   // images, through commit, the dirty table and replay.
   const bool whole =
-      std::all_of(txns.begin(), txns.end(), [](const auto& t) { return wholePages(t.second); }) &&
-      std::all_of(loaded_log.records().begin(), loaded_log.records().end(),
+      std::all_of(snap.prepared.begin(), snap.prepared.end(),
+                  [](const PreparedTxn& t) { return wholePages(t.updates); }) &&
+      std::all_of(snap.log.records().begin(), snap.log.records().end(),
                   [](const wal::Record& r) { return wholePages(r.updates); });
   if (!whole) return makeError(Errc::io, "bad page image size in " + path);
 
-  home_ = home;
-  next_seq_ = seq;
-  segments_ = std::move(segments);
+  home_ = snap.home;
+  next_seq_ = snap.next_seq;
+  segments_ = std::move(snap.segments);
   prepared_.clear();
   log_.clear();
   prepared_lsn_.clear();
   dirty_.clear();
   if (engine_ == StoreEngine::flat) {
-    if (has_wal) replayIntoImages(loaded_log);
-    for (auto& [txid, updates] : txns) prepared_[txid] = std::move(updates);
-  } else if (has_wal) {
-    log_ = std::move(loaded_log);
+    if (snap.has_log != 0) replayIntoImages(snap.log);
+    for (auto& [txid, updates] : snap.prepared) prepared_[txid] = std::move(updates);
+  } else if (snap.has_log != 0) {
+    log_ = std::move(snap.log);
   } else {
     // Flat-format snapshot into a wal store: synthesize a durable prepare
     // record per in-doubt transaction so the 2PC contract carries over.
-    for (auto& [txid, updates] : txns) {
+    for (auto& [txid, updates] : snap.prepared) {
       wal::Record r;
       r.kind = wal::RecordKind::prepare;
       r.txid = txid;

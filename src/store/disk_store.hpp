@@ -151,7 +151,16 @@ class DiskStore {
   struct StoredSegment {
     ra::SegmentInfo info;
     std::map<ra::PageIndex, SharedBytes> pages;  // only written pages are present
+
+    // A snapshot's segment, after its name (the key it is stored under).
+    template <typename S, typename F>
+    static void fields(S& s, F& f) {
+      f(s.info.length);
+      f(s.info.zero_fill);
+      f(s.pages);
+    }
   };
+  struct Snapshot;
   // O(1) LRU buffer cache: list in recency order + key -> list position.
   struct BufferCache {
     std::list<ra::PageKey> order;  // front = LRU victim, back = most recent

@@ -82,51 +82,5 @@ void Log::clear() {
   applied_lsn_ = 0;
 }
 
-void Log::encode(Encoder& e) const {
-  e.u64(next_lsn_);
-  e.u64(durable_lsn_);
-  e.u64(applied_lsn_);
-  e.u32(static_cast<std::uint32_t>(records_.size()));
-  for (const Record& r : records_) {
-    e.u8(static_cast<std::uint8_t>(r.kind));
-    e.u64(r.lsn);
-    e.u64(r.txid);
-    e.u64(r.applied_lsn);
-    codec::Writer{e}(r.updates);
-  }
-}
-
-Result<void> Log::decode(Decoder& d) {
-  CLOUDS_TRY_ASSIGN(next, d.u64());
-  CLOUDS_TRY_ASSIGN(durable, d.u64());
-  CLOUDS_TRY_ASSIGN(applied, d.u64());
-  CLOUDS_TRY_ASSIGN(count, d.u32());
-  std::vector<Record> records;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Record r;
-    CLOUDS_TRY_ASSIGN(kind, d.u8());
-    if (kind < static_cast<std::uint8_t>(RecordKind::page_write) ||
-        kind > static_cast<std::uint8_t>(RecordKind::checkpoint)) {
-      return makeError(Errc::io, "bad log record kind " + std::to_string(kind));
-    }
-    r.kind = static_cast<RecordKind>(kind);
-    CLOUDS_TRY_ASSIGN(lsn, d.u64());
-    r.lsn = lsn;
-    CLOUDS_TRY_ASSIGN(txid, d.u64());
-    r.txid = txid;
-    CLOUDS_TRY_ASSIGN(rec_applied, d.u64());
-    r.applied_lsn = rec_applied;
-    CLOUDS_TRY_ASSIGN(updates, codec::read<std::vector<PageUpdate>>(d));
-    r.updates = std::move(updates);
-    records.push_back(std::move(r));
-  }
-  clear();
-  next_lsn_ = next;
-  durable_lsn_ = durable;
-  applied_lsn_ = applied;
-  records_ = std::move(records);
-  return okResult();
-}
-
 }  // namespace wal
 }  // namespace clouds::store

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -58,6 +59,19 @@ struct Record {
   // checkpoint records are header-sized: they round to one page at most
   // when forced alone, which commit_log_write already covers).
   std::size_t payloadPages() const noexcept { return updates.size(); }
+
+  // A record as a store snapshot holds it (docs/STORAGE.md).
+  template <typename R, typename F>
+  static void fields(R& r, F& f) {
+    f(r.kind);
+    f.require(r.kind >= RecordKind::page_write && r.kind <= RecordKind::checkpoint, [&r] {
+      return "bad log record kind " + std::to_string(static_cast<unsigned>(r.kind));
+    });
+    f(r.lsn);
+    f(r.txid);
+    f(r.applied_lsn);
+    f(r.updates);
+  }
 };
 
 // Append-only record sequence with the three watermarks (last, durable,
@@ -98,8 +112,15 @@ class Log {
 
   void clear();
 
-  void encode(Encoder& e) const;
-  Result<void> decode(Decoder& d);
+  // The log as a store snapshot holds it: the three watermarks, then every
+  // record.
+  template <typename L, typename F>
+  static void fields(L& l, F& f) {
+    f(l.next_lsn_);
+    f(l.durable_lsn_);
+    f(l.applied_lsn_);
+    f(l.records_);
+  }
 
  private:
   std::vector<Record> records_;  // ascending lsn (possibly with gaps)

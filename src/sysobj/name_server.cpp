@@ -7,9 +7,19 @@ namespace {
 // hops than this means a cycle.
 constexpr int kMaxForwardChain = 8;
 
-// Name-snapshot magic: bindings, then forwards. A file under any other
-// magic is refused.
-constexpr std::uint32_t kSnapshotMagic = 0xC10D7A3Fu;
+// A name snapshot (docs/STORAGE.md): the magic, the bindings, then the
+// forwards. A file under any other magic is refused.
+struct NameSnapshot {
+  std::map<std::string, Binding> bindings;
+  std::map<Sysname, Sysname> forwards;
+
+  template <typename S, typename F>
+  static void fields(S& s, F& f) {
+    f(codec::Constant{0xC10D7A3Fu, "bad name snapshot"});
+    f(s.bindings);
+    f(s.forwards);
+  }
+};
 }  // namespace
 
 NameServer::NameServer(ra::Node& node) : node_(node) {
@@ -93,48 +103,16 @@ std::vector<std::string> NameServer::list() const {
 }
 
 Result<void> NameServer::saveTo(const std::string& path) const {
-  Encoder e;
-  e.u32(kSnapshotMagic);
-  e.u32(static_cast<std::uint32_t>(bindings_.size()));
-  for (const auto& [name, binding] : bindings_) {
-    e.str(name);
-    e.u32(static_cast<std::uint32_t>(binding.sysnames.size()));
-    for (const Sysname& s : binding.sysnames) e.sysname(s);
-  }
-  e.u32(static_cast<std::uint32_t>(forwards_.size()));
-  for (const auto& [from, to] : forwards_) {
-    e.sysname(from);
-    e.sysname(to);
-  }
-  return writeHostFile(path, e.buffer());
+  return writeHostFile(path, codec::encode(NameSnapshot{bindings_, forwards_}).take());
 }
 
 Result<void> NameServer::loadFrom(const std::string& path) {
   CLOUDS_TRY_ASSIGN(buf, readHostFile(path));
-  Decoder d(buf);
-  CLOUDS_TRY_ASSIGN(magic, d.u32());
-  if (magic != kSnapshotMagic) return makeError(Errc::io, "bad name snapshot in " + path);
-  CLOUDS_TRY_ASSIGN(count, d.u32());
-  std::map<std::string, Binding> loaded;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    CLOUDS_TRY_ASSIGN(name, d.str());
-    CLOUDS_TRY_ASSIGN(reps, d.u32());
-    Binding b;
-    for (std::uint32_t r = 0; r < reps; ++r) {
-      CLOUDS_TRY_ASSIGN(s, d.sysname());
-      b.sysnames.push_back(s);
-    }
-    loaded.emplace(std::move(name), std::move(b));
-  }
-  std::map<Sysname, Sysname> fwd_loaded;
-  CLOUDS_TRY_ASSIGN(fwds, d.u32());
-  for (std::uint32_t i = 0; i < fwds; ++i) {
-    CLOUDS_TRY_ASSIGN(from, d.sysname());
-    CLOUDS_TRY_ASSIGN(to, d.sysname());
-    fwd_loaded.emplace(from, to);
-  }
-  bindings_ = std::move(loaded);
-  forwards_ = std::move(fwd_loaded);
+  // Every refusal, a file cut short among them, is an I/O error.
+  auto read = codec::decode<NameSnapshot>(buf);
+  if (!read.ok()) return makeError(Errc::io, read.error().message + " in " + path);
+  bindings_ = std::move(read.value().bindings);
+  forwards_ = std::move(read.value().forwards);
   return okResult();
 }
 

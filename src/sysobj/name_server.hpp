@@ -23,6 +23,12 @@ namespace clouds::sysobj {
 struct Binding {
   std::vector<Sysname> sysnames;  // size 1 = plain object; >1 = replica set
   bool isReplicated() const noexcept { return sysnames.size() > 1; }
+
+  // A binding as the name snapshot holds it.
+  template <typename B, typename F>
+  static void fields(B& b, F& f) {
+    f(b.sysnames);
+  }
 };
 
 enum class NameOp : std::uint8_t { bind = 50, lookup = 51, unbind = 52, list = 53, forward = 54 };

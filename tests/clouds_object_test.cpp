@@ -142,6 +142,15 @@ TEST(CloudsObject, RemoteInvocationRunsOnOtherComputeServer) {
   EXPECT_EQ(remote.value(), Value{static_cast<std::int64_t>(c->computeNode(1).id())});
 }
 
+// A one-value list whose value is `lists` lists, each holding the next, the
+// last holding a null.
+Bytes nestedLists(int lists) {
+  test::Wire w;
+  w.u32(1);
+  for (int i = 0; i < lists; ++i) w.u8(6).u32(1);
+  return w.u8(0).bytes;
+}
+
 // The thread port's handler is the entry for wire input to remote
 // invocation. Every strict prefix of its request, and a request whose
 // arguments are no value list, answers bad_argument with the malformed
@@ -171,6 +180,9 @@ TEST(ThreadPortDispatch, MalformedRequestsAnswerBadArgumentAndChangeNothing) {
       EXPECT_EQ(serve(Bytes(wire.begin(), wire.begin() + n)), malformed) << "cut to " << n;
     }
     EXPECT_EQ(serve(request(Bytes{std::byte{0xff}})), malformed) << "no value list";
+    EXPECT_EQ(serve(request(test::Wire().u32(0xFFFFFFFF).bytes)), malformed)
+        << "a list header claiming 2^32 - 1 values";
+    EXPECT_EQ(serve(request(nestedLists(10000))), malformed) << "lists nested 10,000 deep";
     EXPECT_EQ(c->runtime(1).liveThreadCount(), 0u);
     EXPECT_EQ(c->sim().metrics().counterValue(served), 0u);
     EXPECT_NE(serve(wire), malformed);
@@ -411,6 +423,31 @@ TEST(CloudsObject, ValueRoundTrip) {
   EXPECT_EQ(decoded.value()[1].asDouble().value(), 3.5);
   EXPECT_EQ(decoded.value()[0].asDouble().value(), -5.0);
   EXPECT_EQ(decoded.value()[3].asDouble().code(), Errc::bad_argument);
+}
+
+// A list's count comes off the wire: its values are read one by one, so a
+// header claiming 2^32 - 1 of them, at the top or nested, fails on the first
+// missing value instead of reserving room for all of them.
+TEST(CloudsObject, ValueListCountIsReadNotReserved) {
+  EXPECT_EQ(Value::decodeList(test::Wire().u32(0xFFFFFFFF).bytes).code(), Errc::bad_argument);
+  EXPECT_EQ(Value::decodeList(test::Wire().u32(1).u8(6).u32(0xFFFFFFFF).bytes).code(),
+            Errc::bad_argument);
+}
+
+// So does a list's nesting: a top list holding 63 nested lists decodes, one
+// holding 64 is refused, and so is one holding 10,000, which would otherwise
+// recurse through a fiber's whole stack.
+TEST(CloudsObject, ValueListNestingIsBounded) {
+  for (const int lists : {63, 64, 10000}) {
+    SCOPED_TRACE(lists);
+    const auto decoded = Value::decodeList(nestedLists(lists));
+    if (lists < 64) {
+      ASSERT_TRUE(decoded.ok());
+      EXPECT_EQ(Value::encodeList(decoded.value()), nestedLists(lists));
+    } else {
+      EXPECT_EQ(decoded.error().message, "fields nested too deep");
+    }
+  }
 }
 
 }  // namespace

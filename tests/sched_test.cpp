@@ -109,7 +109,7 @@ sched::LoadReport reportFor(net::NodeId node, std::uint64_t seq, std::uint32_t t
 
 TEST(LoadTable, StalenessAgingAndSilentEviction) {
   sim::MetricsRegistry reg;
-  sched::LoadTable t({sim::msec(100), sim::msec(400)});
+  sched::LoadTable t({.stale_after = sim::msec(100), .evict_after = sim::msec(400)});
   t.attachMetrics(reg, "node");
   t.record(reportFor(1, 1, 0), sim::msec(0), /*self=*/true);
   t.record(reportFor(2, 1, 0), sim::msec(0), /*self=*/false);
@@ -127,7 +127,7 @@ TEST(LoadTable, StalenessAgingAndSilentEviction) {
 }
 
 TEST(LoadTable, InflightPlacementsChargeUntilFreshReport) {
-  sched::LoadTable t({sim::msec(100), sim::msec(400)});
+  sched::LoadTable t({.stale_after = sim::msec(100), .evict_after = sim::msec(400)});
   t.record(reportFor(2, 1, 2), sim::msec(0), false);
   t.notePlacement(2);
   t.notePlacement(2);

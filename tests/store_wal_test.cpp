@@ -507,6 +507,33 @@ TEST(WalStore, SnapshotBytesArePinned) {
   EXPECT_EQ(fnv1a(file), 0xf00781aab37782edull);
 }
 
+// The flat engine's twin: the same operations on a flat store, whose
+// snapshot has no log section and keeps its prepared transaction in the
+// prepared section.
+TEST(WalStore, FlatEngineSnapshotBytesArePinned) {
+  sim::Simulation sim{7};
+  sim::CostModel cost;
+  DiskStore store{100, cost, /*cache=*/8, StoreEngine::flat};
+  sim.spawn("driver", [&](sim::Process& self) {
+    const Sysname a = store.createSegment(3 * ra::kPageSize).value();
+    const Sysname b = store.createSegment(2 * ra::kPageSize).value();
+    ASSERT_TRUE(store.writePage(self, {a, 0}, tagged(0x0101)).ok());
+    ASSERT_TRUE(store.writePages(self, {{{a, 1}, tagged(0x0202)}, {{b, 0}, tagged(0x0303)}}).ok());
+    ASSERT_TRUE(store.prepare(self, 11, {{{a, 2}, tagged(0x0404)}}).ok());
+    ASSERT_TRUE(store.commitPrepared(self, 11).ok());
+    ASSERT_TRUE(
+        store.prepare(self, kSnapTxid, {{{b, 1}, tagged(0x0505)}, {{a, 0}, tagged(0x0606)}})
+            .ok());
+  });
+  sim.run();
+  const std::string path = tempPath("pinned_flat_snapshot");
+  ASSERT_TRUE(store.saveTo(path).ok());
+  const Bytes file = readFile(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(file.size(), 49327u);
+  EXPECT_EQ(fnv1a(file), 0xcf327adef68ec289ull);
+}
+
 // A field as the snapshot encodes it.
 Bytes field(const std::function<void(Encoder&)>& put) {
   Encoder e;
@@ -624,6 +651,19 @@ TEST(WalStore, SnapshotLoadRefusesOtherFormatVersions) {
   v1.u32(0);
   v1.u32(0);
   expectRefused(std::move(v1).take());
+}
+
+TEST(WalStore, SnapshotLoadRefusesAFileCutShort) {
+  const Bytes saved = savedSnapshot();
+  // Empty, inside the magic, inside a segment's header, inside a stored
+  // page, in the prepared section, and one byte short of the whole log.
+  const std::size_t image_at =
+      lastOffset(saved, field([](Encoder& e) { e.bytes(tagged(0x0a0a)); }));
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{2}, std::size_t{30}, image_at + 100,
+                                image_at + 4 + ra::kPageSize + 8, saved.size() - 1}) {
+    SCOPED_TRACE(cut);
+    expectRefused(Bytes(saved.begin(), saved.begin() + static_cast<std::ptrdiff_t>(cut)));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // anonymous-segment partition backing volatile memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/codec.hpp"
@@ -131,6 +132,53 @@ TEST(NameServer, LoadRefusesTheBindingsOnlyFormat) {
   EXPECT_EQ(f.names.loadFrom(path).code(), Errc::io);
   EXPECT_TRUE(f.names.lookup("kept").ok());
   EXPECT_FALSE(f.names.lookup("old").ok());
+  std::remove(path.c_str());
+}
+
+// The name snapshot's bytes: two bindings (one a replica set) and two
+// forwards, pinned by size and hash.
+TEST(NameServer, SnapshotBytesArePinned) {
+  SysobjBed f;
+  ASSERT_TRUE(f.names.bind("alpha", {{ra::makeHomedSysname(100, 1)}}).ok());
+  ASSERT_TRUE(f.names
+                  .bind("replicated", {{ra::makeHomedSysname(100, 2), ra::makeHomedSysname(101, 3),
+                                        ra::makeHomedSysname(102, 4)}})
+                  .ok());
+  ASSERT_TRUE(f.names.addForward(ra::makeHomedSysname(100, 5), ra::makeHomedSysname(101, 6)).ok());
+  ASSERT_TRUE(f.names.addForward(ra::makeHomedSysname(100, 1), ra::makeHomedSysname(102, 7)).ok());
+  const std::string path = ::testing::TempDir() + "clouds_names_pinned.bin";
+  ASSERT_TRUE(f.names.saveTo(path).ok());
+  auto file = readHostFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(file.value().size(), 171u);
+  EXPECT_EQ(fnv1a(file.value()), 0xbcd1b9a8e87e7e59ull);
+}
+
+TEST(NameServer, LoadRefusesASnapshotCutShort) {
+  const std::string path = ::testing::TempDir() + "clouds_names_cut.bin";
+  Bytes saved;
+  {
+    SysobjBed f;
+    ASSERT_TRUE(f.names.bind("alpha", {{ra::makeHomedSysname(100, 1)}}).ok());
+    ASSERT_TRUE(
+        f.names.addForward(ra::makeHomedSysname(100, 5), ra::makeHomedSysname(101, 6)).ok());
+    ASSERT_TRUE(f.names.saveTo(path).ok());
+    saved = readHostFile(path).value();
+  }
+  // Empty, inside the magic, inside the binding's name, and one byte short
+  // of the last forward.
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{14},
+                                saved.size() - 1}) {
+    SCOPED_TRACE(cut);
+    ASSERT_TRUE(
+        writeHostFile(path, ByteSpan(saved.data(), std::min(cut, saved.size()))).ok());
+    SysobjBed f;
+    ASSERT_TRUE(f.names.bind("kept", {{ra::makeHomedSysname(100, 2)}}).ok());
+    EXPECT_EQ(f.names.loadFrom(path).code(), Errc::io);
+    EXPECT_TRUE(f.names.lookup("kept").ok());
+    EXPECT_FALSE(f.names.lookup("alpha").ok());
+  }
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,7 @@
 // turn, little-endian, strings and byte strings after a u32 length.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -19,8 +20,10 @@ struct Wire {
     return *this;
   }
   Wire& u8(std::uint8_t v) { return le(v, 1); }
+  Wire& u16(std::uint16_t v) { return le(v, 2); }
   Wire& u32(std::uint32_t v) { return le(v, 4); }
   Wire& u64(std::uint64_t v) { return le(v, 8); }
+  Wire& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
   Wire& sysname(const Sysname& s) { return u64(s.hi()).u64(s.lo()); }
   Wire& pageKey(const ra::PageKey& k) { return sysname(k.segment).u32(k.page); }
   Wire& image(const Bytes& b) {

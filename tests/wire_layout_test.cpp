@@ -2,17 +2,22 @@
 // against the tables in docs/PROTOCOLS.md, docs/SCHEDULING.md and
 // docs/MIGRATION.md, written out by hand (tests/wire.hpp), and read back.
 // DsmCodec.EveryOpEncodesItsDocumentedLayout (dsm_sync_test.cpp) pins the
-// DSM requests.
+// DSM requests. Frames (RaTP fragments, the comparators' messages) are
+// pinned as a bare interface on the wire receives them.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "clouds/object.hpp"
 #include "clouds/runtime.hpp"
+#include "clouds/value.hpp"
 #include "common/codec.hpp"
 #include "dsm/protocol.hpp"
 #include "migrate/protocol.hpp"
+#include "net/comparators.hpp"
+#include "net/ratp.hpp"
 #include "sched/report.hpp"
 #include "sysobj/name_server.hpp"
 #include "sysobj/user_io.hpp"
@@ -234,6 +239,229 @@ TEST(ForwardRecord, EncodesItsDocumentedLayout) {
   crowded[4 + 1 + 8 + 16 + 4 + 7] = std::byte{9};  // the move count
   EXPECT_EQ(migrate::ForwardRecord::decode(crowded).error().message,
             "forward record claims 9 segment moves");
+}
+
+TEST(ValueCodec, AListOfEveryTagEncodesItsDocumentedLayout) {
+  using obj::Value;
+  const obj::ValueList values{
+      Value{},
+      Value{std::int64_t{-2}},
+      Value{1.5},
+      Value{true},
+      Value{"hi"},
+      Value{kImage},
+      Value{obj::ValueList{Value{std::int64_t{7}}, Value{false}}},
+  };
+  const Bytes wire = Wire()
+                         .u32(7)
+                         .u8(0)
+                         .u8(1)
+                         .u64(static_cast<std::uint64_t>(-2))
+                         .u8(2)
+                         .f64(1.5)
+                         .u8(3)
+                         .u8(1)
+                         .u8(4)
+                         .str("hi")
+                         .u8(5)
+                         .image(kImage)
+                         .u8(6)
+                         .u32(2)
+                         .u8(1)
+                         .u64(7)
+                         .u8(3)
+                         .u8(0)
+                         .bytes;
+  EXPECT_EQ(Value::encodeList(values), wire);
+  auto back = Value::decodeList(wire);
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(back.value(), values);
+  EXPECT_EQ(Value::decodeList(Wire().u32(1).u8(7).bytes).error().message,
+            "unknown value tag 7");
+}
+
+// Two interfaces on one wire: `peer` runs the protocol under test, and
+// `tap` is a bare interface that keeps every frame it receives and may
+// answer it with frames written from the tables.
+struct TapBed {
+  sim::Simulation sim{42};
+  sim::CostModel cost;
+  net::Ethernet ether{sim, cost};
+  sim::CpuResource peer_cpu{cost.context_switch};
+  sim::CpuResource tap_cpu{cost.context_switch};
+  net::Nic& peer{ether.attach(1, peer_cpu, "peer")};
+  net::Nic& tap{ether.attach(2, tap_cpu, "tap")};
+  std::vector<net::Frame> heard;
+
+  using Answer = std::function<void(sim::Process&, const net::Frame&)>;
+  void listen(net::ProtocolId protocol, Answer answer = {}) {
+    tap.setHandler(protocol, [this, answer](sim::Process& self, net::Frame& frame) {
+      heard.push_back(frame);
+      if (answer) answer(self, frame);
+    });
+  }
+  void send(sim::Process& self, net::ProtocolId protocol, const Wire& payload,
+            Message body = {}) {
+    tap.send(self, net::Frame{net::kNoNode, peer.address(), protocol, payload.bytes,
+                              std::move(body)});
+  }
+};
+
+Bytes counting(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::byte>(i * 13 + 1);
+  return b;
+}
+
+Bytes slice(const Bytes& b, std::size_t off, std::size_t len) {
+  return Bytes(b.begin() + static_cast<std::ptrdiff_t>(off),
+               b.begin() + static_cast<std::ptrdiff_t>(off + len));
+}
+
+// A fragment is the header (type, txid, port, index, count, len) as the
+// frame's payload and `len` bytes of the message as its body. The tap hears
+// a two-fragment request from the endpoint, then sends a request written
+// from the table and hears the endpoint's reply.
+TEST(RatpCodec, FragmentHeadersAreTheDocumentedRows) {
+  TapBed b;
+  net::RatpEndpoint endpoint(b.peer, "peer");
+  endpoint.bindService(net::kPortEcho, [](sim::Process&, net::NodeId, const Bytes& request) {
+    Bytes reply = request;
+    reply.push_back(std::byte{'!'});
+    return reply;
+  });
+  b.listen(net::kProtoRatp);
+  const std::size_t cap = b.cost.eth_mtu - 19;
+  const Bytes big = counting(cap + 1);
+  const std::uint64_t peer_txid = (std::uint64_t{1} << 32) | 1;  // node 1's first
+  const std::uint64_t tap_txid = (std::uint64_t{2} << 32) | 77;
+  const Bytes ping = toBytes("ping");
+  b.sim.spawn("driver", [&](sim::Process& self) {
+    auto unanswered = endpoint.transact(self, b.tap.address(), net::kPortEcho, big,
+                                        {sim::msec(5), 0});
+    EXPECT_EQ(unanswered.code(), Errc::timeout);
+    b.send(self, net::kProtoRatp,
+           Wire().u8(1).u64(tap_txid).u16(net::kPortEcho).u16(0).u16(1).u32(4), Message(ping));
+  });
+  b.sim.run();
+  ASSERT_EQ(b.heard.size(), 3u);
+  const Bytes rows[] = {
+      Wire().u8(1).u64(peer_txid).u16(net::kPortEcho).u16(0).u16(2).u32(cap).bytes,
+      Wire().u8(1).u64(peer_txid).u16(net::kPortEcho).u16(1).u16(2).u32(1).bytes,
+      Wire().u8(2).u64(tap_txid).u16(net::kPortEcho).u16(0).u16(1).u32(5).bytes,
+  };
+  const Bytes bodies[] = {slice(big, 0, cap), slice(big, cap, 1), toBytes("ping!")};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(b.heard[i].payload, rows[i]) << "fragment " << i;
+    EXPECT_EQ(b.heard[i].payload.size(), 19u) << "fragment " << i;
+    EXPECT_EQ(b.heard[i].body.flatten(), bodies[i]) << "fragment " << i;
+  }
+}
+
+// The tap serves the peer's read with a read_data row, then sends a
+// read_req row and hears the peer's two-frame reply: the data is cut at the
+// MTU less the 13-byte header.
+TEST(ComparatorCodec, NfsFramesAreTheDocumentedRows) {
+  TapBed b;
+  net::NfsSim nfs(b.peer, "peer");
+  const std::uint64_t file = 0x0102030405060708;
+  nfs.serveFiles([&](std::uint64_t f, std::uint64_t offset, std::uint32_t length) {
+    EXPECT_EQ(f, file);
+    return slice(counting(offset + length), offset, length);
+  });
+  b.listen(net::kProtoUnixUdp, [&](sim::Process& self, const net::Frame& frame) {
+    if (frame.payload.at(0) == std::byte{1}) {
+      b.send(self, net::kProtoUnixUdp, Wire().u8(2).u32(1).u16(0).u16(1).image(kImage));
+    }
+  });
+  const std::size_t cap = b.cost.eth_mtu - 13;
+  Bytes got;
+  b.sim.spawn("driver", [&](sim::Process& self) {
+    auto read = nfs.read(self, b.tap.address(), file, 0x1112131415161718, 3);
+    ASSERT_TRUE(read.ok());
+    got = read.value();
+    b.send(self, net::kProtoUnixUdp,
+           Wire().u8(1).u32(9).u64(file).u64(16).u32(static_cast<std::uint32_t>(cap + 1)));
+  });
+  b.sim.run();
+  EXPECT_EQ(got, kImage);
+  const Bytes data = slice(counting(16 + cap + 1), 16, cap + 1);
+  const Bytes rows[] = {
+      Wire().u8(1).u32(1).u64(file).u64(0x1112131415161718).u32(3).bytes,
+      Wire().u8(2).u32(9).u16(0).u16(2).image(slice(data, 0, cap)).bytes,
+      Wire().u8(2).u32(9).u16(1).u16(2).image(slice(data, cap, 1)).bytes,
+  };
+  ASSERT_EQ(b.heard.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(b.heard[i].payload, rows[i]) << "frame " << i;
+    EXPECT_TRUE(b.heard[i].body.empty()) << "frame " << i;
+  }
+  EXPECT_EQ(b.heard[1].payload.size(), b.cost.eth_mtu);
+}
+
+// The tap plays the server to the peer's retrieval (conn 1), answering each
+// message with a row; then the client to the peer's server (conn 40). It
+// hears each of the six messages once.
+TEST(ComparatorCodec, FtpFramesAreTheDocumentedRows) {
+  TapBed b;
+  net::FtpSim ftp(b.peer, "peer");
+  ftp.serveFiles([](std::uint64_t file, std::uint64_t offset, std::uint32_t length) {
+    EXPECT_EQ(file, 5u);
+    EXPECT_EQ(offset, 0u);
+    return counting(length);
+  });
+  b.listen(net::kProtoUnixTcp, [&](sim::Process& self, const net::Frame& frame) {
+    switch (static_cast<std::uint8_t>(frame.payload.at(0))) {
+      case 1:  // syn, from the peer's client
+        b.send(self, net::kProtoUnixTcp, Wire().u8(2).u32(1));
+        break;
+      case 3:  // get
+        b.send(self, net::kProtoUnixTcp, Wire().u8(4).u32(1).u16(0).u16(1).image(kImage));
+        break;
+      case 5:  // ack
+        b.send(self, net::kProtoUnixTcp, Wire().u8(6).u32(1));
+        break;
+      case 2:  // synack, from the peer's server
+        b.send(self, net::kProtoUnixTcp, Wire().u8(3).u32(40).u64(5).u32(4));
+        break;
+      case 4:  // data
+        b.send(self, net::kProtoUnixTcp, Wire().u8(5).u32(40));
+        break;
+      default:
+        break;
+    }
+  });
+  Bytes got;
+  b.sim.spawn("driver", [&](sim::Process& self) {
+    auto r = ftp.retrieve(self, b.tap.address(), 5, 3);
+    ASSERT_TRUE(r.ok());
+    got = r.value();
+    b.send(self, net::kProtoUnixTcp, Wire().u8(1).u32(40));
+  });
+  b.sim.run();
+  EXPECT_EQ(got, kImage);
+  const Bytes rows[] = {
+      Wire().u8(1).u32(1).bytes,                               // syn
+      Wire().u8(3).u32(1).u64(5).u32(3).bytes,                 // get
+      Wire().u8(5).u32(1).bytes,                               // ack
+      Wire().u8(2).u32(40).bytes,                              // synack
+      Wire().u8(4).u32(40).u16(0).u16(1).image(counting(4)).bytes,  // data
+      Wire().u8(6).u32(40).bytes,                              // fin
+  };
+  ASSERT_EQ(b.heard.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(b.heard[i].payload, rows[i]) << "frame " << i;
+    EXPECT_TRUE(b.heard[i].body.empty()) << "frame " << i;
+  }
+}
+
+// The header sizes the fragmenting code cuts by are those of the headers
+// the field lists encode.
+TEST(RatpCodec, HeaderSizesAreTheEncodedSizes) {
+  EXPECT_EQ(codec::encode(net::FragmentHeader{}).size(), net::kFragHeader);
+  EXPECT_EQ(net::kFragHeader, 19u);
+  EXPECT_EQ(codec::encode(net::NfsFrame{.type = net::NfsMsg::read_data}).size(), net::kUdpHeader);
+  EXPECT_EQ(net::kUdpHeader, 13u);
 }
 
 }  // namespace

@@ -5,11 +5,12 @@
 
 PARENT_BUILD and CHANGE_BUILD are CMake build trees of the main project.
 Runs each named bench (default: kernel network invocation consistency
-migration dsm_sort pet) as BUILD/bench/bench_NAME --benchmark_min_time=0.01
-from both trees, the two builds side by side, and compares the
-deterministic `# metrics <name> {json}` lines each prints on stderr. It
-prints every line that differs, or that only one build printed, and exits
-1 if there is any, 0 if there is none.
+migration dsm_sort pet store granularity scheduler) as
+BUILD/bench/bench_NAME --benchmark_min_time=0.01 from both trees, the two
+builds side by side, and compares the deterministic `# metrics <name>
+{json}` lines each prints on stderr. It prints every line that differs, or
+that only one build printed, and exits 1 if there is any, 0 if there is
+none.
 
 A change meant to move no simulated byte must exit 0. A change that moves
 bytes on purpose will not, so no CI job gates on this tool.
@@ -19,7 +20,7 @@ import subprocess
 import sys
 
 DEFAULT_BENCHES = ("kernel", "network", "invocation", "consistency", "migration", "dsm_sort",
-                   "pet")
+                   "pet", "store", "granularity", "scheduler")
 PREFIX = "# metrics "
 
 
